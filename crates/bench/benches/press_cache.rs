@@ -47,6 +47,25 @@ fn directory_ops(c: &mut Criterion) {
             d.remove(f, NodeId((f % 4) as usize));
         })
     });
+    group.bench_function("holders_route", |b| {
+        // A 16-node directory over the 240k-file scale document set,
+        // one or two holders per file: the least-loaded pick `route`
+        // makes on every non-local request.
+        const FILES: u32 = 240_000;
+        let mut d = Directory::new(FILES);
+        for f in 0..FILES {
+            d.add(f, NodeId((f % 16) as usize));
+            if f % 3 == 0 {
+                d.add(f, NodeId((f / 3 % 16) as usize));
+            }
+        }
+        let load: Vec<u32> = (0..16).map(|n| (n * 7) % 5).collect();
+        let mut f = 0u32;
+        b.iter(|| {
+            f = (f + 7_919) % FILES;
+            black_box(d.holders(f).filter(|n| n.0 != 0).min_by_key(|n| load[n.0]))
+        })
+    });
     group.bench_function("drop_node_60k_files", |b| {
         b.iter_batched(
             || {

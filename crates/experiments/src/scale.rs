@@ -570,7 +570,7 @@ mod tests {
                     let actual: std::collections::BTreeSet<u32> =
                         sim.press(NodeId(h)).cached_files().into_iter().collect();
                     let believed: std::collections::BTreeSet<u32> = (0..files)
-                        .filter(|&f| observer.directory().holders(f).contains(&NodeId(h)))
+                        .filter(|&f| observer.directory().holders(f).any(|n| n == NodeId(h)))
                         .collect();
                     // The convergence invariant: views may differ from
                     // reality only on files whose deltas the holder has

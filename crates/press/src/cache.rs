@@ -1,11 +1,63 @@
 //! Cooperative caching: the per-node LRU file cache and the
 //! cluster-wide caching directory each node maintains from broadcasts.
+//!
+//! Both structures sit on the request path of every node, and the
+//! directory holds one slot per file of the whole document set, so both
+//! are flat: the directory is one zero-initialised 8-byte slot per file
+//! (allocated as zeroed memory, so pages no file has touched never
+//! become resident), and the cache is a slab of `u32`-linked list nodes
+//! indexed by file id.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use simnet::fabric::NodeId;
 
 use crate::msg::FileId;
+
+/// Largest cluster the directory can describe: holder ids and per-file
+/// holder counts are stored as `u16`.
+pub const MAX_NODES: usize = u16::MAX as usize;
+
+/// Hasher for simulator-chosen integer file ids: one multiply
+/// (Fibonacci hashing) instead of SipHash's rounds. The keys are never
+/// adversarial, and the maps using it are only looked up by key, never
+/// iterated, so the hash cannot leak into any output.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIBONACCI);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(FIBONACCI);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<V> = HashMap<FileId, V, BuildHasherDefault<IdHasher>>;
+
+/// End-of-list marker for [`LruCache`] links.
+const NIL: u32 = u32::MAX;
+
+/// One cached file in the [`LruCache`] slab, linked towards the least
+/// (`prev`) and most (`next`) recently used ends. A freed slot is
+/// chained to the next free one through `next`.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    file: FileId,
+    prev: u32,
+    next: u32,
+}
 
 /// A least-recently-used cache of equally sized files.
 ///
@@ -26,9 +78,14 @@ use crate::msg::FileId;
 #[derive(Debug, Clone)]
 pub struct LruCache {
     capacity: usize,
-    tick: u64,
-    by_file: HashMap<FileId, u64>,
-    by_age: BTreeMap<u64, FileId>,
+    links: Vec<Link>,
+    /// Head of the free-slot chain.
+    free: u32,
+    /// Least recently used file's slot.
+    head: u32,
+    /// Most recently used file's slot.
+    tail: u32,
+    index: IdMap<u32>,
 }
 
 impl LruCache {
@@ -36,14 +93,20 @@ impl LruCache {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit the `u32` links.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
+        assert!(
+            capacity < NIL as usize,
+            "cache capacity must be below {NIL} entries (got {capacity})"
+        );
         LruCache {
             capacity,
-            tick: 0,
-            by_file: HashMap::new(),
-            by_age: BTreeMap::new(),
+            links: Vec::new(),
+            free: NIL,
+            head: NIL,
+            tail: NIL,
+            index: IdMap::default(),
         }
     }
 
@@ -54,28 +117,28 @@ impl LruCache {
 
     /// Current entries.
     pub fn len(&self) -> usize {
-        self.by_file.len()
+        self.index.len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.by_file.is_empty()
+        self.index.is_empty()
     }
 
     /// Whether `file` is cached (does not refresh recency).
     pub fn contains(&self, file: FileId) -> bool {
-        self.by_file.contains_key(&file)
+        self.index.contains_key(&file)
     }
 
     /// Marks `file` most recently used. Returns `false` if absent.
     pub fn touch(&mut self, file: FileId) -> bool {
-        let Some(age) = self.by_file.get(&file).copied() else {
+        let Some(&slot) = self.index.get(&file) else {
             return false;
         };
-        self.by_age.remove(&age);
-        self.tick += 1;
-        self.by_age.insert(self.tick, file);
-        self.by_file.insert(file, self.tick);
+        if slot != self.tail {
+            self.unlink(slot);
+            self.push_back(slot);
+        }
         true
     }
 
@@ -86,98 +149,268 @@ impl LruCache {
         if self.touch(file) {
             return None;
         }
-        let evicted = if self.by_file.len() >= self.capacity {
-            let (_, victim) = self.by_age.pop_first().expect("cache is full, so nonempty");
-            self.by_file.remove(&victim);
-            Some(victim)
+        let evicted = if self.len() >= self.capacity {
+            self.pop_lru()
         } else {
             None
         };
-        self.tick += 1;
-        self.by_age.insert(self.tick, file);
-        self.by_file.insert(file, self.tick);
+        let slot = if self.free == NIL {
+            self.links.push(Link {
+                file,
+                prev: NIL,
+                next: NIL,
+            });
+            (self.links.len() - 1) as u32
+        } else {
+            let slot = self.free;
+            self.free = self.links[slot as usize].next;
+            self.links[slot as usize].file = file;
+            slot
+        };
+        self.push_back(slot);
+        self.index.insert(file, slot);
         evicted
     }
 
     /// Removes `file`; returns whether it was present.
     pub fn remove(&mut self, file: FileId) -> bool {
-        match self.by_file.remove(&file) {
-            Some(age) => {
-                self.by_age.remove(&age);
-                true
-            }
-            None => false,
-        }
+        let Some(slot) = self.index.remove(&file) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.release(slot);
+        true
     }
 
     /// Removes and returns the least recently used file.
     pub fn pop_lru(&mut self) -> Option<FileId> {
-        let (_, victim) = self.by_age.pop_first()?;
-        self.by_file.remove(&victim);
-        Some(victim)
+        let slot = self.head;
+        if slot == NIL {
+            return None;
+        }
+        let file = self.links[slot as usize].file;
+        self.unlink(slot);
+        self.release(slot);
+        self.index.remove(&file);
+        Some(file)
     }
 
-    /// All cached files (unspecified order).
+    /// All cached files, least recently used first.
     pub fn files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.by_age.values().copied()
+        let mut at = self.head;
+        std::iter::from_fn(move || {
+            // `NIL` lies past the end of any slab `new` allows.
+            let link = self.links.get(at as usize)?;
+            at = link.next;
+            Some(link.file)
+        })
     }
 
     /// Drops everything.
     pub fn clear(&mut self) {
-        self.by_file.clear();
-        self.by_age.clear();
+        self.links.clear();
+        self.index.clear();
+        self.free = NIL;
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Link { prev, next, .. } = self.links[slot as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.links[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.links[next as usize].prev = prev;
+        }
+    }
+
+    fn push_back(&mut self, slot: u32) {
+        let link = &mut self.links[slot as usize];
+        link.prev = self.tail;
+        link.next = NIL;
+        if self.tail == NIL {
+            self.head = slot;
+        } else {
+            self.links[self.tail as usize].next = slot;
+        }
+        self.tail = slot;
+    }
+
+    fn release(&mut self, slot: u32) {
+        self.links[slot as usize].next = self.free;
+        self.free = slot;
     }
 }
 
+/// Holder ids a directory slot stores inline.
+const INLINE: usize = 3;
+
 /// A node's view of who caches what, maintained from `CacheAdd` /
-/// `CacheEvict` broadcasts.
+/// `CacheEvict` broadcasts and digests.
+///
+/// Each file owns one 8-byte slot: its holder count followed by up to
+/// three holder ids. A file with more holders keeps all of them in
+/// a side map instead, which is only ever looked up by file id. Holders
+/// are kept in insertion order; removal preserves the order of the rest.
+///
+/// # Example
+///
+/// ```
+/// use press::cache::Directory;
+/// use simnet::fabric::NodeId;
+///
+/// let mut d = Directory::new(10);
+/// d.add(5, NodeId(2));
+/// d.add(5, NodeId(0));
+/// assert!(d.holders(5).eq([NodeId(2), NodeId(0)]));
+/// assert_eq!(d.entries(), 2);
+/// ```
 #[derive(Debug, Clone)]
 pub struct Directory {
-    holders: Vec<Vec<NodeId>>,
+    /// Per file: `[count, id, id, id]`, unused ids zero. Inline ids are
+    /// all zero while `count > INLINE`.
+    slots: Vec<[u16; 1 + INLINE]>,
+    /// The holders of every file with more than [`INLINE`] of them.
+    spill: IdMap<Vec<u16>>,
+    entries: usize,
 }
 
 impl Directory {
     /// An empty directory over `files` file ids.
     pub fn new(files: u32) -> Self {
         Directory {
-            holders: vec![Vec::new(); files as usize],
+            // An all-zero array element makes this one zeroed
+            // allocation, not a per-slot fill.
+            slots: vec![[0; 1 + INLINE]; files as usize],
+            spill: IdMap::default(),
+            entries: 0,
         }
     }
 
     /// Records that `node` caches `file`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node`'s id is not below [`MAX_NODES`].
     pub fn add(&mut self, file: FileId, node: NodeId) {
-        let h = &mut self.holders[file as usize];
-        if !h.contains(&node) {
-            h.push(node);
+        let id = compact(node);
+        let slot = &mut self.slots[file as usize];
+        let len = usize::from(slot[0]);
+        if len < INLINE {
+            if slot[1..=len].contains(&id) {
+                return;
+            }
+            slot[len + 1] = id;
+        } else if len == INLINE {
+            if slot[1..].contains(&id) {
+                return;
+            }
+            let mut ids = Vec::with_capacity(2 * INLINE);
+            ids.extend_from_slice(&slot[1..]);
+            ids.push(id);
+            slot[1..].fill(0);
+            self.spill.insert(file, ids);
+        } else {
+            let ids = self
+                .spill
+                .get_mut(&file)
+                .expect("a spilled file has a spill entry");
+            if ids.contains(&id) {
+                return;
+            }
+            ids.push(id);
         }
+        slot[0] += 1;
+        self.entries += 1;
     }
 
     /// Records that `node` no longer caches `file`.
     pub fn remove(&mut self, file: FileId, node: NodeId) {
-        self.holders[file as usize].retain(|n| *n != node);
+        if let Ok(id) = u16::try_from(node.0) {
+            self.remove_id(file, id);
+        }
     }
 
-    /// Nodes believed to cache `file`.
-    pub fn holders(&self, file: FileId) -> &[NodeId] {
-        &self.holders[file as usize]
+    /// Nodes believed to cache `file`, in the order they were added.
+    pub fn holders(&self, file: FileId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.ids(file).iter().map(|&id| NodeId(usize::from(id)))
     }
 
     /// Forgets everything a departed node cached.
     pub fn drop_node(&mut self, node: NodeId) {
-        for h in &mut self.holders {
-            h.retain(|n| *n != node);
+        let Ok(id) = u16::try_from(node.0) else {
+            return;
+        };
+        for file in 0..self.slots.len() {
+            if self.slots[file][0] != 0 {
+                self.remove_id(file as FileId, id);
+            }
         }
     }
 
     /// Total (file, holder) entries — diagnostics.
     pub fn entries(&self) -> usize {
-        self.holders.iter().map(Vec::len).sum()
+        self.entries
     }
+
+    fn ids(&self, file: FileId) -> &[u16] {
+        let slot = &self.slots[file as usize];
+        let len = usize::from(slot[0]);
+        if len <= INLINE {
+            &slot[1..=len]
+        } else {
+            &self.spill[&file]
+        }
+    }
+
+    fn remove_id(&mut self, file: FileId, id: u16) {
+        let slot = &mut self.slots[file as usize];
+        let len = usize::from(slot[0]);
+        if len <= INLINE {
+            let Some(pos) = slot[1..=len].iter().position(|&h| h == id) else {
+                return;
+            };
+            slot.copy_within(pos + 2..=len, pos + 1);
+            slot[len] = 0;
+        } else {
+            let ids = self
+                .spill
+                .get_mut(&file)
+                .expect("a spilled file has a spill entry");
+            let Some(pos) = ids.iter().position(|&h| h == id) else {
+                return;
+            };
+            ids.remove(pos);
+            if ids.len() == INLINE {
+                slot[1..].copy_from_slice(ids);
+                self.spill.remove(&file);
+            }
+        }
+        slot[0] -= 1;
+        self.entries -= 1;
+    }
+}
+
+/// `node`'s id as stored in a directory slot.
+fn compact(node: NodeId) -> u16 {
+    assert!(
+        node.0 < MAX_NODES,
+        "node id {} does not fit the cache directory, which holds at most {MAX_NODES} nodes",
+        node.0
+    );
+    node.0 as u16
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn lru_evicts_least_recent() {
@@ -245,9 +478,9 @@ mod tests {
         d.add(5, NodeId(0));
         d.add(5, NodeId(2));
         d.add(5, NodeId(0)); // duplicate ignored
-        assert_eq!(d.holders(5), &[NodeId(0), NodeId(2)]);
+        assert!(d.holders(5).eq([NodeId(0), NodeId(2)]));
         d.remove(5, NodeId(0));
-        assert_eq!(d.holders(5), &[NodeId(2)]);
+        assert!(d.holders(5).eq([NodeId(2)]));
         assert_eq!(d.entries(), 1);
     }
 
@@ -260,13 +493,207 @@ mod tests {
         }
         d.drop_node(NodeId(3));
         for f in 0..4 {
-            assert_eq!(d.holders(f), &[NodeId(1)]);
+            assert!(d.holders(f).eq([NodeId(1)]));
         }
+        assert_eq!(d.entries(), 4);
+    }
+
+    #[test]
+    fn directory_spills_and_returns_inline_in_order() {
+        let mut d = Directory::new(2);
+        for n in [4, 1, 7, 0, 9] {
+            d.add(1, NodeId(n));
+        }
+        assert!(d.holders(1).eq([4, 1, 7, 0, 9].map(NodeId)));
+        d.remove(1, NodeId(1));
+        d.remove(1, NodeId(9));
+        assert!(d.holders(1).eq([4, 7, 0].map(NodeId)));
+        assert!(d.spill.is_empty());
+        assert_eq!(d.entries(), 3);
+        assert_eq!(d.holders(0).len(), 0);
+    }
+
+    #[test]
+    fn directory_accepts_the_largest_node_id() {
+        let mut d = Directory::new(1);
+        d.add(0, NodeId(MAX_NODES - 1));
+        assert!(d.holders(0).eq([NodeId(MAX_NODES - 1)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 nodes")]
+    fn directory_rejects_a_node_id_beyond_u16() {
+        Directory::new(1).add(0, NodeId(MAX_NODES));
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_capacity_cache_is_rejected() {
         LruCache::new(0);
+    }
+
+    /// The directory as it was first written: one vector per file.
+    struct ModelDirectory(Vec<Vec<NodeId>>);
+
+    impl ModelDirectory {
+        fn add(&mut self, file: FileId, node: NodeId) {
+            let h = &mut self.0[file as usize];
+            if !h.contains(&node) {
+                h.push(node);
+            }
+        }
+
+        fn remove(&mut self, file: FileId, node: NodeId) {
+            self.0[file as usize].retain(|n| *n != node);
+        }
+
+        fn drop_node(&mut self, node: NodeId) {
+            for h in &mut self.0 {
+                h.retain(|n| *n != node);
+            }
+        }
+    }
+
+    /// The cache as it was first written: recency ticks in a hash map
+    /// and a B-tree ordered by tick.
+    struct ModelLru {
+        capacity: usize,
+        tick: u64,
+        by_file: HashMap<FileId, u64>,
+        by_age: BTreeMap<u64, FileId>,
+    }
+
+    impl ModelLru {
+        fn new(capacity: usize) -> Self {
+            ModelLru {
+                capacity,
+                tick: 0,
+                by_file: HashMap::new(),
+                by_age: BTreeMap::new(),
+            }
+        }
+
+        fn touch(&mut self, file: FileId) -> bool {
+            let Some(age) = self.by_file.get(&file).copied() else {
+                return false;
+            };
+            self.by_age.remove(&age);
+            self.tick += 1;
+            self.by_age.insert(self.tick, file);
+            self.by_file.insert(file, self.tick);
+            true
+        }
+
+        fn insert(&mut self, file: FileId) -> Option<FileId> {
+            if self.touch(file) {
+                return None;
+            }
+            let evicted = if self.by_file.len() >= self.capacity {
+                let (_, victim) = self.by_age.pop_first().expect("full, so nonempty");
+                self.by_file.remove(&victim);
+                Some(victim)
+            } else {
+                None
+            };
+            self.tick += 1;
+            self.by_age.insert(self.tick, file);
+            self.by_file.insert(file, self.tick);
+            evicted
+        }
+
+        fn remove(&mut self, file: FileId) -> bool {
+            match self.by_file.remove(&file) {
+                Some(age) => self.by_age.remove(&age).is_some(),
+                None => false,
+            }
+        }
+
+        fn pop_lru(&mut self) -> Option<FileId> {
+            let (_, victim) = self.by_age.pop_first()?;
+            self.by_file.remove(&victim);
+            Some(victim)
+        }
+
+        fn files(&self) -> Vec<FileId> {
+            self.by_age.values().copied().collect()
+        }
+
+        fn clear(&mut self) {
+            self.by_file.clear();
+            self.by_age.clear();
+        }
+    }
+
+    const FILES: u32 = 6;
+
+    proptest! {
+        /// Random add/remove/drop_node sequences give the same holders,
+        /// in the same order, and the same entry count as one vector per
+        /// file. Few files and up to 64 nodes push files well past the
+        /// inline capacity; the second half of each sequence is
+        /// removal-heavy, so they shrink back inline too.
+        #[test]
+        fn directory_matches_vec_per_file_model(
+            nodes in 2usize..=64,
+            ops in prop::collection::vec((0u32..10, 0u32..FILES, any::<u32>()), 1..400),
+        ) {
+            let mut d = Directory::new(FILES);
+            let mut model = ModelDirectory(vec![Vec::new(); FILES as usize]);
+            let half = ops.len() / 2;
+            for (i, (kind, file, pick)) in ops.into_iter().enumerate() {
+                let adds = if i < half { 7 } else { 3 };
+                let held = &model.0[file as usize];
+                // Removals usually name a current holder, so they bite.
+                let node = if kind >= adds && !held.is_empty() && pick % 4 != 0 {
+                    held[pick as usize % held.len()]
+                } else {
+                    NodeId(pick as usize % nodes)
+                };
+                if kind == 9 {
+                    d.drop_node(node);
+                    model.drop_node(node);
+                } else if kind < adds {
+                    d.add(file, node);
+                    model.add(file, node);
+                } else {
+                    d.remove(file, node);
+                    model.remove(file, node);
+                }
+                for f in 0..FILES {
+                    let got: Vec<NodeId> = d.holders(f).collect();
+                    prop_assert_eq!(&got, &model.0[f as usize]);
+                }
+                let total: usize = model.0.iter().map(Vec::len).sum();
+                prop_assert_eq!(d.entries(), total);
+                let spilled = model.0.iter().filter(|h| h.len() > INLINE).count();
+                prop_assert_eq!(d.spill.len(), spilled);
+            }
+        }
+
+        /// Every operation returns what the tick-ordered cache returned,
+        /// and iteration order agrees after each step.
+        #[test]
+        fn lru_matches_tick_ordered_model(
+            capacity in 1usize..12,
+            ops in prop::collection::vec((0u32..20, 0u32..30), 1..400),
+        ) {
+            let mut c = LruCache::new(capacity);
+            let mut model = ModelLru::new(capacity);
+            for (kind, file) in ops {
+                match kind {
+                    0..=8 => prop_assert_eq!(c.insert(file), model.insert(file)),
+                    9..=13 => prop_assert_eq!(c.touch(file), model.touch(file)),
+                    14..=16 => prop_assert_eq!(c.remove(file), model.remove(file)),
+                    17 | 18 => prop_assert_eq!(c.pop_lru(), model.pop_lru()),
+                    _ => {
+                        c.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(c.files().collect::<Vec<_>>(), model.files());
+                prop_assert_eq!(c.len(), model.by_file.len());
+                prop_assert_eq!(c.contains(file), model.by_file.contains_key(&file));
+            }
+        }
     }
 }

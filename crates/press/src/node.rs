@@ -29,7 +29,7 @@ use transport::{
     BreakReason, CallParams, Effects, SendInterposer, SendStatus, Substrate, Upcall,
 };
 
-use crate::cache::{Directory, LruCache};
+use crate::cache::{Directory, LruCache, MAX_NODES};
 use crate::config::{CacheSyncImpl, MembershipImpl, PressConfig};
 use crate::msg::{FileId, MsgBody, PressMsg, Request};
 use crate::version::PressVersion;
@@ -249,7 +249,17 @@ pub struct PressNode {
 
 impl PressNode {
     /// Creates a stopped node; call [`PressNode::start`] to boot it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.nodes` exceeds [`MAX_NODES`], the most node ids
+    /// the cache directory can store.
     pub fn new(id: NodeId, version: PressVersion, config: PressConfig) -> Self {
+        assert!(
+            config.nodes <= MAX_NODES,
+            "PRESS supports at most {MAX_NODES} nodes (the cache directory stores u16 node ids); got {}",
+            config.nodes
+        );
         let cache = LruCache::new(config.cache_entries());
         let directory = Directory::new(config.files);
         let nodes = config.nodes;
@@ -598,8 +608,7 @@ impl PressNode {
 
     fn route<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>, req: Request) {
         ctx.cpu.charge(ctx.now, self.config.route_cost);
-        if self.cache.contains(req.file) {
-            self.cache.touch(req.file);
+        if self.cache.touch(req.file) {
             self.stats.served_local += 1;
             self.finish_serve(ctx, req.id);
             return;
@@ -608,8 +617,6 @@ impl PressNode {
         let holder = self
             .directory
             .holders(req.file)
-            .iter()
-            .copied()
             .filter(|n| *n != self.id && self.members.contains(n) && ctx.sub.is_connected(*n))
             .min_by_key(|n| self.load_map[n.0]);
         match holder {
@@ -2507,6 +2514,28 @@ mod tests {
     }
 
     #[test]
+    fn a_cluster_at_the_directory_id_limit_is_accepted() {
+        let config = PressConfig {
+            nodes: MAX_NODES,
+            files: 4,
+            ..PressConfig::paper_testbed()
+        };
+        let mut node = PressNode::new(NodeId(0), PressVersion::Tcp, config);
+        node.directory.add(3, NodeId(MAX_NODES - 1));
+        assert!(node.directory().holders(3).eq([NodeId(MAX_NODES - 1)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 nodes")]
+    fn a_cluster_beyond_the_directory_id_limit_is_rejected() {
+        let config = PressConfig {
+            nodes: MAX_NODES + 1,
+            ..PressConfig::paper_testbed()
+        };
+        PressNode::new(NodeId(0), PressVersion::Tcp, config);
+    }
+
+    #[test]
     fn cache_digest_applies_to_the_directory_members_only() {
         let mut rig = Rig::new(PressVersion::Tcp);
         rig.start_cold();
@@ -2531,14 +2560,13 @@ mod tests {
         };
         rig.node.directory.add(9, NodeId(1));
         deliver(&mut rig, 1);
-        assert_eq!(rig.node.directory().holders(7), &[NodeId(1)]);
-        assert_eq!(rig.node.directory().holders(8), &[NodeId(1)]);
-        assert!(rig.node.directory().holders(9).is_empty());
+        assert!(rig.node.directory().holders(7).eq([NodeId(1)]));
+        assert!(rig.node.directory().holders(8).eq([NodeId(1)]));
+        assert_eq!(rig.node.directory().holders(9).len(), 0);
         // A digest from a non-member is ignored.
         rig.with(|n, ctx| n.exclude(ctx, NodeId(2), false));
         deliver(&mut rig, 2);
-        assert!(rig.node.directory().holders(7).contains(&NodeId(1)));
-        assert!(!rig.node.directory().holders(7).contains(&NodeId(2)));
+        assert!(rig.node.directory().holders(7).eq([NodeId(1)]));
     }
 
     #[test]

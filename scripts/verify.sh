@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-2 verification: release build, lint, full test suite, and golden
-# diffs of the repro harness.
+# Tier-2 verification: release build, lint, bench compilation, full test
+# suite (the workspace and perfbench), and golden diffs of the repro
+# harness.
 #
 # The golden checks run small-scale targets with `--jobs 0` (all cores)
 # and diff stdout against the checked-in sequential captures, so they
@@ -22,11 +23,22 @@ cargo build --release --workspace
 echo "== cargo clippy"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+echo "== criterion benches compile"
+# The benches sit behind the bench-harness feature, which clippy above
+# does not enable; checking them keeps the microbenchmarks of the PRESS
+# cache structures, engine and transports building.
+cargo check -q -p bench --benches --features bench-harness
+
 echo "== cargo test"
 # Single-threaded: the parallel-identity sweeps mutate the process-wide
 # sim-threads default, and serial runs keep timing-sensitive output
 # stable on small hosts.
 RUST_TEST_THREADS=1 cargo test -q --workspace
+
+echo "== perfbench tests"
+# perfbench is a package of its own, outside the root workspace: its
+# sliced-vs-unsliced digest test and smoke run need their own manifest.
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 echo "== repro table1 --small --timing vs golden"
 tmp_out=$(mktemp)
