@@ -3,113 +3,24 @@
 //! PRESS version — the macro number that bounds every experiment's
 //! wall-clock time.
 
+use bench::alloc_counter::CountingAlloc;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use experiments::{ClusterConfig, ClusterSim};
 use press::PressVersion;
-use simnet::{Engine, SimDuration, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
+use simnet::{SimDuration, SimTime};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every heap allocation in the process so the steady-state hot
 /// path can be *measured* for allocation-freedom, not just eyeballed.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Not a timing benchmark: hard verification that the event loop is
-/// allocation-free in steady state. Panics (failing the bench run) if
-/// the engine allocates at all once warm, or if the whole-cluster
-/// `handle`/`drain_work` path exceeds a small residual per event
-/// (transports legitimately allocate a little: TCP retained-stream
-/// nodes and segment payload clones).
+/// Not a timing benchmark: hard verification that the warm engine (with
+/// lanes), the frame slab and the whole-cluster event loop stay within
+/// their allocation budgets (see `bench::alloc_counter`). Panics,
+/// failing the bench run, on any overrun.
 fn allocation_counter(_c: &mut Criterion) {
-    // Engine steady state: push/pop/schedule_fifo must be zero-alloc
-    // once the queues are warm.
-    let mut engine = Engine::with_capacity(4096);
-    for i in 0..1_024u64 {
-        engine.schedule_at(SimTime::from_nanos(i * 1_000), i);
-    }
-    for _ in 0..8_192u64 {
-        // Warm both lanes and the slab free lists.
-        let (t, v) = engine.pop().expect("steady state");
-        if v % 2 == 0 {
-            engine.schedule_fifo(t + SimDuration::from_secs(6), v);
-        } else {
-            engine.schedule_at(t + SimDuration::from_millis(1), v);
-        }
-    }
-    let before = allocs();
-    for _ in 0..100_000u64 {
-        let (t, v) = engine.pop().expect("steady state");
-        if v % 2 == 0 {
-            engine.schedule_fifo(t + SimDuration::from_secs(6), v);
-        } else {
-            engine.schedule_at(t + SimDuration::from_millis(1), v);
-        }
-    }
-    let engine_allocs = allocs() - before;
-    assert_eq!(
-        engine_allocs, 0,
-        "warm engine allocated {engine_allocs} times over 100k push/pop pairs"
-    );
-    println!("alloc-counter: engine steady state: 0 allocations / 100k push+pop");
-
-    // Whole-cluster steady state: one simulated second after warm-up.
-    // The loop machinery (work queue, fx/app scratch, Effects pool,
-    // batch buffer, engine lanes) is allocation-free; what remains is
-    // transport-internal bookkeeping — TCP's retained-stream B-tree
-    // node churn and the per-data-segment payload `Vec` — so the bound
-    // is a calibrated residual, not zero. Before the scratch-reuse
-    // rework the loop alone cost 3+ allocations per event.
-    // VIA's bound is tighter: no retained-stream churn — the same
-    // kernel-overhead asymmetry the paper measures.
-    for (version, bound) in [(PressVersion::Tcp, 0.5), (PressVersion::Via5, 0.1)] {
-        let mut sim = ClusterSim::new(ClusterConfig::small(version), 1);
-        sim.run_until(SimTime::from_secs(3));
-        let (a0, e0) = (allocs(), sim.events_dispatched());
-        sim.run_until(SimTime::from_secs(4));
-        let delta_allocs = allocs() - a0;
-        let delta_events = sim.events_dispatched() - e0;
-        let per_event = delta_allocs as f64 / delta_events as f64;
-        println!(
-            "alloc-counter: {} steady state: {delta_allocs} allocations / \
-             {delta_events} events = {per_event:.4} per event",
-            version.name()
-        );
-        assert!(
-            per_event < bound,
-            "{}: {per_event:.4} allocations per event exceeds the \
-             {bound}/event residual budget — the loop itself must stay \
-             allocation-free",
-            version.name()
-        );
-    }
+    bench::alloc_counter::check_all();
 }
 
 fn cluster_second(c: &mut Criterion) {

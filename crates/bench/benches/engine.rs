@@ -2,7 +2,7 @@
 //! the substrate every experiment's wall-clock time hangs on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use simnet::{Engine, SimDuration, SimRng, SimTime};
+use simnet::{Engine, Lane, SimDuration, SimRng, SimTime};
 use std::hint::black_box;
 
 fn engine_schedule_pop(c: &mut Criterion) {
@@ -70,30 +70,98 @@ fn engine_pop_batch(c: &mut Criterion) {
 fn engine_timeout_stream(c: &mut Criterion) {
     // A constant-offset timeout stream (request deadlines, forward
     // watchdogs: always `now + T`) in steady state — the workload the
-    // monotone O(1) lane exists for, benched against the general heap.
+    // monotone lanes exist for, benched against the general heap.
     let mut group = c.benchmark_group("engine");
     let n = 100_000u64;
     group.throughput(Throughput::Elements(n));
-    for (name, fifo) in [("timeout_stream_heap", false), ("timeout_stream_fifo", true)] {
+    for (name, use_lane) in [("timeout_stream_heap", false), ("timeout_stream_lane", true)] {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
                     let mut engine = Engine::with_capacity(2048);
+                    let lane = engine.add_lane();
                     for i in 0..1_000u64 {
                         engine.schedule_at(SimTime::from_nanos(i * 1_000), i);
                     }
-                    engine
+                    (engine, lane)
                 },
-                |mut engine| {
+                |(mut engine, lane)| {
                     for _ in 0..n {
                         let (t, v) = engine.pop().expect("steady state");
                         let at = t + SimDuration::from_secs(6);
-                        if fifo {
-                            engine.schedule_fifo(at, v);
+                        if use_lane {
+                            engine.schedule_lane(lane, at, v);
                         } else {
                             engine.schedule_at(at, v);
                         }
                     }
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
+}
+
+/// Completion streams of the backlog benchmark (a node's CPU and disk
+/// pair, four nodes).
+const STREAMS: u64 = 8;
+
+fn engine_backlog_lanes(c: &mut Criterion) {
+    // The shape of a cluster under faults: every node's CPU and disk
+    // queues are backed up, so eight completion streams hold ~30k
+    // events between them, each stream's times non-decreasing (a busy
+    // server stamps `busy_until += service`). Beside them runs a
+    // short-horizon frame stream that reschedules itself 20 us out.
+    // Heap-only, every push and pop sifts through the whole backlog;
+    // with one lane per stream the heap holds eight lane heads plus the
+    // frames.
+    let mut group = c.benchmark_group("engine");
+    let n = 100_000u64;
+    let backlog_per_stream = 3_750u64;
+    let service = SimDuration::from_micros(40);
+    let frame_hop = SimDuration::from_micros(20);
+    group.throughput(Throughput::Elements(n));
+    for (name, use_lanes) in [("backlog_lanes/heap", false), ("backlog_lanes/lanes", true)] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    let mut engine = Engine::with_capacity(40_000);
+                    let lanes: Vec<Lane> = (0..STREAMS).map(|_| engine.add_lane()).collect();
+                    let mut busy = vec![SimTime::ZERO; STREAMS as usize];
+                    for _ in 0..backlog_per_stream {
+                        for k in 0..STREAMS {
+                            let done = &mut busy[k as usize];
+                            *done = *done + service + SimDuration::from_nanos(k);
+                            if use_lanes {
+                                engine.schedule_lane(lanes[k as usize], *done, k);
+                            } else {
+                                engine.schedule_at(*done, k);
+                            }
+                        }
+                    }
+                    for i in 0..64u64 {
+                        engine.schedule_at(SimTime::from_nanos(i * 300), STREAMS);
+                    }
+                    (engine, lanes, busy)
+                },
+                |(mut engine, lanes, mut busy)| {
+                    for _ in 0..n {
+                        let (t, v) = engine.pop().expect("steady state");
+                        if v == STREAMS {
+                            engine.schedule_at(t + frame_hop, v);
+                            continue;
+                        }
+                        // The stream's server takes on one more job.
+                        let done = &mut busy[v as usize];
+                        *done = (*done).max(t) + service;
+                        if use_lanes {
+                            engine.schedule_lane(lanes[v as usize], *done, v);
+                        } else {
+                            engine.schedule_at(*done, v);
+                        }
+                    }
+                    black_box(engine.pending())
                 },
                 BatchSize::SmallInput,
             )
@@ -183,6 +251,7 @@ criterion_group!(
     engine_schedule_pop,
     engine_pop_batch,
     engine_timeout_stream,
+    engine_backlog_lanes,
     engine_cancel,
     engine_dense_same_time,
     rng_sampling,

@@ -23,28 +23,29 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use experiments::{ClusterConfig, ClusterSim};
 use press::PressVersion;
-use simnet::{Engine, SimDuration, SimTime};
+use simnet::{Engine, Lane, SimDuration, SimTime};
 
 /// Events per iteration for the synthetic queue benchmarks.
 const N: u64 = 100_000;
 
 /// A self-rescheduling workload: every popped event re-queues itself a
-/// fixed fabric-like latency later, alternating heap and FIFO lanes, so
-/// both drain strategies process exactly `N` events over identical
-/// queue shapes.
-fn seed_engine() -> Engine<u64> {
+/// fixed fabric-like latency later, alternating the heap and a monotone
+/// lane, so both drain strategies process exactly `N` events over
+/// identical queue shapes.
+fn seed_engine() -> (Engine<u64>, Lane) {
     let mut e = Engine::with_capacity(1024);
+    let lane = e.add_lane();
     for i in 0..512u64 {
         e.schedule_at(SimTime::from_nanos(100 + i * 37), i);
     }
-    e
+    (e, lane)
 }
 
-fn resched(e: &mut Engine<u64>, t: SimTime, v: u64) {
+fn resched(e: &mut Engine<u64>, lane: Lane, t: SimTime, v: u64) {
     if v.is_multiple_of(2) {
         e.schedule_at(t + SimDuration::from_micros(29), v);
     } else {
-        e.schedule_fifo(t + SimDuration::from_micros(40), v);
+        e.schedule_lane(lane, t + SimDuration::from_micros(40), v);
     }
 }
 
@@ -56,12 +57,12 @@ fn window_sync(c: &mut Criterion) {
     group.bench_function("sequential_pop_batch", |b| {
         b.iter_batched(
             seed_engine,
-            |mut e| {
+            |(mut e, lane)| {
                 let mut batch = Vec::new();
                 let mut left = N;
                 'outer: while let Some(t) = e.pop_batch_before(SimTime::MAX, &mut batch) {
                     for v in batch.drain(..) {
-                        resched(&mut e, t, v);
+                        resched(&mut e, lane, t, v);
                         left -= 1;
                         if left == 0 {
                             break 'outer;
@@ -80,7 +81,7 @@ fn window_sync(c: &mut Criterion) {
     group.bench_function("windowed_pop_window", |b| {
         b.iter_batched(
             seed_engine,
-            |mut e| {
+            |(mut e, lane)| {
                 let window = SimDuration::from_micros(20);
                 let mut out: Vec<(SimTime, u64, u64)> = Vec::new();
                 let mut left = N;
@@ -88,7 +89,7 @@ fn window_sync(c: &mut Criterion) {
                     let bound = e.now() + window;
                     e.pop_window(bound, &mut out);
                     for (t, _seq, v) in out.drain(..) {
-                        resched(&mut e, t, v);
+                        resched(&mut e, lane, t, v);
                         e.note_dispatched(1);
                         left -= 1;
                         if left == 0 {

@@ -6,3 +6,9 @@
 //! * `benches/` — Criterion micro- and macro-benchmarks of the engine,
 //!   the transports, the PRESS cache, whole-cluster stepping, and the
 //!   per-figure reproduction runs.
+//! * `src/alloc_counter.rs` (`bench-harness` feature) — the allocation
+//!   budget checks shared by the `cluster` bench and the `allocations`
+//!   test.
+
+#[cfg(feature = "bench-harness")]
+pub mod alloc_counter;

@@ -8,12 +8,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use mendosus::{Campaign, FaultAction, FaultKind, FaultPhase, PlannedMangle};
 use press::{
     AppEffect, AppEvent, ClientAccept, NodeCtx, PressConfig, PressMsg, PressNode, PressVersion,
-    Request,
+    Request, Stream,
 };
 use simnet::fabric::{Fabric, FabricConfig, Frame, LossReason, NodeId};
 use simnet::{
-    AvailabilityCounter, CancelToken, CpuMeter, Engine, LatencyHistogram, SimDuration, SimRng,
-    SimTime, TimeSeries,
+    AvailabilityCounter, CancelToken, CpuMeter, Engine, Lane, LatencyHistogram, SimDuration,
+    SimRng, SimTime, Slab, TimeSeries,
 };
 use transport::{
     Effect, Effects, Substrate, SubstrateImpl, TcpConfig, TcpStack, TimerKey, TimerKind, Upcall,
@@ -130,10 +130,12 @@ pub enum ProcEvent {
     Restart,
 }
 
-/// Simulation events.
+/// Simulation events. Every queued event is one of these, so the size
+/// matters: a frame in flight is parked in [`ClusterSim::frames`] and
+/// its event carries only the handle.
 #[derive(Debug)]
 enum Ev {
-    Frame(Frame<WirePayload<PressMsg>>),
+    Frame(u32),
     Timer(TimerKey),
     App { node: usize, gen: u64, ev: AppEvent },
     Reply { node: usize, gen: u64, req_id: u64 },
@@ -166,6 +168,13 @@ struct NodeSlot {
     frozen: bool,
     gen: u64,
     freezer: Vec<Work>,
+}
+
+/// Engine lanes of one node's monotone event streams (see [`Stream`]).
+#[derive(Debug, Clone, Copy)]
+struct NodeLanes {
+    cpu: Lane,
+    disk: Lane,
 }
 
 /// How much a gray [`FaultKind::CpuThrottle`] slows a node: every CPU
@@ -310,6 +319,13 @@ pub fn events_dispatched_total() -> u64 {
 pub struct ClusterSim {
     config: ClusterConfig,
     engine: Engine<Ev>,
+    /// Shared engine lane of fixed-horizon timeouts: client deadlines
+    /// and PRESS forward watchdogs, both stamped `now + 6 s`.
+    timeout_lane: Lane,
+    /// Per-node CPU and disk completion lanes, indexed by node.
+    node_lanes: Vec<NodeLanes>,
+    /// Frames between transmit and delivery, named by `Ev::Frame`.
+    frames: Slab<Frame<WirePayload<PressMsg>>>,
     fabric: Fabric,
     nodes: Vec<NodeSlot>,
     clients: ClientPool,
@@ -365,6 +381,15 @@ impl ClusterSim {
         // A booted 4-node cluster keeps a few hundred events in flight;
         // pre-sizing skips the early heap growth.
         let mut engine = Engine::with_capacity(512);
+        // 2N+1 lanes: the shared timeout lane, then each node's CPU and
+        // disk completion streams.
+        let timeout_lane = engine.add_lane();
+        let node_lanes: Vec<NodeLanes> = (0..n)
+            .map(|_| NodeLanes {
+                cpu: engine.add_lane(),
+                disk: engine.add_lane(),
+            })
+            .collect();
         let fabric = Fabric::new(config.fabric.clone());
         let client_config = ClientConfig {
             rate: config.rate,
@@ -435,6 +460,9 @@ impl ClusterSim {
             last_members: vec![0; n],
             config,
             engine,
+            timeout_lane,
+            node_lanes,
+            frames: Slab::new(),
             fabric,
             nodes,
             clients,
@@ -703,7 +731,8 @@ impl ClusterSim {
     fn handle(&mut self, now: SimTime, ev: Ev) {
         debug_assert!(self.work.is_empty());
         match ev {
-            Ev::Frame(frame) => {
+            Ev::Frame(handle) => {
+                let frame = self.frames.take(handle);
                 let dst = frame.dst.0;
                 if self.fabric.node_up(frame.dst) {
                     self.work.push_back((dst, Work::FrameIn(frame)));
@@ -788,11 +817,7 @@ impl ClusterSim {
                     }
                     let deadline = self.clients.accepted(now, req.id);
                     self.record_attr(now, target.0, telemetry::AttrEvent::Accepted { req_id: req.id });
-                    // Deadlines are always `now + request_timeout`, so the
-                    // stream is monotone: the O(1) lane keeps these tens
-                    // of thousands of far-future events out of the heap.
-                    self.engine
-                        .schedule_fifo(deadline, Ev::Client(ClientEvent::Deadline(req.id)));
+                    self.schedule_deadline(deadline, req.id);
                     self.nodes[target.0].freezer.push(Work::Client(req));
                 } else {
                     if traced {
@@ -842,6 +867,32 @@ impl ClusterSim {
             }
         }
         self.drain_work(now);
+    }
+
+    /// Queues a node's event on the engine lane its stream names, or on
+    /// the heap for [`Stream::Unordered`]. A lane only speeds up the
+    /// queue: delivery follows the same `(time, seq)` order either way.
+    fn schedule_stream(&mut self, node: usize, stream: Stream, at: SimTime, ev: Ev) {
+        let lane = match stream {
+            Stream::Unordered => return self.engine.schedule_at(at, ev),
+            Stream::Cpu => self.node_lanes[node].cpu,
+            Stream::Disk => self.node_lanes[node].disk,
+            Stream::Timeout => self.timeout_lane,
+        };
+        self.engine.schedule_lane(lane, at, ev);
+    }
+
+    /// Queues a client deadline. Deadlines are always
+    /// `now + request_timeout`, so they ride the timeout lane.
+    fn schedule_deadline(&mut self, deadline: SimTime, req_id: u64) {
+        let ev = Ev::Client(ClientEvent::Deadline(req_id));
+        self.engine.schedule_lane(self.timeout_lane, deadline, ev);
+    }
+
+    /// Parks `frame` and queues its delivery at `at`.
+    fn schedule_frame(&mut self, at: SimTime, frame: Frame<WirePayload<PressMsg>>) {
+        let handle = self.frames.insert(frame);
+        self.engine.schedule_at(at, Ev::Frame(handle));
     }
 
     /// Records delivery of a timer event and reports whether it is
@@ -1180,8 +1231,7 @@ impl ClusterSim {
                     ClientAccept::Accepted => {
                         let deadline = self.clients.accepted(now, req_id);
                         self.record_attr(now, i, telemetry::AttrEvent::Accepted { req_id });
-                        self.engine
-                            .schedule_fifo(deadline, Ev::Client(ClientEvent::Deadline(req_id)));
+                        self.schedule_deadline(deadline, req_id);
                     }
                     ClientAccept::Dropped(reason) => {
                         self.clients.connect_failed();
@@ -1213,7 +1263,7 @@ impl ClusterSim {
             match e {
                 Effect::Transmit(frame) => match self.fabric.transmit(now, &frame) {
                     simnet::fabric::TransmitOutcome::Delivered { at } => {
-                        self.engine.schedule_at(at, Ev::Frame(frame));
+                        self.schedule_frame(at, frame);
                     }
                     simnet::fabric::TransmitOutcome::Lost { reason } => {
                         // Gray losses are silent: no NIC error reaches
@@ -1247,24 +1297,18 @@ impl ClusterSim {
         }
         for a in app.drain(..) {
             match a {
-                AppEffect::Schedule { at, ev } => {
+                AppEffect::Schedule { at, ev, stream } => {
                     let gen = self.nodes[i].gen;
-                    self.engine.schedule_at(at, Ev::App { node: i, gen, ev });
-                }
-                AppEffect::ScheduleMonotone { at, ev } => {
-                    let gen = self.nodes[i].gen;
-                    self.engine.schedule_fifo(at, Ev::App { node: i, gen, ev });
+                    self.schedule_stream(i, stream, at, Ev::App { node: i, gen, ev });
                 }
                 AppEffect::Reply { req_id, at } => {
                     let gen = self.nodes[i].gen;
-                    self.engine.schedule_at(
-                        at,
-                        Ev::Reply {
-                            node: i,
-                            gen,
-                            req_id,
-                        },
-                    );
+                    let ev = Ev::Reply {
+                        node: i,
+                        gen,
+                        req_id,
+                    };
+                    self.schedule_stream(i, Stream::Cpu, at, ev);
                 }
                 AppEffect::ProcessExit { reason: _ } => {
                     self.kill_process(now, i, Some(self.config.restart_delay));
@@ -1293,6 +1337,35 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn queued_events_stay_compact() {
+        // Every queued event is stored at this size, in the engine's
+        // slab or inline in a lane; a frame inline made each one 88 bytes.
+        assert!(std::mem::size_of::<Ev>() <= 48, "Ev is {} bytes", std::mem::size_of::<Ev>());
+    }
+
+    #[test]
+    fn frames_are_parked_until_their_event_is_handled() {
+        let mut sim = ClusterSim::new(ClusterConfig::small(PressVersion::Tcp), 3);
+        sim.run_until(SimTime::from_secs(2));
+        // Step until a frame is in flight (they spend microseconds on
+        // the wire).
+        let mut steps = 0;
+        while sim.frames.is_empty() {
+            steps += 1;
+            assert!(steps < 100_000, "no frame ever in flight");
+            sim.run_until(sim.now() + SimDuration::from_micros(1));
+        }
+        // Power every node off: nothing new leaves a dead NIC, and the
+        // frames already in flight reach dead destinations, which must
+        // still take them back out of the slab.
+        for i in 0..sim.config().press.nodes {
+            sim.fabric_mut().set_node_up(NodeId(i), false);
+        }
+        sim.run_until(SimTime::from_secs(3));
+        assert_eq!(sim.frames.len(), 0);
+    }
 
     #[test]
     fn fault_free_small_cluster_serves_requests() {

@@ -51,7 +51,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use press::{AppEffect, ClientAccept, NodeCtx, PressMsg, Request};
+use press::{AppEffect, ClientAccept, NodeCtx, PressMsg, Request, Stream};
 use simnet::fabric::TransmitOutcome;
 use simnet::{
     CancelToken, Engine, Fabric, FabricConfig, FabricFlags, Frame, NodeId, SimDuration, SimTime,
@@ -113,10 +113,13 @@ struct Record {
 enum Op {
     /// Placeholder left behind when an op is moved out for application.
     Nop,
-    /// `engine.schedule_at(at, ev)` — allocates the next seq.
-    Sched { at: SimTime, ev: Ev },
-    /// `engine.schedule_fifo(at, ev)` — allocates the next seq.
-    SchedFifo { at: SimTime, ev: Ev },
+    /// `schedule_stream(node, stream, at, ev)` — allocates the next seq.
+    Sched {
+        at: SimTime,
+        node: usize,
+        stream: Stream,
+        ev: Ev,
+    },
     /// An in-window event the worker scheduled locally: burn the seq
     /// the sequential loop would have given it and queue the slot on
     /// the replay heap.
@@ -528,7 +531,8 @@ fn distribute(sim: &mut ClusterSim, driver: &mut Driver, guards: &mut [MutexGuar
                 driver.stream.push(Slot { at, seq, tag: SlotTag::Deadline(id) });
             }
             Ev::Fault(_) => unreachable!("fault instants are serialized outside windows"),
-            Ev::Frame(f) => {
+            Ev::Frame(handle) => {
+                let f = sim.frames.take(handle);
                 let shard = driver.node_shard[f.dst.0];
                 guards[shard as usize].inbox.push((at, WEv::Frame(f)));
                 driver.stream.push(Slot { at, seq, tag: SlotTag::Node { shard, kind: K_FRAME } });
@@ -695,8 +699,7 @@ fn consume_record(
 fn apply_op(sim: &mut ClusterSim, driver: &mut Driver, shard: u32, at: SimTime, op: Op) {
     match op {
         Op::Nop => {}
-        Op::Sched { at, ev } => sim.engine.schedule_at(at, ev),
-        Op::SchedFifo { at, ev } => sim.engine.schedule_fifo(at, ev),
+        Op::Sched { at, node, stream, ev } => sim.schedule_stream(node, stream, at, ev),
         Op::Local { at } => {
             let seq = sim.engine.alloc_seq();
             driver.pending.push(Reverse((at, seq, shard)));
@@ -718,7 +721,7 @@ fn apply_op(sim: &mut ClusterSim, driver: &mut Driver, shard: u32, at: SimTime, 
         Op::Suppress => sim.timers_suppressed += 1,
         Op::TxFrame { frame, at_dst_port } => {
             match sim.fabric.rx_phase(at_dst_port, frame.dst, frame.bytes) {
-                TransmitOutcome::Delivered { at } => sim.engine.schedule_at(at, Ev::Frame(frame)),
+                TransmitOutcome::Delivered { at } => sim.schedule_frame(at, frame),
                 TransmitOutcome::Lost { reason } => panic!(
                     "window replay: receive-side loss ({reason:?}) after the sender already \
                      committed — transport flow control keeps per-peer backlog far below the \
@@ -729,7 +732,7 @@ fn apply_op(sim: &mut ClusterSim, driver: &mut Driver, shard: u32, at: SimTime, 
         }
         Op::ClientAccepted { req_id } => {
             let deadline = sim.clients.accepted(at, req_id);
-            sim.engine.schedule_fifo(deadline, Ev::Client(ClientEvent::Deadline(req_id)));
+            sim.schedule_deadline(deadline, req_id);
         }
         Op::ClientConnFailed => sim.clients.connect_failed(),
         Op::ClientRefused => sim.clients.refused(),
@@ -1127,20 +1130,13 @@ fn apply_effects_local(
     for a in app.drain(..) {
         let gen = sh.nodes[li].gen;
         match a {
-            AppEffect::Schedule { at, ev } => {
+            AppEffect::Schedule { at, ev, stream } => {
                 if at < sh.bound {
                     sh.local.schedule_at(at, WEv::App { node: i, gen, ev });
                     sh.ops.push(Op::Local { at });
                 } else {
-                    sh.ops.push(Op::Sched { at, ev: Ev::App { node: i, gen, ev } });
-                }
-            }
-            AppEffect::ScheduleMonotone { at, ev } => {
-                if at < sh.bound {
-                    sh.local.schedule_at(at, WEv::App { node: i, gen, ev });
-                    sh.ops.push(Op::Local { at });
-                } else {
-                    sh.ops.push(Op::SchedFifo { at, ev: Ev::App { node: i, gen, ev } });
+                    let ev = Ev::App { node: i, gen, ev };
+                    sh.ops.push(Op::Sched { at, node: i, stream, ev });
                 }
             }
             AppEffect::Reply { req_id, at } => {
@@ -1148,7 +1144,8 @@ fn apply_effects_local(
                     sh.local.schedule_at(at, WEv::Reply { node: i, gen, req_id });
                     sh.ops.push(Op::Local { at });
                 } else {
-                    sh.ops.push(Op::Sched { at, ev: Ev::Reply { node: i, gen, req_id } });
+                    let ev = Ev::Reply { node: i, gen, req_id };
+                    sh.ops.push(Op::Sched { at, node: i, stream: Stream::Cpu, ev });
                 }
             }
             AppEffect::ProcessExit { reason: _ } => kill_process_local(sh, now, i),
@@ -1181,7 +1178,8 @@ fn kill_process_local(sh: &mut ShardState, now: SimTime, i: usize) {
         sh.local.schedule_at(at, WEv::Restart { node: i, gen });
         sh.ops.push(Op::Local { at });
     } else {
-        sh.ops.push(Op::Sched { at, ev: Ev::ProcessRestart { node: i, gen } });
+        let ev = Ev::ProcessRestart { node: i, gen };
+        sh.ops.push(Op::Sched { at, node: i, stream: Stream::Unordered, ev });
     }
 }
 

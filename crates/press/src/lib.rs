@@ -26,5 +26,5 @@ pub mod version;
 pub use cache::{Directory, LruCache};
 pub use config::{CacheSyncImpl, MembershipImpl, PressConfig};
 pub use msg::{MsgBody, PressMsg, Request};
-pub use node::{AppEffect, AppEvent, ClientAccept, DropReason, NodeCtx, PressNode};
+pub use node::{AppEffect, AppEvent, ClientAccept, DropReason, NodeCtx, PressNode, Stream};
 pub use version::PressVersion;

@@ -71,6 +71,30 @@ pub enum DiskJob {
     },
 }
 
+/// The event stream an [`AppEffect::Schedule`] belongs to.
+///
+/// Within one node, the timestamps of the `Cpu` and `Disk` streams
+/// never decrease from one emission to the next, and `Timeout` stamps
+/// are always the current time plus one constant, so the composition
+/// layer can queue each stream on an already-sorted lane instead of a
+/// general priority queue. The only breaks are a process kill (the CPU
+/// backlog is dropped) and a restart (the disks reset); a consumer must
+/// accept an out-of-order time, and still deliver it in time order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stream {
+    /// No ordering promise: periodic ticks with differing periods.
+    Unordered,
+    /// CPU completions, stamped by `CpuMeter::charge`:
+    /// [`AppEvent::Parsed`] (and every [`AppEffect::Reply`]).
+    Cpu,
+    /// Disk completions ([`AppEvent::DiskDone`]), stamped
+    /// `max(earliest free disk, now) + disk_service`.
+    Disk,
+    /// Fixed-horizon watchdogs ([`AppEvent::PendingTimeout`]), stamped
+    /// `now + 6 s` like the clients' request deadlines.
+    Timeout,
+}
+
 /// Things only the composition layer can do for the node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AppEffect {
@@ -80,19 +104,12 @@ pub enum AppEffect {
         at: SimTime,
         /// What.
         ev: AppEvent,
-    },
-    /// Like `Schedule`, but for fixed-horizon watchdogs (`at` is always
-    /// the current time plus one constant): successive emissions have
-    /// non-decreasing timestamps, so the composition layer can queue
-    /// them on an O(1) already-sorted lane instead of the heap.
-    ScheduleMonotone {
-        /// When.
-        at: SimTime,
-        /// What.
-        ev: AppEvent,
+        /// Which of the node's event streams `at` continues.
+        stream: Stream,
     },
     /// The response for `req_id` leaves the node at `at` (success if the
-    /// client is still waiting).
+    /// client is still waiting). `at` is a CPU completion, so replies
+    /// continue the node's [`Stream::Cpu`].
     Reply {
         /// The completed request.
         req_id: u64,
@@ -441,29 +458,34 @@ impl PressNode {
             ctx.app.push(AppEffect::Schedule {
                 at: ctx.now + self.config.gossip.probe_interval,
                 ev: AppEvent::GossipTick,
+                stream: Stream::Unordered,
             });
         } else if self.version.heartbeats() {
             ctx.app.push(AppEffect::Schedule {
                 at: ctx.now + self.config.hb_interval,
                 ev: AppEvent::HeartbeatTick,
+                stream: Stream::Unordered,
             });
         }
         if !cold {
             ctx.app.push(AppEffect::Schedule {
                 at: ctx.now + self.config.rejoin_retry,
                 ev: AppEvent::RejoinTick,
+                stream: Stream::Unordered,
             });
         }
         if self.config.membership_repair {
             ctx.app.push(AppEffect::Schedule {
                 at: ctx.now + self.config.repair_probe_interval,
                 ev: AppEvent::ProbeTick,
+                stream: Stream::Unordered,
             });
         }
         if self.digest_active() {
             ctx.app.push(AppEffect::Schedule {
                 at: ctx.now + self.config.digest_interval,
                 ev: AppEvent::DigestTick,
+                stream: Stream::Unordered,
             });
         }
     }
@@ -602,6 +624,7 @@ impl PressNode {
         ctx.app.push(AppEffect::Schedule {
             at: done,
             ev: AppEvent::Parsed(req),
+            stream: Stream::Cpu,
         });
         ClientAccept::Accepted
     }
@@ -629,9 +652,10 @@ impl PressNode {
                     }));
                 }
                 self.pending_remote.insert(req.id, (req, service));
-                ctx.app.push(AppEffect::ScheduleMonotone {
+                ctx.app.push(AppEffect::Schedule {
                     at: ctx.now + simnet::SimDuration::from_secs(6),
                     ev: AppEvent::PendingTimeout(req.id),
+                    stream: Stream::Timeout,
                 });
                 self.send_to(
                     ctx,
@@ -650,6 +674,7 @@ impl PressNode {
                 ctx.app.push(AppEffect::Schedule {
                     at: done,
                     ev: AppEvent::DiskDone(DiskJob::Local(req)),
+                    stream: Stream::Disk,
                 });
             }
         }
@@ -784,6 +809,7 @@ impl PressNode {
         ctx.app.push(AppEffect::Schedule {
             at: ctx.now + self.config.digest_interval,
             ev: AppEvent::DigestTick,
+            stream: Stream::Unordered,
         });
     }
 
@@ -907,6 +933,7 @@ impl PressNode {
         ctx.app.push(AppEffect::Schedule {
             at: ctx.now + self.config.hb_interval,
             ev: AppEvent::HeartbeatTick,
+            stream: Stream::Unordered,
         });
     }
 
@@ -926,6 +953,7 @@ impl PressNode {
         ctx.app.push(AppEffect::Schedule {
             at: ctx.now + self.config.gossip.probe_interval,
             ev: AppEvent::GossipTick,
+            stream: Stream::Unordered,
         });
     }
 
@@ -1051,6 +1079,7 @@ impl PressNode {
         ctx.app.push(AppEffect::Schedule {
             at: ctx.now + self.config.rejoin_retry,
             ev: AppEvent::RejoinTick,
+            stream: Stream::Unordered,
         });
     }
 
@@ -1078,6 +1107,7 @@ impl PressNode {
         ctx.app.push(AppEffect::Schedule {
             at: ctx.now + self.config.repair_probe_interval,
             ev: AppEvent::ProbeTick,
+            stream: Stream::Unordered,
         });
     }
 
@@ -1313,6 +1343,7 @@ impl PressNode {
                         ctx.app.push(AppEffect::Schedule {
                             at: done,
                             ev: AppEvent::Parsed(req),
+                            stream: Stream::Cpu,
                         });
                     } else {
                         self.stats.dropped_deferred += 1;
@@ -1530,6 +1561,7 @@ impl PressNode {
                             file,
                             from: peer,
                         }),
+                        stream: Stream::Disk,
                     });
                 }
             }

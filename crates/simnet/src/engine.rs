@@ -5,30 +5,42 @@
 //! scheduled (FIFO), which keeps simulations deterministic without
 //! requiring the event type to be ordered.
 //!
-//! The queue is a hand-rolled 4-ary min-heap over 24-byte
-//! `(time, seq, slot, idx)` keys, with the event payloads parked in a
-//! free-listed slab beside it, rather than `std::collections::BinaryHeap`:
+//! Every push consumes one sequence number, and delivery follows the
+//! total `(time, seq)` order, whichever structure holds the event. The
+//! queue is built from two parts:
 //!
-//! - the comparator is inlined on the `(time, seq)` key pair (no `Ord`
-//!   trait dispatch, no `Reverse` wrappers);
-//! - sift operations move only the small `Copy` keys — large event
-//!   payloads (frames carrying whole wire messages) never move once
-//!   written into the slab, which matters because queues with tens of
-//!   thousands of pending request-deadline timers make every push/pop a
-//!   multi-level sift;
-//! - the 4-ary layout halves the tree depth of a binary heap and keeps
-//!   sibling comparisons inside one cache line of keys;
-//! - heap, slab, and free list all recycle their storage, so the
+//! - **a 4-ary min-heap of keys.** A hand-rolled heap rather than
+//!   `std::collections::BinaryHeap`: the heap holds 24-byte
+//!   `(time, seq, slot, idx)` keys while the payloads sit still in a
+//!   free-listed [`Slab`], so sifts move only small `Copy` values. The
+//!   comparator reads `(time, seq)` as one `u128`, which makes it
+//!   branch-free, and the 4-ary layout halves the depth of a binary
+//!   heap while keeping sibling comparisons inside one cache line.
+//! - **monotone lanes** ([`Engine::add_lane`], [`Engine::schedule_lane`]).
+//!   A lane is a FIFO of `(time, seq, event)` entries for one event
+//!   stream whose timestamps never decrease: a node's CPU completions,
+//!   its disk completions, fixed-offset timeouts. A backed-up stream
+//!   would otherwise fill the heap with tens of thousands of far-future
+//!   keys and make every sift deep. Each non-empty lane keeps exactly
+//!   one key in the heap, its head, marked by a reserved slot value;
+//!   popping that key takes the lane's front and, if more remain,
+//!   overwrites the heap root with the next head and sifts it down once.
+//!   The heap root is therefore always the global minimum, and the pop
+//!   path never merges two sources. A push earlier than its lane's tail
+//!   goes to the heap instead, so monotonicity is a performance hint,
+//!   never a correctness obligation. Lane payloads are stored inline:
+//!   an event parked for a long time is then read back in sequence
+//!   with its neighbours instead of from a slab cell written long ago,
+//!   which costs a cache miss per event when the backlog outgrows the
+//!   cache.
+//!
+//! Around that core:
+//!
+//! - heap, lanes, slab and free lists all recycle their storage, so the
 //!   steady-state schedule/dispatch cycle performs no heap allocation;
 //! - the batch primitives ([`Engine::pop_batch`], [`Engine::drain_until`])
 //!   let driver loops dispatch same-instant bursts without re-checking
 //!   the deadline per event or building intermediate tuples;
-//! - a separate O(1) FIFO lane ([`Engine::schedule_fifo`]) absorbs
-//!   monotone event streams — constant-offset timeouts like request
-//!   deadlines and forward watchdogs, which otherwise dominate heap
-//!   depth — and is merged with the heap on pop by the same
-//!   `(time, seq)` total order, so delivery is indistinguishable from
-//!   a single queue;
 //! - [`Engine::schedule_cancellable`] returns a [`CancelToken`] that
 //!   removes an event before delivery (lazy tombstones plus periodic
 //!   compaction when dead entries outnumber live ones), so superseded
@@ -39,10 +51,15 @@
 
 use std::collections::VecDeque;
 
+use crate::slab::Slab;
 use crate::time::{SimDuration, SimTime};
 
 /// Sentinel slot id for ordinary (non-cancellable) events.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Slot id marking a heap key as the head of a lane; the key's `idx`
+/// then names the lane rather than a slab cell.
+const LANE_HEAD: u32 = u32::MAX - 1;
 
 /// Slot value meaning "no live entry": cancelled or already delivered.
 const SLOT_DEAD: u64 = u64::MAX;
@@ -57,6 +74,10 @@ pub struct CancelToken {
     slot: u32,
     seq: u64,
 }
+
+/// Handle to a monotone lane registered with [`Engine::add_lane`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lane(u32);
 
 /// A deterministic discrete-event queue over events of type `E`.
 ///
@@ -82,17 +103,18 @@ pub struct CancelToken {
 pub struct Engine<E> {
     now: SimTime,
     seq: u64,
-    /// Monotone lane: events scheduled in non-decreasing time order via
-    /// [`Engine::schedule_fifo`]. Kept sorted by construction, so both
-    /// ends are O(1); merged with the heap on pop by `(time, seq)`.
-    fifo: VecDeque<(SimTime, u64, E)>,
-    /// 4-ary min-heap of small `Copy` keys; payloads live in `slab`.
+    /// 4-ary min-heap of keys: ordinary events, cancellable events and
+    /// one head key per non-empty lane.
     heap: Vec<HeapEntry>,
-    /// Event payloads, indexed by `HeapEntry::idx`. `None` marks a free
-    /// cell (tracked in `free`).
-    slab: Vec<Option<E>>,
-    /// Free slab cells, reused before the slab grows.
-    free: Vec<u32>,
+    /// Monotone lanes, each sorted by `(time, seq)` by construction,
+    /// payloads inline. A non-empty lane's front is also its head key
+    /// in `heap`.
+    lanes: Vec<VecDeque<LaneEntry<E>>>,
+    /// Lane entries behind their lane's head, i.e. queued events that
+    /// have no key in `heap`.
+    lane_backlog: usize,
+    /// Payloads of heap-resident events, named by `HeapEntry::idx`.
+    slab: Slab<E>,
     dispatched: u64,
     /// `slot -> seq` of the live cancellable entry occupying the slot
     /// ([`SLOT_DEAD`] when free). Liveness of a popped entry is
@@ -105,17 +127,25 @@ pub struct Engine<E> {
     dead_pending: usize,
 }
 
-/// One queued event's ordering key: 24 bytes, `Copy`, so sift
-/// operations never move the (potentially large) payload.
+/// One heap key: 24 bytes, `Copy`, so sift operations never move a
+/// payload.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     at: SimTime,
     seq: u64,
-    /// [`NO_SLOT`] for ordinary events; otherwise the cancellation slot
-    /// this entry is registered under.
+    /// [`NO_SLOT`] for ordinary events, [`LANE_HEAD`] for a lane's head,
+    /// otherwise the cancellation slot this entry is registered under.
     slot: u32,
-    /// Slab cell holding the payload.
+    /// Slab cell holding the payload, or the lane for a lane head.
     idx: u32,
+}
+
+/// One lane-resident event, payload inline.
+#[derive(Debug)]
+struct LaneEntry<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
 }
 
 impl HeapEntry {
@@ -123,7 +153,13 @@ impl HeapEntry {
     /// order so simultaneous events stay FIFO.
     #[inline(always)]
     fn before(&self, other: &Self) -> bool {
-        self.at < other.at || (self.at == other.at && self.seq < other.seq)
+        self.key() < other.key()
+    }
+
+    /// `(time, seq)` as one integer, so a comparison is branch-free.
+    #[inline(always)]
+    fn key(&self) -> u128 {
+        (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
     }
 }
 
@@ -139,10 +175,10 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            fifo: VecDeque::new(),
             heap: Vec::with_capacity(capacity),
-            slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
+            lanes: Vec::new(),
+            lane_backlog: 0,
+            slab: Slab::with_capacity(capacity),
             dispatched: 0,
             slots: Vec::new(),
             free_slots: Vec::new(),
@@ -160,13 +196,30 @@ impl<E> Engine<E> {
     /// events are not counted, even while their heap entry lingers).
     #[inline]
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.dead_pending + self.fifo.len()
+        self.heap.len() - self.dead_pending + self.lane_backlog
     }
 
     /// Total events delivered so far.
     #[inline]
     pub fn dispatched(&self) -> u64 {
         self.dispatched
+    }
+
+    /// Consumes the next sequence number.
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        let s = self.seq;
+        self.seq += 1;
+        s
+    }
+
+    #[inline]
+    fn assert_not_past(&self, at: SimTime) {
+        assert!(
+            at >= self.now,
+            "scheduled event at {at} before current time {}",
+            self.now
+        );
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -178,22 +231,33 @@ impl<E> Engine<E> {
         self.push_entry(at, NO_SLOT, event);
     }
 
-    /// Schedules `event` at `at` on the monotone lane: an O(1)
-    /// alternative to [`Engine::schedule_at`] for event streams whose
-    /// timestamps never decrease from one `schedule_fifo` call to the
-    /// next (e.g. fixed-offset timeouts stamped `now + T`). Such events
-    /// are already sorted, so keeping them out of the heap leaves it
-    /// holding only the near-term working set — every sift gets
-    /// shallower. Delivery order relative to heap events is unchanged:
-    /// ties at one instant are still FIFO by schedule order.
+    /// Registers a new, empty monotone lane for
+    /// [`Engine::schedule_lane`]. Lanes live as long as the engine;
+    /// [`Engine::clear`] empties them but keeps them registered.
+    pub fn add_lane(&mut self) -> Lane {
+        let id = u32::try_from(self.lanes.len()).expect("lane ids exhausted");
+        self.lanes.push(VecDeque::new());
+        Lane(id)
+    }
+
+    /// Schedules `event` at `at` on `lane`: an alternative to
+    /// [`Engine::schedule_at`] for an event stream whose timestamps
+    /// never decrease from one push to the next (a CPU's completions,
+    /// fixed-offset timeouts stamped `now + T`). Such events are already
+    /// sorted, so only the lane's head sits in the heap — every sift
+    /// stays shallow however far the stream is backed up, and the
+    /// push itself is O(1) once the lane is non-empty. Delivery order
+    /// relative to every other event is unchanged: ties at one instant
+    /// are still FIFO by schedule order.
     ///
     /// ```
     /// use simnet::{Engine, SimTime};
     ///
     /// let mut engine = Engine::new();
+    /// let lane = engine.add_lane();
     /// engine.schedule_at(SimTime::from_secs(2), "heap");
-    /// engine.schedule_fifo(SimTime::from_secs(1), "early");
-    /// engine.schedule_fifo(SimTime::from_secs(3), "late");
+    /// engine.schedule_lane(lane, SimTime::from_secs(1), "early");
+    /// engine.schedule_lane(lane, SimTime::from_secs(3), "late");
     /// let order: Vec<_> = std::iter::from_fn(|| engine.pop()).map(|(_, e)| e).collect();
     /// assert_eq!(order, ["early", "heap", "late"]);
     /// ```
@@ -205,22 +269,23 @@ impl<E> Engine<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn schedule_fifo(&mut self, at: SimTime, event: E) {
-        if let Some(&(back, _, _)) = self.fifo.back() {
-            if at < back {
-                self.push_entry(at, NO_SLOT, event);
-                return;
-            }
+    /// Panics if `at` is earlier than the current time, or if `lane`
+    /// was not registered with this engine.
+    pub fn schedule_lane(&mut self, lane: Lane, at: SimTime, event: E) {
+        if self.lanes[lane.0 as usize].back().is_some_and(|tail| at < tail.at) {
+            self.push_entry(at, NO_SLOT, event);
+            return;
         }
-        assert!(
-            at >= self.now,
-            "scheduled event at {at} before current time {}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.fifo.push_back((at, seq, event));
+        self.assert_not_past(at);
+        let seq = self.next_seq();
+        let queue = &mut self.lanes[lane.0 as usize];
+        queue.push_back(LaneEntry { at, seq, event });
+        if queue.len() == 1 {
+            self.heap.push(HeapEntry { at, seq, slot: LANE_HEAD, idx: lane.0 });
+            self.sift_up(self.heap.len() - 1);
+        } else {
+            self.lane_backlog += 1;
+        }
     }
 
     /// Schedules `event` at `at` like [`Engine::schedule_at`], returning
@@ -235,7 +300,7 @@ impl<E> Engine<E> {
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
-                assert!(self.slots.len() < NO_SLOT as usize, "cancellable slots exhausted");
+                assert!(self.slots.len() < LANE_HEAD as usize, "cancellable slots exhausted");
                 self.slots.push(SLOT_DEAD);
                 (self.slots.len() - 1) as u32
             }
@@ -272,22 +337,18 @@ impl<E> Engine<E> {
     }
 
     /// Drops every tombstoned entry and restores the heap property over
-    /// the survivors. O(len), amortized O(1) per cancellation by the
-    /// half-dead trigger in [`Engine::cancel`]. Pop order is a total
-    /// order on `(time, seq)`, so rebuilding cannot reorder deliveries.
+    /// the survivors (lane heads are never tombstoned). O(len),
+    /// amortized O(1) per cancellation by the half-dead trigger in
+    /// [`Engine::cancel`]. Pop order is a total order on `(time, seq)`,
+    /// so rebuilding cannot reorder deliveries.
     fn compact(&mut self) {
         let Engine {
-            heap,
-            slab,
-            free,
-            slots,
-            ..
+            heap, slab, slots, ..
         } = self;
         heap.retain(|s| {
-            let live = s.slot == NO_SLOT || slots[s.slot as usize] == s.seq;
+            let live = s.slot >= LANE_HEAD || slots[s.slot as usize] == s.seq;
             if !live {
-                slab[s.idx as usize] = None;
-                free.push(s.idx);
+                drop(slab.take(s.idx));
             }
             live
         });
@@ -300,32 +361,11 @@ impl<E> Engine<E> {
     }
 
     fn push_entry(&mut self, at: SimTime, slot: u32, event: E) {
-        assert!(
-            at >= self.now,
-            "scheduled event at {at} before current time {}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slab[i as usize] = Some(event);
-                i
-            }
-            None => {
-                self.slab.push(Some(event));
-                (self.slab.len() - 1) as u32
-            }
-        };
+        self.assert_not_past(at);
+        let seq = self.next_seq();
+        let idx = self.slab.insert(event);
         self.heap.push(HeapEntry { at, seq, slot, idx });
         self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Vacates slab cell `idx`, returning its payload.
-    #[inline]
-    fn take_event(&mut self, idx: u32) -> E {
-        self.free.push(idx);
-        self.slab[idx as usize].take().expect("slab cell occupied")
     }
 
     /// Marks `slot` free for reuse (on cancellation or delivery).
@@ -338,7 +378,7 @@ impl<E> Engine<E> {
     /// Whether a heap entry is still deliverable.
     #[inline(always)]
     fn is_live(&self, s: &HeapEntry) -> bool {
-        s.slot == NO_SLOT || self.slots[s.slot as usize] == s.seq
+        s.slot >= LANE_HEAD || self.slots[s.slot as usize] == s.seq
     }
 
     /// Discards cancelled entries sitting at the heap root, so the root
@@ -350,7 +390,7 @@ impl<E> Engine<E> {
                 break;
             }
             let s = self.pop_root().expect("peeked root exists");
-            drop(self.take_event(s.idx));
+            drop(self.slab.take(s.idx));
             self.dead_pending -= 1;
         }
     }
@@ -366,58 +406,57 @@ impl<E> Engine<E> {
     /// bound on the next deliverable event's time.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        let h = self.heap.first().map(|s| s.at);
-        let f = self.fifo.front().map(|&(at, _, _)| at);
-        match (h, f) {
-            (Some(h), Some(f)) => Some(h.min(f)),
-            (x, y) => x.or(y),
-        }
+        self.heap.first().map(|s| s.at)
     }
 
-    /// Ordering key `(time, seq)` of the next deliverable event, plus
-    /// whether it sits on the monotone lane. Prunes cancelled heap
-    /// entries, so the reported key is always live.
+    /// Ordering key `(time, seq)` of the next deliverable event. Prunes
+    /// cancelled heap entries, so the root is live afterwards.
     #[inline]
-    fn next_key(&mut self) -> Option<(SimTime, u64, bool)> {
+    fn next_key(&mut self) -> Option<(SimTime, u64)> {
         self.prune_dead_roots();
-        let h = self.heap.first().map(|s| (s.at, s.seq));
-        let f = self.fifo.front().map(|&(at, seq, _)| (at, seq));
-        match (h, f) {
-            (Some(h), Some(f)) => {
-                if f < h {
-                    Some((f.0, f.1, true))
-                } else {
-                    Some((h.0, h.1, false))
+        self.heap.first().map(|s| (s.at, s.seq))
+    }
+
+    /// Removes the event behind the heap root. Caller must have just
+    /// called [`Engine::next_key`], so the root exists and is live.
+    #[inline]
+    fn take_next(&mut self) -> E {
+        let root = self.heap[0];
+        debug_assert!(self.is_live(&root));
+        if root.slot == LANE_HEAD {
+            let queue = &mut self.lanes[root.idx as usize];
+            let head = queue.pop_front().expect("lane head queued");
+            debug_assert_eq!(head.seq, root.seq);
+            match queue.front() {
+                Some(next) => {
+                    // The lane's next head is no earlier than the key it
+                    // replaces: one sift-down restores the heap.
+                    self.heap[0] = HeapEntry {
+                        at: next.at,
+                        seq: next.seq,
+                        ..root
+                    };
+                    self.lane_backlog -= 1;
+                    self.sift_down(0);
+                }
+                None => {
+                    self.pop_root();
                 }
             }
-            (Some(h), None) => Some((h.0, h.1, false)),
-            (None, Some(f)) => Some((f.0, f.1, true)),
-            (None, None) => None,
+            return head.event;
         }
-    }
-
-    /// Removes the next deliverable event from whichever lane holds it.
-    /// Caller must have just obtained `from_fifo` from
-    /// [`Engine::next_key`] (the heap root is then known live).
-    #[inline]
-    fn take_next(&mut self, from_fifo: bool) -> E {
-        if from_fifo {
-            self.fifo.pop_front().expect("peeked fifo front").2
-        } else {
-            let s = self.pop_root().expect("peeked heap root");
-            debug_assert!(self.is_live(&s));
-            if s.slot != NO_SLOT {
-                self.release_slot(s.slot);
-            }
-            self.take_event(s.idx)
+        self.pop_root();
+        if root.slot != NO_SLOT {
+            self.release_slot(root.slot);
         }
+        self.slab.take(root.idx)
     }
 
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Cancelled entries are discarded silently.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, _, from_fifo) = self.next_key()?;
-        let event = self.take_next(from_fifo);
+        let (at, _) = self.next_key()?;
+        let event = self.take_next();
         debug_assert!(at >= self.now);
         self.now = at;
         self.dispatched += 1;
@@ -443,8 +482,8 @@ impl<E> Engine<E> {
     /// ```
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         match self.next_key() {
-            Some((at, _, from_fifo)) if at <= deadline => {
-                let event = self.take_next(from_fifo);
+            Some((at, _)) if at <= deadline => {
+                let event = self.take_next();
                 self.now = at;
                 self.dispatched += 1;
                 Some((at, event))
@@ -475,14 +514,14 @@ impl<E> Engine<E> {
     /// assert_eq!(burst, ["a", "b"]);
     /// ```
     pub fn pop_batch(&mut self, buf: &mut Vec<E>) -> Option<SimTime> {
-        let (t, _, from_fifo) = self.next_key()?;
-        buf.push(self.take_next(from_fifo));
+        let (t, _) = self.next_key()?;
+        buf.push(self.take_next());
         self.dispatched += 1;
-        while let Some((at, _, from_fifo)) = self.next_key() {
+        while let Some((at, _)) = self.next_key() {
             if at != t {
                 break;
             }
-            buf.push(self.take_next(from_fifo));
+            buf.push(self.take_next());
             self.dispatched += 1;
         }
         self.now = t;
@@ -512,7 +551,7 @@ impl<E> Engine<E> {
     /// ```
     pub fn pop_batch_before(&mut self, deadline: SimTime, buf: &mut Vec<E>) -> Option<SimTime> {
         match self.next_key() {
-            Some((at, _, _)) if at <= deadline => self.pop_batch(buf),
+            Some((at, _)) if at <= deadline => self.pop_batch(buf),
             _ => {
                 if self.now < deadline {
                     self.now = deadline;
@@ -530,11 +569,11 @@ impl<E> Engine<E> {
     /// `f` must not schedule into the engine (it does not have access);
     /// use this for terminal dispatch such as draining into a recorder.
     pub fn drain_until<F: FnMut(SimTime, E)>(&mut self, deadline: SimTime, mut f: F) {
-        while let Some((at, _, from_fifo)) = self.next_key() {
+        while let Some((at, _)) = self.next_key() {
             if at > deadline {
                 break;
             }
-            let event = self.take_next(from_fifo);
+            let event = self.take_next();
             self.now = at;
             self.dispatched += 1;
             f(at, event);
@@ -553,9 +592,7 @@ impl<E> Engine<E> {
     /// identical to the sequential run's.
     #[inline]
     pub fn alloc_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
+        self.next_seq()
     }
 
     /// Pops every deliverable event strictly before `bound` into `out`
@@ -565,11 +602,11 @@ impl<E> Engine<E> {
     /// the events as dispatched — the parallel window driver re-plays
     /// the window and accounts for dispatch itself.
     pub fn pop_window(&mut self, bound: SimTime, out: &mut Vec<(SimTime, u64, E)>) {
-        while let Some((at, seq, from_fifo)) = self.next_key() {
+        while let Some((at, seq)) = self.next_key() {
             if at >= bound {
                 break;
             }
-            let event = self.take_next(from_fifo);
+            let event = self.take_next();
             debug_assert!(at >= self.now);
             self.now = at;
             out.push((at, seq, event));
@@ -593,13 +630,15 @@ impl<E> Engine<E> {
         self.dispatched += n;
     }
 
-    /// Discards all queued events without delivering them. The backing
-    /// allocation is retained for reuse.
+    /// Discards all queued events without delivering them. Lanes stay
+    /// registered, and the backing allocations are retained for reuse.
     pub fn clear(&mut self) {
-        self.fifo.clear();
         self.heap.clear();
+        for queue in &mut self.lanes {
+            queue.clear();
+        }
+        self.lane_backlog = 0;
         self.slab.clear();
-        self.free.clear();
         self.slots.clear();
         self.free_slots.clear();
         self.dead_pending = 0;
@@ -649,13 +688,22 @@ impl<E> Engine<E> {
             if first >= len {
                 break;
             }
-            let last = (first + 4).min(len);
-            let mut best = first;
-            for c in first + 1..last {
-                if self.heap[c].before(&self.heap[best]) {
-                    best = c;
+            let best = if first + 4 <= len {
+                // All four children: a two-round tournament, which the
+                // branch-free key compares turn into conditional moves.
+                let h = &self.heap[first..first + 4];
+                let l = usize::from(h[1].before(&h[0]));
+                let r = 2 + usize::from(h[3].before(&h[2]));
+                first + if h[r].before(&h[l]) { r } else { l }
+            } else {
+                let mut best = first;
+                for c in first + 1..len {
+                    if self.heap[c].before(&self.heap[best]) {
+                        best = c;
+                    }
                 }
-            }
+                best
+            };
             if self.heap[best].before(&entry) {
                 self.heap[idx] = self.heap[best];
                 idx = best;
@@ -922,56 +970,87 @@ mod tests {
     }
 
     #[test]
-    fn fifo_lane_merges_with_heap_in_global_order() {
-        // Interleave heap and monotone-lane scheduling; delivery must
-        // follow the single global (time, insertion-seq) order exactly
-        // as if everything had gone through the heap.
+    fn lane_merges_with_heap_in_global_order() {
+        // Interleave heap and lane scheduling; delivery must follow the
+        // single global (time, insertion-seq) order exactly as if
+        // everything had gone through the heap.
         let mut e = Engine::new();
+        let lane = e.add_lane();
         e.schedule_at(SimTime::from_secs(2), "heap-2");
-        e.schedule_fifo(SimTime::from_secs(1), "fifo-1");
+        e.schedule_lane(lane, SimTime::from_secs(1), "lane-1");
         e.schedule_at(SimTime::from_secs(3), "heap-3a");
-        e.schedule_fifo(SimTime::from_secs(3), "fifo-3");
+        e.schedule_lane(lane, SimTime::from_secs(3), "lane-3");
         e.schedule_at(SimTime::from_secs(3), "heap-3b");
         assert_eq!(e.pending(), 5);
         let order: Vec<_> = std::iter::from_fn(|| e.pop()).map(|(_, v)| v).collect();
-        assert_eq!(order, ["fifo-1", "heap-2", "heap-3a", "fifo-3", "heap-3b"]);
+        assert_eq!(order, ["lane-1", "heap-2", "heap-3a", "lane-3", "heap-3b"]);
         assert_eq!(e.dispatched(), 5);
     }
 
     #[test]
-    fn fifo_out_of_order_push_falls_back_to_heap() {
-        // The monotone lane is a performance hint, not a contract: a
-        // timestamp below the lane's back is routed to the heap and
-        // still delivers in time order.
+    fn lane_out_of_order_push_falls_back_to_heap() {
+        // A lane is a performance hint, not a contract: a timestamp
+        // below the lane's tail is routed to the heap and still
+        // delivers in time order.
         let mut e = Engine::new();
-        e.schedule_fifo(SimTime::from_secs(10), "late");
-        e.schedule_fifo(SimTime::from_secs(5), "early");
+        let lane = e.add_lane();
+        e.schedule_lane(lane, SimTime::from_secs(10), "late");
+        e.schedule_lane(lane, SimTime::from_secs(5), "early");
+        assert_eq!(e.lanes[0].len(), 1);
         assert_eq!(e.pending(), 2);
         assert_eq!(e.pop(), Some((SimTime::from_secs(5), "early")));
         assert_eq!(e.pop(), Some((SimTime::from_secs(10), "late")));
     }
 
     #[test]
-    fn fifo_lane_ties_preserve_submission_order() {
+    fn lane_ties_preserve_submission_order() {
         let mut e = Engine::new();
+        let lanes = [e.add_lane(), e.add_lane()];
         let t = SimTime::from_secs(4);
-        for i in 0..50 {
-            if i % 2 == 0 {
-                e.schedule_at(t, i);
-            } else {
-                e.schedule_fifo(t, i);
+        for i in 0..60 {
+            match i % 3 {
+                0 => e.schedule_at(t, i),
+                k => e.schedule_lane(lanes[k - 1], t, i),
             }
         }
         let order: Vec<_> = std::iter::from_fn(|| e.pop()).map(|(_, v)| v).collect();
-        assert_eq!(order, (0..50).collect::<Vec<_>>());
+        assert_eq!(order, (0..60).collect::<Vec<_>>());
     }
 
     #[test]
-    fn batch_and_drain_cover_the_fifo_lane() {
+    fn each_nonempty_lane_keeps_exactly_its_head_in_the_heap() {
         let mut e = Engine::new();
-        e.schedule_fifo(SimTime::from_secs(1), 1);
+        let lanes: Vec<_> = (0..4).map(|_| e.add_lane()).collect();
+        for (k, lane) in lanes.iter().enumerate() {
+            for i in 0..100u64 {
+                e.schedule_lane(*lane, SimTime::from_nanos(i * 10 + k as u64), (k, i));
+            }
+        }
+        e.schedule_at(SimTime::from_nanos(5), (9, 0));
+        assert_eq!(e.heap.len(), 5, "four lane heads plus one heap event");
+        assert_eq!(e.pending(), 401);
+        assert_eq!(e.peek_time(), Some(SimTime::ZERO));
+        let mut last = SimTime::ZERO;
+        let mut n = 0;
+        while let Some((at, _)) = e.pop() {
+            assert!(at >= last);
+            last = at;
+            n += 1;
+            assert_eq!(e.pending(), 401 - n);
+            assert!(e.heap.len() <= 5);
+        }
+        assert_eq!(n, 401);
+        assert!(e.heap.is_empty());
+        assert_eq!(e.lane_backlog, 0);
+    }
+
+    #[test]
+    fn batch_and_drain_cover_lanes() {
+        let mut e = Engine::new();
+        let lane = e.add_lane();
+        e.schedule_lane(lane, SimTime::from_secs(1), 1);
         e.schedule_at(SimTime::from_secs(1), 2);
-        e.schedule_fifo(SimTime::from_secs(2), 3);
+        e.schedule_lane(lane, SimTime::from_secs(2), 3);
         let mut burst = Vec::new();
         assert_eq!(e.pop_batch(&mut burst), Some(SimTime::from_secs(1)));
         assert_eq!(burst, [1, 2]);
@@ -982,13 +1061,38 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_the_fifo_lane() {
+    fn compaction_keeps_lane_heads() {
         let mut e = Engine::new();
-        e.schedule_fifo(SimTime::from_secs(1), ());
-        e.schedule_at(SimTime::from_secs(2), ());
+        let lane = e.add_lane();
+        for i in 0..10u64 {
+            e.schedule_lane(lane, SimTime::from_secs(i), i);
+        }
+        let tokens: Vec<_> = (0..200u64)
+            .map(|i| e.schedule_cancellable(SimTime::from_nanos(i), 1_000 + i))
+            .collect();
+        for t in tokens {
+            assert!(e.cancel(t));
+        }
+        // The mass cancel compacted the heap (it stops below 64 keys);
+        // the lane head survived every rebuild.
+        assert!(e.heap.len() < 64);
+        assert_eq!(e.pending(), 10);
+        let order: Vec<_> = std::iter::from_fn(|| e.pop()).map(|(_, v)| v).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn clear_empties_lanes_but_keeps_them_registered() {
+        let mut e = Engine::new();
+        let lane = e.add_lane();
+        e.schedule_lane(lane, SimTime::from_secs(1), 1);
+        e.schedule_lane(lane, SimTime::from_secs(2), 2);
+        e.schedule_at(SimTime::from_secs(2), 3);
         e.clear();
         assert_eq!(e.pending(), 0);
         assert_eq!(e.pop(), None);
+        e.schedule_lane(lane, SimTime::from_secs(3), 4);
+        assert_eq!(e.pop(), Some((SimTime::from_secs(3), 4)));
     }
 
     #[test]
@@ -1047,5 +1151,169 @@ mod tests {
         // event slotted at the burned seq sorts between them.
         assert_eq!(out[0].1, burned - 1);
         assert_eq!(out[1].1, burned + 1);
+    }
+
+    mod model {
+        //! The engine against a `BTreeMap<(time, seq), event>` model:
+        //! random interleavings of every scheduling, cancelling and
+        //! popping primitive, lanes included.
+
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        const LANES: usize = 3;
+
+        /// The reference queue: live events keyed by `(time, seq)`;
+        /// the payload is the event's seq.
+        #[derive(Default)]
+        struct Model {
+            queue: BTreeMap<(SimTime, u64), u64>,
+            now: SimTime,
+            seq: u64,
+            dispatched: u64,
+        }
+
+        impl Model {
+            fn push(&mut self, at: SimTime) -> (SimTime, u64) {
+                let key = (at, self.seq);
+                self.queue.insert(key, self.seq);
+                self.seq += 1;
+                key
+            }
+
+            fn pop(&mut self) -> Option<(SimTime, u64)> {
+                let ((at, _), v) = self.queue.pop_first()?;
+                self.now = at;
+                self.dispatched += 1;
+                Some((at, v))
+            }
+
+            fn next_time(&self) -> Option<SimTime> {
+                self.queue.keys().next().map(|k| k.0)
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn engine_matches_a_sorted_map_model(
+                ops in prop::collection::vec((0u8..11, 0u64..1_000, 0u64..1_000), 1..400),
+            ) {
+                let mut e: Engine<u64> = Engine::new();
+                let lanes: Vec<Lane> = (0..LANES).map(|_| e.add_lane()).collect();
+                let mut tails = [SimTime::ZERO; LANES];
+                let mut m = Model::default();
+                let mut tokens: Vec<(CancelToken, (SimTime, u64))> = Vec::new();
+                let mut out = Vec::new();
+                for (op, a, b) in ops {
+                    let now = e.now();
+                    prop_assert_eq!(now, m.now);
+                    match op {
+                        0 => {
+                            let at = now + SimDuration::from_nanos(a % 50);
+                            e.schedule_at(at, m.seq);
+                            m.push(at);
+                        }
+                        1 | 2 => {
+                            // One timer, or a burst of sixteen that a
+                            // later mass cancel turns into tombstones.
+                            let n = if op == 1 { 1 } else { 16 };
+                            for i in 0..n {
+                                let at = now + SimDuration::from_nanos((a + i * b) % 50);
+                                let tok = e.schedule_cancellable(at, m.seq);
+                                tokens.push((tok, m.push(at)));
+                            }
+                        }
+                        3 if !tokens.is_empty() => {
+                            let (tok, key) = tokens[(b as usize) % tokens.len()];
+                            let live = m.queue.remove(&key).is_some();
+                            prop_assert_eq!(e.cancel(tok), live);
+                        }
+                        4 => {
+                            // Mass cancel: drives the tombstone count past
+                            // half the heap, so `compact` runs.
+                            for (tok, key) in tokens.drain(..) {
+                                let live = m.queue.remove(&key).is_some();
+                                prop_assert_eq!(e.cancel(tok), live);
+                            }
+                        }
+                        5 | 6 => {
+                            // Monotone lane push; every eighth one is
+                            // deliberately earlier than the lane's tail.
+                            let k = (b as usize) % LANES;
+                            let at = if a % 8 == 0 {
+                                now + SimDuration::from_nanos(a % 13)
+                            } else {
+                                tails[k].max(now) + SimDuration::from_nanos(a % 20)
+                            };
+                            tails[k] = tails[k].max(at);
+                            e.schedule_lane(lanes[k], at, m.seq);
+                            m.push(at);
+                        }
+                        7 => {
+                            prop_assert_eq!(e.pop(), m.pop());
+                        }
+                        8 => {
+                            let deadline = now + SimDuration::from_nanos(a % 30);
+                            let mut burst = Vec::new();
+                            let got = e.pop_batch_before(deadline, &mut burst);
+                            match m.next_time().filter(|t| *t <= deadline) {
+                                Some(t) => {
+                                    let mut expect = Vec::new();
+                                    while m.next_time() == Some(t) {
+                                        expect.push(m.pop().unwrap().1);
+                                    }
+                                    prop_assert_eq!(got, Some(t));
+                                    prop_assert_eq!(&burst, &expect);
+                                }
+                                None => {
+                                    prop_assert_eq!(got, None);
+                                    prop_assert!(burst.is_empty());
+                                    m.now = m.now.max(deadline);
+                                }
+                            }
+                        }
+                        9 => {
+                            let bound = now + SimDuration::from_nanos(a % 30);
+                            out.clear();
+                            e.pop_window(bound, &mut out);
+                            let mut expect = Vec::new();
+                            while m.next_time().is_some_and(|t| t < bound) {
+                                let ((at, seq), v) = m.queue.pop_first().unwrap();
+                                m.now = at;
+                                expect.push((at, seq, v));
+                            }
+                            prop_assert_eq!(&out, &expect);
+                        }
+                        _ => {
+                            let deadline = now + SimDuration::from_nanos(a % 30);
+                            let mut expect = Vec::new();
+                            while m.next_time().is_some_and(|t| t <= deadline) {
+                                expect.push(m.pop().unwrap());
+                            }
+                            m.now = m.now.max(deadline);
+                            let mut got = Vec::new();
+                            e.drain_until(deadline, |t, v| got.push((t, v)));
+                            prop_assert_eq!(&got, &expect);
+                        }
+                    }
+                    prop_assert_eq!(e.pending(), m.queue.len());
+                    prop_assert_eq!(e.dispatched(), m.dispatched);
+                    if let Some(t) = m.next_time() {
+                        let peek = e.peek_time();
+                        prop_assert!(
+                            peek.is_some_and(|p| p <= t),
+                            "peek_time {peek:?} above the next live event at {t:?}"
+                        );
+                    }
+                }
+                // Whatever is left drains in model order.
+                while let Some(expect) = m.pop() {
+                    prop_assert_eq!(e.pop(), Some(expect));
+                }
+                prop_assert_eq!(e.pop(), None);
+                prop_assert_eq!(e.pending(), 0);
+            }
+        }
     }
 }

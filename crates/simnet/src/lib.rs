@@ -33,14 +33,16 @@ pub mod cpu;
 pub mod engine;
 pub mod fabric;
 pub mod rng;
+pub mod slab;
 pub mod stats;
 pub mod time;
 
 pub use cpu::CpuMeter;
-pub use engine::{CancelToken, Engine};
+pub use engine::{CancelToken, Engine, Lane};
 pub use fabric::{
     Fabric, FabricConfig, FabricFlags, Frame, NodeId, Topology, TransmitOutcome, TxOutcome, TxPort,
 };
 pub use rng::SimRng;
+pub use slab::Slab;
 pub use stats::{AvailabilityCounter, LatencyHistogram, ThroughputRecorder, TimeSeries};
 pub use time::{SimDuration, SimTime};

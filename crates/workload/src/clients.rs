@@ -147,9 +147,14 @@ impl ClientPool {
 
     /// The server's response left at `at`; scores a success if the
     /// client was still waiting. Returns `true` when the request was
-    /// scored (closed): its pending deadline is now a guaranteed no-op,
-    /// so the composition layer may cancel the deadline event instead
-    /// of letting it transit the queue.
+    /// scored (closed).
+    ///
+    /// A closed request's [`ClientEvent::Deadline`] is still delivered
+    /// and finds nothing to score ([`ClientPool::deadline`] is a no-op
+    /// for it). The composition layer leaves it queued on purpose:
+    /// deadlines ride a monotone lane where they cost O(1), and
+    /// cancelling them would change the dispatched-event count that
+    /// every golden file and recorded benchmark digest includes.
     pub fn complete(&mut self, at: SimTime, req_id: u64) -> bool {
         if let Some((deadline, issued)) = self.outstanding.get(&req_id).copied() {
             if at <= deadline {

@@ -40,6 +40,14 @@ echo "== perfbench tests"
 # sliced-vs-unsliced digest test and smoke run need their own manifest.
 cargo test -q --manifest-path perfbench/Cargo.toml
 
+echo "== allocation budgets"
+# The check the cluster bench starts with, run as a test: a warm engine
+# (heap, lanes, cancellation) and a warm frame slab must not allocate at
+# all, and the whole-cluster event loop must stay within its per-event
+# residual. A harness-free test binary, so no other thread allocates
+# while a window is counted.
+cargo test -q --release -p bench --features bench-harness --test allocations
+
 echo "== repro table1 --small --timing vs golden"
 tmp_out=$(mktemp)
 tmp_err=$(mktemp)
