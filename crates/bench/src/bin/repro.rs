@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p bench --bin repro -- <target> [--small] [--seed N] [--jobs N] [--sim-threads N] [--timing]
+//! cargo run --release -p bench --bin repro -- <target> [--small] [--seed N] [--jobs N] [--timing]
 //! ```
 //!
 //! where `<target>` is one of `table1`, `table2`, `table3`, `fig2`,
@@ -30,9 +30,10 @@
 //! Tn/AT/AA/P plus cluster-wide control-frame counts per point. With
 //! `--metrics` it also prints the sweep's gauges and the digest runs'
 //! node-level metric snapshots. `scalebench` times the single heaviest
-//! point (the largest-N digest-mode TCP-PRESS-HB run) — the intended
-//! workload for `--sim-threads` benchmarking. Like `montecarlo`, both
-//! go beyond the paper's tables and are not part of `all`.
+//! point (the largest-N digest-mode TCP-PRESS-HB run), one long
+//! simulation for measuring per-event cost at scale. Like
+//! `montecarlo`, both go beyond the paper's tables and are not part of
+//! `all`.
 //!
 //! `montecarlo` estimates performability empirically over generated
 //! fault timelines — correlated fault groups, gray faults, and
@@ -45,14 +46,8 @@
 //! `--jobs N` fans the independent simulations of each target across N
 //! workers (`--jobs 0` = all cores, `--jobs 1` = sequential, the
 //! default). Every run takes an explicit seed, so stdout is
-//! byte-identical for any job count.
-//!
-//! `--sim-threads N` shards *each individual simulation* across N
-//! worker threads using the conservative lookahead-window engine
-//! (`--sim-threads 1` = the sequential event loop, the default).
-//! Output is byte-identical for any thread count; the two axes
-//! compose (`--jobs` parallelises across runs, `--sim-threads`
-//! within one run).
+//! byte-identical for any job count. Each simulation itself runs on
+//! one thread.
 //!
 //! `--timing` reports wall-clock, events dispatched, events/second,
 //! and each target's share of the total wall time on stderr, and
@@ -79,8 +74,7 @@
 //! attributed unavailable seconds to (1−AA)·T), the per-stage loss
 //! split, and the critical-path percentiles. Combine with `--report`
 //! to add a stacked root-cause-lane section per run to the HTML
-//! dashboard. Output is byte-identical across `--jobs` and
-//! `--sim-threads`.
+//! dashboard. Output is byte-identical across `--jobs`.
 //!
 //! `--report <out.html>` (timeline targets `fig2`–`fig5` only) also
 //! writes a single-file HTML dashboard for the target: throughput
@@ -153,7 +147,6 @@ fn history_entry_valid(e: &JsonValue) -> bool {
     e.get("scale").and_then(JsonValue::as_str).is_some()
         && e.get("seed").and_then(JsonValue::as_i64).is_some()
         && e.get("jobs").and_then(JsonValue::as_i64).is_some()
-        && e.get("sim_threads").and_then(JsonValue::as_i64).is_some()
         && e.get("targets").and_then(JsonValue::as_i64).is_some()
         && e.get("total_wall_s").and_then(JsonValue::as_f64).is_some()
         && e.get("total_events").and_then(JsonValue::as_i64).is_some()
@@ -164,7 +157,6 @@ fn write_bench_json(
     scale: RunScale,
     seed: u64,
     jobs: usize,
-    sim_threads: usize,
     timings: &[Timing],
 ) {
     let total_wall: f64 = timings.iter().map(|t| t.wall_s).sum();
@@ -188,7 +180,6 @@ fn write_bench_json(
         ("scale", JsonValue::Str(scale_name(scale).to_string())),
         ("seed", JsonValue::Int(seed as i64)),
         ("jobs", JsonValue::Int(jobs as i64)),
-        ("sim_threads", JsonValue::Int(sim_threads as i64)),
         ("targets", JsonValue::Int(timings.len() as i64)),
         ("total_wall_s", ms3(total_wall)),
         ("total_events", JsonValue::Int(total_events as i64)),
@@ -215,7 +206,6 @@ fn write_bench_json(
                 ("wall_share_pct", JsonValue::Float((share * 10.0).round() / 10.0)),
                 ("events", JsonValue::Int(t.events as i64)),
                 ("events_per_sec", JsonValue::Int(t.events_per_sec().round() as i64)),
-                ("sim_threads", JsonValue::Int(sim_threads as i64)),
             ])
         })
         .collect();
@@ -223,7 +213,6 @@ fn write_bench_json(
         ("scale", JsonValue::Str(scale_name(scale).to_string())),
         ("seed", JsonValue::Int(seed as i64)),
         ("jobs", JsonValue::Int(jobs as i64)),
-        ("sim_threads", JsonValue::Int(sim_threads as i64)),
         ("host_cores", JsonValue::Int(cores as i64)),
         ("total_wall_s", ms3(total_wall)),
         ("total_events", JsonValue::Int(total_events as i64)),
@@ -319,7 +308,6 @@ fn main() {
     let mut scale = RunScale::Paper;
     let mut seed = REPRO_SEED;
     let mut jobs_arg = 1usize;
-    let mut sim_threads = 1usize;
     let mut timing = false;
     let mut trace_path: Option<String> = None;
     let mut jsonl_path: Option<String> = None;
@@ -377,15 +365,6 @@ fn main() {
                     }
                 };
             }
-            "--sim-threads" => {
-                sim_threads = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--sim-threads needs an integer >= 1");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--timing" => timing = true,
             t if !t.starts_with('-') => target = t.to_string(),
             other => {
@@ -395,7 +374,6 @@ fn main() {
         }
     }
     let jobs = if jobs_arg == 1 { 1 } else { effective_jobs(jobs_arg) };
-    experiments::set_default_sim_threads(sim_threads);
 
     // The audit target has its own exit semantics: non-zero when any
     // run's blind segmentation disagrees with its log-derived markers.
@@ -607,7 +585,7 @@ fn main() {
 
         let total_wall: f64 = timings.iter().map(|t| t.wall_s).sum();
         let total_events: u64 = timings.iter().map(|t| t.events).sum();
-        eprintln!("\n--- timing (jobs = {jobs}, sim-threads = {sim_threads}) ---");
+        eprintln!("\n--- timing (jobs = {jobs}) ---");
         for t in &timings {
             eprintln!(
                 "{:<22} {:>8.3} s  {:>12} events  {:>12.0} events/s  {:>5.1}%",
@@ -636,7 +614,7 @@ fn main() {
         );
         // The harness lives two levels below the repo root.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
-        write_bench_json(path, scale, seed, jobs, sim_threads, &timings);
+        write_bench_json(path, scale, seed, jobs, &timings);
         eprintln!("wrote {path}");
     }
 }
@@ -648,24 +626,26 @@ mod tests {
     #[test]
     fn history_entries_are_schema_validated() {
         let good = telemetry::json::parse(
-            r#"{"scale":"paper","seed":2003,"jobs":2,"sim_threads":4,"targets":16,
-                "total_wall_s":475.368,"total_events":1000}"#,
-        )
-        .unwrap();
-        assert!(history_entry_valid(&good));
-        let missing = telemetry::json::parse(r#"{"scale":"paper","seed":2003}"#).unwrap();
-        assert!(!history_entry_valid(&missing));
-        // Pre-sim_threads entries are old-format and dropped.
-        let old_format = telemetry::json::parse(
             r#"{"scale":"paper","seed":2003,"jobs":2,"targets":16,
                 "total_wall_s":475.368,"total_events":1000}"#,
         )
         .unwrap();
-        assert!(!history_entry_valid(&old_format));
-        let wrong_type =
-            telemetry::json::parse(r#"{"scale":3,"seed":2003,"jobs":2,"sim_threads":4,
-                "targets":16,"total_wall_s":475.368,"total_events":1000}"#)
-                .unwrap();
+        assert!(history_entry_valid(&good));
+        // Older entries also record the retired sim_threads knob; the
+        // extra key does not disqualify them.
+        let with_sim_threads = telemetry::json::parse(
+            r#"{"scale":"paper","seed":2003,"jobs":2,"sim_threads":4,"targets":16,
+                "total_wall_s":475.368,"total_events":1000}"#,
+        )
+        .unwrap();
+        assert!(history_entry_valid(&with_sim_threads));
+        let missing = telemetry::json::parse(r#"{"scale":"paper","seed":2003}"#).unwrap();
+        assert!(!history_entry_valid(&missing));
+        let wrong_type = telemetry::json::parse(
+            r#"{"scale":3,"seed":2003,"jobs":2,"targets":16,
+                "total_wall_s":475.368,"total_events":1000}"#,
+        )
+        .unwrap();
         assert!(!history_entry_valid(&wrong_type));
     }
 
@@ -675,30 +655,37 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_repro.json");
         let path = path.to_str().unwrap();
-        let _ = std::fs::remove_file(path);
+        // An existing file whose one history entry still records
+        // sim_threads: it must be carried forward, not dropped.
+        std::fs::write(
+            path,
+            r#"{"history":[{"scale":"paper","seed":2003,"jobs":1,"sim_threads":2,
+                "targets":1,"total_wall_s":37.9,"total_events":1000}]}"#,
+        )
+        .unwrap();
         let timings = [Timing {
             name: "fig2".to_string(),
             wall_s: 1.2345,
             events: 1000,
         }];
-        write_bench_json(path, RunScale::Small, 7, 2, 1, &timings);
-        write_bench_json(path, RunScale::Small, 7, 2, 4, &timings);
+        write_bench_json(path, RunScale::Small, 7, 2, &timings);
+        write_bench_json(path, RunScale::Small, 7, 2, &timings);
         let doc = telemetry::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         let history = doc.get("history").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(history.len(), 2, "each write appends one entry");
-        assert!(history.iter().all(history_entry_valid));
         assert_eq!(
-            doc.get("sim_threads").and_then(JsonValue::as_i64),
-            Some(4),
-            "top level records the run's sim_threads"
+            history.len(),
+            3,
+            "each write appends one entry to the old one"
+        );
+        assert!(history.iter().all(history_entry_valid));
+        assert!(
+            doc.get("sim_threads").is_none(),
+            "top level no longer records sim_threads"
         );
         let targets = doc.get("targets").and_then(JsonValue::as_array).unwrap();
         assert_eq!(targets.len(), 1);
-        assert_eq!(
-            targets[0].get("sim_threads").and_then(JsonValue::as_i64),
-            Some(4),
-            "each target records the sim_threads it ran under"
-        );
+        assert!(targets[0].get("sim_threads").is_none());
+        assert!(history[1..].iter().all(|e| e.get("sim_threads").is_none()));
         // Keys are emitted sorted: the document is stable under
         // parse → print.
         let pretty = doc.to_pretty();

@@ -3,7 +3,7 @@
 //! real time.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mendosus::{Campaign, FaultAction, FaultKind, FaultPhase, PlannedMangle};
 use press::{
@@ -20,24 +20,6 @@ use transport::{
     ViaConfig, ViaNic, WirePayload,
 };
 use workload::{ClientConfig, ClientEvent, ClientPool};
-
-#[path = "par.rs"]
-mod par;
-
-/// Default for [`ClusterConfig::sim_threads`], settable once from the
-/// command line (`repro --sim-threads N`) so every constructor picks it
-/// up without threading a parameter through the experiment layers.
-static DEFAULT_SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default for [`ClusterConfig::sim_threads`].
-pub fn set_default_sim_threads(n: usize) {
-    DEFAULT_SIM_THREADS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The process-wide default for [`ClusterConfig::sim_threads`].
-pub fn default_sim_threads() -> usize {
-    DEFAULT_SIM_THREADS.load(Ordering::Relaxed)
-}
 
 /// Everything needed to build a cluster run.
 #[derive(Debug, Clone)]
@@ -60,10 +42,9 @@ pub struct ClusterConfig {
     pub restart_delay: SimDuration,
     /// Structured tracing (off by default; near-free when off).
     pub trace: telemetry::TraceConfig,
-    /// Worker threads for one simulation (conservative-parallel DES).
-    /// `1` runs the plain sequential loop; `N > 1` shards the nodes
-    /// across `N` scoped workers advancing in fabric-lookahead windows,
-    /// byte-identical to sequential (see the `par` module).
+    /// Always `1`: a simulation runs on one thread. The field stays only
+    /// so the frozen `perfbench` workloads, which assign it, still
+    /// compile; [`ClusterSim::with_campaign`] rejects any other value.
     pub sim_threads: usize,
     /// Causal root-cause attribution (off by default; near-free when
     /// off). When on, every lost or deadline-missing request is
@@ -94,7 +75,7 @@ impl ClusterConfig {
             prewarm: true,
             restart_delay: SimDuration::from_secs(3),
             trace: telemetry::TraceConfig::OFF,
-            sim_threads: default_sim_threads(),
+            sim_threads: 1,
             attribution: false,
         }
     }
@@ -266,11 +247,8 @@ impl FxPool {
 struct ConnTimers {
     /// Gen of the newest `SetTimer` seen for this connection.
     latest_gen: u64,
-    /// Per-kind pending timer: `(gen, engine token, fire time)`. The
-    /// fire time is carried for the parallel driver, which must know
-    /// whether a superseded timer is still engine-resident or already
-    /// drained into the current window.
-    pending: [Option<(u64, CancelToken, SimTime)>; TimerKind::COUNT],
+    /// Per-kind pending timer: `(gen, engine token)`.
+    pending: [Option<(u64, CancelToken)>; TimerKind::COUNT],
 }
 
 /// Summary of a finished (or in-progress) run.
@@ -337,8 +315,8 @@ pub struct ClusterSim {
     last_members: Vec<usize>,
     sink: telemetry::TraceSink,
     /// Root-cause attribution accumulator (`None` when disabled). All
-    /// records flow through the facade in `(time, seq)` order, so the
-    /// result is byte-identical across `--jobs` and `--sim-threads`.
+    /// records are made in dispatch order, so the result is
+    /// byte-identical across `--jobs`.
     attr: Option<Box<telemetry::AttrState>>,
     /// Sampled in-flight requests: id → (issue time, target node).
     traced_requests: std::collections::BTreeMap<u64, (SimTime, usize)>,
@@ -370,7 +348,15 @@ impl ClusterSim {
     }
 
     /// Builds and boots a cluster with a fault campaign armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.sim_threads != 1` or the campaign is malformed.
     pub fn with_campaign(config: ClusterConfig, campaign: Campaign, seed: u64) -> Self {
+        assert_eq!(
+            config.sim_threads, 1,
+            "sim_threads must be 1: the conservative-parallel engine was removed"
+        );
         let mut config = config;
         // The epidemic detector derives each node's probe-order stream
         // from the run seed and its node id (no draw from the main rng,
@@ -565,14 +551,6 @@ impl ClusterSim {
     /// per-event loop would have delivered them (they carry later seqs),
     /// so dispatch order — and therefore every report — is unchanged.
     pub fn run_until(&mut self, deadline: SimTime) {
-        let threads = self.config.sim_threads.min(self.config.press.nodes).max(1);
-        if threads > 1 {
-            if self.config.fabric.lookahead() > SimDuration::ZERO {
-                par::run_until_parallel(self, deadline, threads);
-                return;
-            }
-            par::warn_zero_lookahead();
-        }
         let mut batch = std::mem::take(&mut self.batch);
         while let Some(now) = self.engine.pop_batch_before(deadline, &mut batch) {
             for ev in batch.drain(..) {
@@ -927,7 +905,7 @@ impl ClusterSim {
             entry.latest_gen = key.gen;
         }
         for slot in &mut entry.pending {
-            if let Some((g, token, _)) = *slot {
+            if let Some((g, token)) = *slot {
                 if g < entry.latest_gen {
                     *slot = None;
                     if self.engine.cancel(token) {
@@ -937,7 +915,7 @@ impl ClusterSim {
             }
         }
         let token = self.engine.schedule_cancellable(at, Ev::Timer(key));
-        entry.pending[key.kind.idx()] = Some((key.gen, token, at));
+        entry.pending[key.kind.idx()] = Some((key.gen, token));
     }
 
     fn apply_fault(&mut self, now: SimTime, action: &FaultAction) {
@@ -1459,187 +1437,51 @@ mod tests {
         )
     }
 
-    /// Runs the small scenario for `version` with `sim_threads` worker
-    /// threads and returns everything a report compares on, plus the
-    /// dispatched-event count (the parallel driver must account
-    /// events exactly like the sequential loop).
-    fn threaded_run(
-        version: PressVersion,
-        threads: usize,
-        seed: u64,
-    ) -> (AvailabilityCounter, Vec<(f64, f64)>, Vec<usize>, u64, u64) {
-        let mut config = ClusterConfig::small(version);
-        config.sim_threads = threads;
-        let mut sim = ClusterSim::new(config, seed);
-        sim.run_until(SimTime::from_secs(5));
-        let r = sim.report();
-        (
-            r.availability.clone(),
-            r.throughput.points,
-            r.final_members,
-            sim.timers_stale_suppressed(),
-            sim.events_dispatched(),
-        )
-    }
-
+    /// Attribution must conserve against the pool: every scored loss is
+    /// classified exactly once.
     #[test]
-    fn parallel_windows_match_sequential_exactly() {
+    fn attribution_conserves() {
         for version in [PressVersion::Tcp, PressVersion::Via5] {
-            let base = threaded_run(version, 1, 7);
-            for threads in [2, 4] {
-                let par = threaded_run(version, threads, 7);
-                assert_eq!(base, par, "{version} diverged at sim_threads={threads}");
-            }
-        }
-    }
-
-    /// A fault campaign exercises the driver's serialization path:
-    /// windows must stop at each fault instant, fold the shards back
-    /// together, run the instant sequentially, and re-split — with
-    /// the timer index, freezers and fabric ports surviving the round
-    /// trip bit for bit.
-    fn faulted_run(version: PressVersion, threads: usize) -> (ClusterReport, u64, u64) {
-        use mendosus::FaultSpec;
-        let mut config = ClusterConfig::small(version);
-        config.sim_threads = threads;
-        let s = SimDuration::from_secs;
-        let campaign = Campaign::new([
-            FaultSpec::transient(FaultKind::NodeCrash, NodeId(1), SimTime::from_secs(2), s(2)),
-            FaultSpec::transient(FaultKind::AppHang, NodeId(2), SimTime::from_secs(3), s(1)),
-            FaultSpec::transient(FaultKind::LinkDown, NodeId(0), SimTime::from_secs(6), s(1)),
-            FaultSpec::transient(FaultKind::AppCrash, NodeId(3), SimTime::from_secs(8), s(1)),
-            FaultSpec::bad_param(
-                FaultKind::BadParamNull,
-                NodeId(0),
-                SimTime::from_secs(10),
-                transport::MsgClass::FileData,
-                0,
-            ),
-        ]);
-        let mut sim = ClusterSim::with_campaign(config, campaign, 11);
-        sim.run_until(SimTime::from_secs(12));
-        let events = sim.events_dispatched();
-        (sim.report(), sim.timers_stale_suppressed(), events)
-    }
-
-    /// With zero fabric latency there is no lookahead window to
-    /// exploit, so `sim_threads > 1` must degrade to the sequential
-    /// loop (with a one-time warning) rather than produce zero-width
-    /// windows or wrong answers.
-    #[test]
-    fn zero_lookahead_falls_back_to_sequential() {
-        let run = |threads: usize| {
-            let mut config = ClusterConfig::small(PressVersion::Tcp);
-            config.fabric.link_latency = SimDuration::ZERO;
-            config.fabric.switch_latency = SimDuration::ZERO;
-            config.sim_threads = threads;
-            let mut sim = ClusterSim::new(config, 5);
-            sim.run_until(SimTime::from_secs(2));
-            (sim.report().throughput.points, sim.events_dispatched())
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    /// Tracing stresses the replay path hardest: every sampled request
-    /// emits ordered instants and spans from both facade-side scoring
-    /// and worker-side effects, and the merged stream must interleave
-    /// them in exactly the sequential emission order.
-    #[test]
-    fn parallel_windows_preserve_trace_streams() {
-        for version in [PressVersion::Tcp, PressVersion::Via5] {
-            let run = |threads: usize| {
-                use mendosus::FaultSpec;
-                let mut config = ClusterConfig::small(version);
-                config.sim_threads = threads;
-                config.trace = telemetry::TraceConfig {
-                    enabled: true,
-                    request_sample: 4,
-                };
-                let campaign = Campaign::single(FaultSpec::transient(
-                    FaultKind::NodeCrash,
-                    NodeId(1),
-                    SimTime::from_secs(2),
-                    SimDuration::from_secs(2),
-                ));
-                let mut sim = ClusterSim::with_campaign(config, campaign, 23);
-                sim.run_until(SimTime::from_secs(6));
-                (sim.take_trace(), sim.report().throughput.points)
-            };
-            let base = run(1);
-            for threads in [2, 4] {
-                let par = run(threads);
-                assert_eq!(base.1, par.1, "{version} throughput @ {threads}");
-                assert_eq!(
-                    base.0, par.0,
-                    "{version} trace stream diverged at sim_threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_windows_survive_fault_campaigns() {
-        for version in [PressVersion::Tcp, PressVersion::Via5] {
-            let (base, base_sup, base_ev) = faulted_run(version, 1);
-            for threads in [2, 4] {
-                let (par, sup, ev) = faulted_run(version, threads);
-                assert_eq!(base.throughput.points, par.throughput.points, "{version}");
-                assert_eq!(base.availability, par.availability, "{version}");
-                assert_eq!(base.membership_log, par.membership_log, "{version}");
-                assert_eq!(base.process_log, par.process_log, "{version}");
-                assert_eq!(base.final_members, par.final_members, "{version}");
-                assert_eq!(base.all_running, par.all_running, "{version}");
-                assert_eq!(base_sup, sup, "{version} suppressed-timer count");
-                assert_eq!(base_ev, ev, "{version} dispatched-event count");
-            }
-        }
-    }
-
-    /// Attribution must conserve against the pool (every scored loss
-    /// classified exactly once) and be byte-identical across thread
-    /// counts — the records flow through the same replayed channel as
-    /// traces, so this exercises the whole evidence pipeline.
-    #[test]
-    fn attribution_conserves_and_is_thread_invariant() {
-        for version in [PressVersion::Tcp, PressVersion::Via5] {
-            let run = |threads: usize| {
-                use mendosus::FaultSpec;
-                let mut config = ClusterConfig::small(version);
-                config.sim_threads = threads;
-                config.attribution = true;
-                let campaign = Campaign::single(FaultSpec::transient(
-                    FaultKind::NodeCrash,
-                    NodeId(1),
-                    SimTime::from_secs(2),
-                    SimDuration::from_secs(2),
-                ));
-                let mut sim = ClusterSim::with_campaign(config, campaign, 23);
-                sim.run_until(SimTime::from_secs(8));
-                let report = sim.report();
-                let attr = sim.take_attr().expect("attribution was enabled");
-                (attr, report)
-            };
-            let (base, report) = run(1);
+            use mendosus::FaultSpec;
+            let mut config = ClusterConfig::small(version);
+            config.attribution = true;
+            let campaign = Campaign::single(FaultSpec::transient(
+                FaultKind::NodeCrash,
+                NodeId(1),
+                SimTime::from_secs(2),
+                SimDuration::from_secs(2),
+            ));
+            let mut sim = ClusterSim::with_campaign(config, campaign, 23);
+            sim.run_until(SimTime::from_secs(8));
+            let report = sim.report();
+            let attr = sim.take_attr().expect("attribution was enabled");
             let totals = telemetry::RunTotals {
                 attempts: report.availability.attempts,
                 successes: report.availability.successes,
                 failures: report.availability.failures(),
                 duration_s: 8.0,
             };
-            assert!(totals.failures > 0, "{version}: the crash must cost requests");
-            let (ok, detail) = base.conservation(&totals);
+            assert!(
+                totals.failures > 0,
+                "{version}: the crash must cost requests"
+            );
+            let (ok, detail) = attr.conservation(&totals);
             assert!(ok, "{version}: conservation failed: {detail}");
             // The crash window must show up as attributed fault kills.
             assert!(
-                base.counts[telemetry::RootCause::FaultKill as usize] > 0,
+                attr.counts[telemetry::RootCause::FaultKill as usize] > 0,
                 "{version}: no fault-kill attributions across a node crash: {:?}",
-                base.counts
+                attr.counts
             );
-            for threads in [2, 4] {
-                let (par, _) = run(threads);
-                assert_eq!(base, par, "{version} attribution diverged at sim_threads={threads}");
-            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sim_threads must be 1")]
+    fn configs_asking_for_more_sim_threads_are_rejected() {
+        let mut config = ClusterConfig::small(PressVersion::Tcp);
+        config.sim_threads = 2;
+        let _ = ClusterSim::new(config, 1);
     }
 
     /// With attribution off nothing is recorded and the run results are

@@ -362,8 +362,8 @@ pub fn traced_timeline(
 /// figure text with each run followed by its root-cause attribution
 /// section (Pareto table, conservation verdict, losses by stage,
 /// critical-path percentiles), plus the `(result, report)` pairs in
-/// task order for the HTML report. Byte-identical for any `jobs` ×
-/// `sim_threads`. `None` when `target` is not a timeline figure.
+/// task order for the HTML report. Byte-identical for any `jobs`.
+/// `None` when `target` is not a timeline figure.
 pub fn attributed_timeline(
     target: &str,
     scale: RunScale,

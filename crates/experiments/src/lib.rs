@@ -29,10 +29,7 @@ pub mod render;
 pub mod runner;
 pub mod scale;
 
-pub use cluster::{
-    default_sim_threads, events_dispatched_total, set_default_sim_threads, ClusterConfig,
-    ClusterReport, ClusterSim,
-};
+pub use cluster::{events_dispatched_total, ClusterConfig, ClusterReport, ClusterSim};
 
 pub use membership::{
     crossover_n, membership_metrics, membership_study, MembershipPoint,

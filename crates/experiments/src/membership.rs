@@ -24,7 +24,7 @@
 //!
 //! Every run is an independent `(config, campaign, seed)` triple, so
 //! the sweep fans out over [`run_indexed`] and is byte-identical for
-//! any `--jobs` × `--sim-threads` combination.
+//! any `--jobs` count.
 
 use mendosus::{Campaign, FaultKind, FaultSpec};
 use press::{MembershipImpl, PressVersion};
@@ -209,7 +209,7 @@ fn rejoin_latency(scale: RunScale, n: usize, detector: MembershipImpl, seed: u64
 
 /// Runs the full sweep: every `N` in [`SWEEP_NODES`] × both detectors,
 /// three scenario runs per point, fanned across `jobs` workers. Output
-/// is in sweep order and byte-identical for any `jobs`/`sim_threads`.
+/// is in sweep order and byte-identical for any `jobs`.
 pub fn membership_study(scale: RunScale, seed: u64, jobs: usize) -> Vec<MembershipPoint> {
     membership_study_inner(scale, seed, jobs, false)
 }
@@ -224,7 +224,7 @@ fn membership_study_inner(
 }
 
 /// The sweep over an explicit node list (tests run a shortened one;
-/// the parity suite re-runs it across `--sim-threads` × `--jobs`).
+/// the jobs-identity suite re-runs it across `--jobs`).
 pub fn study_points(
     nodes: &[usize],
     scale: RunScale,

@@ -13,8 +13,8 @@
 //! ([`performability::MonteCarloResult`]).
 //!
 //! Every replication takes an explicit seed derived from the target
-//! seed, so the whole estimate is byte-identical across reruns,
-//! `--jobs`, and `--sim-threads`.
+//! seed, so the whole estimate is byte-identical across reruns and
+//! `--jobs`.
 //!
 //! The module also carries the sanity bridge between the two
 //! methodologies: [`closed_form_crosscheck`] runs a fault load the

@@ -25,9 +25,7 @@
 //!
 //! **Fabric.** Points run on a multi-switch fat tree
 //! ([`FabricConfig::fat_tree`], radix 8): one leaf switch at N ≤ 8, a
-//! spine above 8 leaves at N = 64. The fabric's `lookahead()` stays at
-//! the same-switch path, so `--sim-threads` sharding remains sound and
-//! byte-identical at every size.
+//! spine above 8 leaves at N = 64.
 //!
 //! Tn is the mean served throughput over the final (warm, recovered)
 //! window; AT is successes over the whole run; AA is the whole-run
@@ -36,8 +34,8 @@
 //! handed to the transport, cluster-wide.
 //!
 //! Every run is an independent `(config, campaign, seed)` triple fanned
-//! over [`run_indexed`], so output is byte-identical for any `--jobs` ×
-//! `--sim-threads` combination.
+//! over [`run_indexed`], so output is byte-identical for any `--jobs`
+//! count.
 
 use mendosus::{Campaign, FaultKind, FaultSpec};
 use performability::metric::{performability, IDEAL_AVAILABILITY};
@@ -278,7 +276,7 @@ pub fn sweep_nodes(scale: RunScale) -> &'static [usize] {
 }
 
 /// Runs the full sweep, fanned across `jobs` workers. Output is in
-/// sweep order and byte-identical for any `jobs`/`sim_threads`.
+/// sweep order and byte-identical for any `jobs`.
 pub fn scale_study(scale: RunScale, seed: u64, jobs: usize) -> Vec<ScalePoint> {
     study_points(sweep_nodes(scale), scale, seed, jobs, false, false)
 }
@@ -419,9 +417,8 @@ pub fn scale_metrics(scale: RunScale, seed: u64, jobs: usize) -> String {
 
 /// The `repro -- scalebench` text: the single heaviest sweep point
 /// (largest swept N, digest mode, TCP-PRESS-HB on the ring), run once.
-/// This is the intended workload for `--sim-threads` benchmarking —
-/// one big simulation rather than many independent ones, so `--timing`
-/// measures intra-run sharding, not `--jobs` fan-out.
+/// One big simulation rather than many independent ones, so `--timing`
+/// measures the per-event cost at large N, not `--jobs` fan-out.
 pub fn scalebench(scale: RunScale, seed: u64) -> String {
     let n = *sweep_nodes(scale).last().expect("sweep is non-empty");
     let p = node_crash_point(
@@ -590,40 +587,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// Digest-mode node-crash runs are byte-identical across
-    /// `--sim-threads` (the fig3-style determinism guarantee extends to
-    /// the new message type and timer).
-    #[test]
-    fn digest_mode_is_identical_across_sim_threads() {
-        let run = |threads: usize| {
-            let mut config = scale_config(
-                RunScale::Small,
-                4,
-                PressVersion::TcpHb,
-                CacheSyncImpl::Digest,
-                Some(MembershipImpl::Ring),
-            );
-            config.sim_threads = threads;
-            let campaign = Campaign::single(FaultSpec::transient(
-                FaultKind::NodeCrash,
-                NodeId(1),
-                SimTime::from_secs(10),
-                SimDuration::from_secs(20),
-            ));
-            let mut sim = ClusterSim::with_campaign(config, campaign, 23);
-            sim.run_until(SimTime::from_secs(40));
-            let ctrl: Vec<u64> = (0..4)
-                .map(|i| sim.press(NodeId(i)).stats().cache_sync_frames)
-                .collect();
-            let report = sim.report();
-            (report.throughput.points, report.membership_log, ctrl)
-        };
-        let base = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), base, "sim-threads {threads} diverged");
         }
     }
 

@@ -38,16 +38,15 @@ fn traced_fig3_is_byte_identical_across_job_counts() {
 
 /// One N = 64 node-crash run in the hardest determinism configuration:
 /// the largest fabric (radix-8 fat tree with a spine), batched cache
-/// digests, and the epidemic gossip detector, sharded across
-/// `sim_threads` conservative workers. Load and horizon are trimmed so
-/// the full 6-combo matrix stays fast under the dev profile.
+/// digests, and the epidemic gossip detector. Load and horizon are
+/// trimmed so the runs stay fast under the dev profile.
 type RunObservables = (
     Vec<telemetry::TraceEvent>,
     Vec<(f64, f64)>,
     Vec<(SimTime, simnet::fabric::NodeId, usize)>,
 );
 
-fn digest_gossip_run(sim_threads: usize) -> RunObservables {
+fn digest_gossip_run() -> RunObservables {
     let mut config = scale_config(
         RunScale::Small,
         64,
@@ -56,7 +55,6 @@ fn digest_gossip_run(sim_threads: usize) -> RunObservables {
         Some(MembershipImpl::Gossip),
     );
     config.rate = 8.0 * 64.0;
-    config.sim_threads = sim_threads;
     config.trace = telemetry::TraceConfig::STANDARD;
     let campaign = Campaign::single(FaultSpec::transient(
         FaultKind::NodeCrash,
@@ -75,27 +73,20 @@ fn digest_gossip_run(sim_threads: usize) -> RunObservables {
 }
 
 #[test]
-fn digest_gossip_n64_trace_is_identical_across_threads_and_jobs() {
-    // The jobs axis fans the three thread counts over run_indexed;
-    // jobs = 1 is the sequential baseline, jobs = 2 the worker pool.
-    let run_all =
-        |jobs: usize| run_indexed(jobs, vec![1usize, 2, 4], |_i, st| digest_gossip_run(st));
-    let seq = run_all(1);
-    let par = run_all(2);
-    assert_eq!(seq.len(), 3);
-    // Identical across the jobs axis for every sim-threads value...
-    for (st, (a, b)) in seq.iter().zip(&par).enumerate() {
-        assert_eq!(a, b, "jobs=1 vs jobs=2 diverged at sim-threads index {st}");
-    }
-    // ...and across the sim-threads axis itself.
-    for (i, w) in seq.iter().enumerate().skip(1) {
-        assert_eq!(&seq[0], w, "sim-threads index {i} diverged from sequential");
+fn digest_gossip_n64_trace_is_identical_across_jobs() {
+    // In-process baseline, then two re-runs on the run_indexed worker
+    // pool (the `--jobs` path).
+    let base = digest_gossip_run();
+    let workers = run_indexed(2, vec![(); 2], |_i, ()| digest_gossip_run());
+    assert_eq!(workers.len(), 2);
+    for (i, w) in workers.iter().enumerate() {
+        assert_eq!(&base, w, "worker run {i} diverged from the in-process run");
     }
     // The comparison is substantial, not trivially-equal empty data.
     assert!(
-        seq[0].0.len() > 100,
+        base.0.len() > 100,
         "expected a non-trivial trace, got {} events",
-        seq[0].0.len()
+        base.0.len()
     );
-    assert!(!seq[0].2.is_empty(), "the crash must perturb membership");
+    assert!(!base.2.is_empty(), "the crash must perturb membership");
 }

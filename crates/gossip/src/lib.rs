@@ -19,7 +19,7 @@
 //! `SwimConfig::seed` mixed with the owner's node id. Two machines
 //! built with the same config and fed the same call sequence emit the
 //! same command sequence, byte for byte — which is what keeps cluster
-//! runs identical across `--sim-threads` × `--jobs`.
+//! runs identical across `--jobs`.
 //!
 //! # Division of labour with the host
 //!

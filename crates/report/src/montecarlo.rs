@@ -152,7 +152,7 @@ pub fn render_mc_report(meta: &ReportMeta, run: &McRun) -> String {
     let mut body = format!(
         "<h1>{title}</h1>\n<p class=\"meta\">target {target} · scale {scale} · seed {seed} · \
          {version} · {n} replications · measured [{t0:.0} s, {t1:.0} s) · deterministic \
-         render (byte-identical for a fixed seed, any --jobs / --sim-threads)</p>\n",
+         render (byte-identical for a fixed seed, any --jobs)</p>\n",
         title = esc(&meta.title),
         target = esc(&meta.target),
         scale = esc(&meta.scale),

@@ -167,35 +167,6 @@ pub struct FabricConfig {
 }
 
 impl FabricConfig {
-    /// The minimum time between handing a frame to the fabric and its
-    /// arrival at the destination switch port, over all node pairs —
-    /// the shortest path through the topology, with serialization
-    /// contributing at least one more nanosecond. This is the
-    /// conservative-parallel lookahead: no event executed at time `t`
-    /// can make another node observe anything before `t + lookahead()`,
-    /// so windows of this width can run concurrently without violating
-    /// causality. Longer paths (cross-leaf hops, gray-latency
-    /// penalties) only *increase* delay, so the floor stays valid. A
-    /// degenerate configuration (zero link and switch latency) yields
-    /// `SimDuration::ZERO` and callers must fall back to sequential
-    /// execution.
-    pub fn lookahead(&self) -> SimDuration {
-        let same_switch = self.link_latency + self.switch_latency + self.link_latency;
-        match self.topology {
-            Topology::Star => same_switch,
-            Topology::FatTree { leaf_radix, .. } => {
-                // Some pair shares a leaf as soon as one leaf holds two
-                // nodes; otherwise (radix-1 corner, buildable only by
-                // hand) every path crosses the spine.
-                if leaf_radix >= 2 && self.nodes >= 2 {
-                    same_switch
-                } else {
-                    same_switch + self.cross_leaf_extra()
-                }
-            }
-        }
-    }
-
     /// Additional one-way latency of a cross-leaf path over a same-leaf
     /// one: up to the spine and back down (two extra link hops), the
     /// spine's forwarding latency, and the second leaf switch.
@@ -210,7 +181,7 @@ impl FabricConfig {
 
     /// One-way propagation latency from `src`'s NIC to `dst`'s switch
     /// port through this topology (excludes serialization and gray
-    /// penalties). Equals `lookahead()` for the closest pair.
+    /// penalties).
     pub fn path_latency(&self, src: NodeId, dst: NodeId) -> SimDuration {
         let same_switch = self.link_latency + self.switch_latency + self.link_latency;
         match self.topology {
@@ -235,12 +206,11 @@ impl FabricConfig {
     /// An `n`-node single-switch cLAN star with the paper test-bed's
     /// per-hop parameters. PRESS arranges the nodes into its logical
     /// heartbeat ring on top of this; the fabric itself is a star, so
-    /// latency and lookahead do not change with `n`.
+    /// latency does not change with `n`.
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2` (a one-node cluster has no fabric paths, and
-    /// the conservative-parallel lookahead would be meaningless).
+    /// Panics if `n < 2` (a one-node cluster has no fabric paths).
     pub fn ring(n: usize) -> Self {
         let cfg = FabricConfig {
             nodes: n,
@@ -262,8 +232,7 @@ impl FabricConfig {
     /// # Panics
     ///
     /// Panics if `n < 2` or `leaf_radix < 2` (a radix-1 "leaf" is a
-    /// patch cable, and `lookahead()` relies on at least one same-leaf
-    /// pair existing).
+    /// patch cable, not a switch).
     pub fn fat_tree(n: usize, leaf_radix: usize) -> Self {
         assert!(
             leaf_radix >= 2,
@@ -280,8 +249,10 @@ impl FabricConfig {
     }
 
     /// Builder validation: every constructed fabric must have at least
-    /// two nodes and strictly positive per-stage latencies, so
-    /// `lookahead()` is a usable (nonzero) conservative-parallel bound.
+    /// two nodes and strictly positive per-stage latencies. Every stage
+    /// models a physical hop; a zero one is a misconfiguration (usually
+    /// a field zeroed in a struct literal) that would quietly model a
+    /// fabric faster than any switch.
     fn validated(self) -> Self {
         assert!(
             self.nodes >= 2,
@@ -290,7 +261,7 @@ impl FabricConfig {
         );
         assert!(
             self.link_latency > SimDuration::ZERO && self.switch_latency > SimDuration::ZERO,
-            "zero-latency fabric stages would collapse the lookahead to zero"
+            "zero-latency fabric stages: every hop must take time"
         );
         if let Topology::FatTree { spine_latency, .. } = self.topology {
             assert!(
@@ -313,69 +284,12 @@ impl Default for FabricConfig {
     }
 }
 
-/// Result of the sender-side half of a transmission
-/// ([`Fabric::tx_phase`]): everything observable at the source NIC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxOutcome {
-    /// The frame left the sender; it reaches the destination switch
-    /// port at `at_dst_port` (receiver serialization still pending —
-    /// [`Fabric::rx_phase`] turns this into the final arrival time).
-    Launched {
-        /// Arrival time at the destination's switch port.
-        at_dst_port: SimTime,
-    },
-    /// The frame was lost before reaching the destination port.
-    Lost {
-        /// Why it was lost.
-        reason: LossReason,
-    },
-}
-
-/// Sender-side transmission state for one node: the serialization
-/// horizon of its link plus any pending injected drops. Split out of
-/// [`Fabric`] so the parallel driver can hand each worker thread the
-/// tx state of exactly the nodes it owns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TxPort {
-    /// The sender link is serializing until this time.
-    pub busy: SimTime,
-    /// Upcoming frames from this node to drop (fault injection).
-    pub drop_next: u32,
-    /// Frames this node has sent across a degraded (gray) link; every
-    /// [`GRAY_DROP_PERIOD`]-th such frame is dropped. Sender-side state
-    /// so the loss decision is made entirely at the source — the
-    /// parallel driver's replay assumes committed launches always
-    /// deliver.
-    pub gray_seq: u32,
-}
-
 /// One in every this-many frames crossing a degraded link is lost.
 pub const GRAY_DROP_PERIOD: u32 = 50;
 
 /// Extra one-way latency added per degraded endpoint a frame crosses
-/// (a flapping negotiation / CRC-retry penalty). Latency only ever
-/// *increases*, so the conservative-parallel lookahead bound — a floor
-/// on cross-node visibility — remains valid.
+/// (a flapping negotiation / CRC-retry penalty).
 pub const GRAY_EXTRA_LATENCY: SimDuration = SimDuration::from_micros(150);
-
-/// A point-in-time snapshot of the fabric's up/down flags. Flags only
-/// change at fault-injection instants, which the parallel driver
-/// serializes, so a snapshot taken at a window boundary is valid for
-/// the whole window.
-#[derive(Debug, Clone, Default)]
-pub struct FabricFlags {
-    /// Per-node link state.
-    pub link_up: Vec<bool>,
-    /// Per-node NIC power state.
-    pub node_up: Vec<bool>,
-    /// Switch state.
-    pub switch_up: bool,
-    /// Per-node gray-degradation state (elevated latency + loss).
-    pub degraded: Vec<bool>,
-    /// Per-node bitmask of peers the switch silently refuses to reach
-    /// (partial partition; symmetric).
-    pub blocked: Vec<u64>,
-}
 
 /// Counters describing fabric activity, for assertions and reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -413,7 +327,8 @@ pub struct Fabric {
     rx_busy: Vec<SimTime>,
     /// Number of upcoming frames to drop per (src) — fault injection.
     drop_next_from: Vec<u32>,
-    /// Per-node degraded-link counter state (see [`TxPort::gray_seq`]).
+    /// Frames each node has sent across a degraded (gray) link; every
+    /// [`GRAY_DROP_PERIOD`]-th such frame is dropped.
     gray_seq: Vec<u32>,
     /// Gray state: per-node degradation and pairwise partition masks.
     degraded: Vec<bool>,
@@ -505,9 +420,10 @@ impl Fabric {
     }
 
     /// Whether the switch currently refuses to forward between `a` and
-    /// `b` (partial partition).
+    /// `b` (partial partition). Only nodes below 64 can be blocked, so a
+    /// wider index is never tested against the mask.
     pub fn pair_blocked(&self, a: NodeId, b: NodeId) -> bool {
-        self.blocked[a.0] & (1 << b.0) != 0
+        b.0 < 64 && self.blocked[a.0] & (1 << b.0) != 0
     }
 
     /// Whether `node`'s link is currently up.
@@ -543,220 +459,100 @@ impl Fabric {
     /// Attempts to transmit `frame` at time `now`.
     ///
     /// On success, the returned arrival time accounts for sender
-    /// serialization, two link hops, the switch, and receiver
-    /// serialization. The caller is responsible for scheduling delivery.
-    ///
-    /// This is exactly [`Fabric::tx_phase`] followed by
-    /// [`Fabric::rx_phase`] against the master flag and port state.
+    /// serialization, the topology's path latency, any gray penalty, and
+    /// receiver serialization. The caller is responsible for scheduling
+    /// delivery.
     pub fn transmit<P>(&mut self, now: SimTime, frame: &Frame<P>) -> TransmitOutcome {
         let src = frame.src.0;
         let dst = frame.dst.0;
         assert!(src < self.config.nodes && dst < self.config.nodes);
-
-        let flags = FlagView {
-            link_up: &self.link_up,
-            node_up: &self.node_up,
-            switch_up: self.switch_up,
-            degraded: &self.degraded,
-            blocked: &self.blocked,
-        };
-        let mut port = TxPort {
-            busy: self.tx_busy[src],
-            drop_next: self.drop_next_from[src],
-            gray_seq: self.gray_seq[src],
-        };
-        let outcome = tx_phase_inner(&self.config, flags, &mut port, now, frame.src, frame.dst, frame.bytes);
-        self.tx_busy[src] = port.busy;
-        self.drop_next_from[src] = port.drop_next;
-        self.gray_seq[src] = port.gray_seq;
-        match outcome {
-            TxOutcome::Lost { reason } => {
-                self.stats.lost += 1;
-                TransmitOutcome::Lost { reason }
-            }
-            TxOutcome::Launched { at_dst_port } => self.rx_phase(at_dst_port, frame.dst, frame.bytes),
-        }
-    }
-
-    /// Sender-side half of [`Fabric::transmit`] against caller-supplied
-    /// flag and port state: loss checks observable from the source,
-    /// sender serialization, and propagation to the destination switch
-    /// port. Pure with respect to the fabric — workers run this against
-    /// their own [`FabricFlags`] replica and per-node [`TxPort`]s. Lost
-    /// frames are *not* counted in any stats; the caller tallies them.
-    pub fn tx_phase<P>(
-        config: &FabricConfig,
-        flags: &FabricFlags,
-        port: &mut TxPort,
-        now: SimTime,
-        frame: &Frame<P>,
-    ) -> TxOutcome {
-        let view = FlagView {
-            link_up: &flags.link_up,
-            node_up: &flags.node_up,
-            switch_up: flags.switch_up,
-            degraded: &flags.degraded,
-            blocked: &flags.blocked,
-        };
-        tx_phase_inner(config, view, port, now, frame.src, frame.dst, frame.bytes)
-    }
-
-    /// Receiver-side half of [`Fabric::transmit`]: serialization on the
-    /// destination link, backlog bounding, and delivery accounting.
-    /// Order-sensitive (each call advances `rx_busy[dst]`), so the
-    /// parallel driver replays launched frames in exact sequential
-    /// order through this method.
-    pub fn rx_phase(&mut self, at_dst_port: SimTime, dst: NodeId, bytes: u32) -> TransmitOutcome {
-        let wire = self.config.wire_time(bytes);
-        let rx_start = self.rx_busy[dst.0].max(at_dst_port);
-        if rx_start.saturating_since(at_dst_port) > self.config.max_rx_backlog {
+        let outcome = self.traverse(now, frame.src, frame.dst, frame.bytes);
+        if let TransmitOutcome::Delivered { .. } = outcome {
+            self.stats.delivered += 1;
+            self.stats.bytes_delivered += u64::from(frame.bytes);
+        } else {
             self.stats.lost += 1;
+        }
+        outcome
+    }
+
+    /// Walks one frame through the fabric: the loss checks in the order
+    /// the sender meets them, then both serializations and the
+    /// propagation between them. Updates the per-node port state; the
+    /// caller keeps the stats.
+    fn traverse(
+        &mut self,
+        now: SimTime,
+        src_id: NodeId,
+        dst_id: NodeId,
+        bytes: u32,
+    ) -> TransmitOutcome {
+        let src = src_id.0;
+        let dst = dst_id.0;
+        let reason = if !self.node_up[src] {
+            Some(LossReason::SrcNodeDown)
+        } else if !self.link_up[src] {
+            Some(LossReason::SrcLinkDown)
+        } else if self.drop_next_from[src] > 0 {
+            self.drop_next_from[src] -= 1;
+            Some(LossReason::Injected)
+        } else if !self.switch_up {
+            Some(LossReason::SwitchDown)
+        } else if !self.link_up[dst] {
+            Some(LossReason::DstLinkDown)
+        } else if !self.node_up[dst] {
+            Some(LossReason::DstNodeDown)
+        } else if self.pair_blocked(src_id, dst_id) {
+            Some(LossReason::Partitioned)
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            return TransmitOutcome::Lost { reason };
+        }
+
+        // Gray degradation: the path is nominally up, but frames crossing
+        // a degraded endpoint suffer periodic silent loss. The counter is
+        // kept per sender, so the drop pattern is deterministic for a
+        // given frame sequence.
+        let gray_endpoints = usize::from(self.degraded[src]) + usize::from(self.degraded[dst]);
+        if gray_endpoints > 0 {
+            self.gray_seq[src] += 1;
+            if self.gray_seq[src].is_multiple_of(GRAY_DROP_PERIOD) {
+                return TransmitOutcome::Lost {
+                    reason: LossReason::LinkDegraded,
+                };
+            }
+        }
+
+        let wire = self.config.wire_time(bytes);
+
+        // Sender serialization.
+        let tx_start = self.tx_busy[src].max(now);
+        if tx_start.saturating_since(now) > self.config.max_tx_backlog {
+            return TransmitOutcome::Lost {
+                reason: LossReason::TxQueueOverrun,
+            };
+        }
+        let tx_end = tx_start + wire;
+        self.tx_busy[src] = tx_end;
+
+        // Propagation along the topology's path for this pair, plus the
+        // gray penalty per degraded endpoint crossed.
+        let at_dst_port = tx_end
+            + self.config.path_latency(src_id, dst_id)
+            + GRAY_EXTRA_LATENCY * gray_endpoints as u64;
+
+        // Receiver serialization.
+        let rx_start = self.rx_busy[dst].max(at_dst_port);
+        if rx_start.saturating_since(at_dst_port) > self.config.max_rx_backlog {
             return TransmitOutcome::Lost {
                 reason: LossReason::RxQueueOverrun,
             };
         }
         let rx_end = rx_start + wire;
-        self.rx_busy[dst.0] = rx_end;
-
-        self.stats.delivered += 1;
-        self.stats.bytes_delivered += u64::from(bytes);
+        self.rx_busy[dst] = rx_end;
         TransmitOutcome::Delivered { at: rx_end }
-    }
-
-    /// Snapshots the up/down flags (see [`FabricFlags`]).
-    pub fn flags(&self) -> FabricFlags {
-        FabricFlags {
-            link_up: self.link_up.clone(),
-            node_up: self.node_up.clone(),
-            switch_up: self.switch_up,
-            degraded: self.degraded.clone(),
-            blocked: self.blocked.clone(),
-        }
-    }
-
-    /// Copies the current flags into an existing snapshot, reusing its
-    /// allocations.
-    pub fn flags_into(&self, out: &mut FabricFlags) {
-        out.link_up.clear();
-        out.link_up.extend_from_slice(&self.link_up);
-        out.node_up.clear();
-        out.node_up.extend_from_slice(&self.node_up);
-        out.switch_up = self.switch_up;
-        out.degraded.clear();
-        out.degraded.extend_from_slice(&self.degraded);
-        out.blocked.clear();
-        out.blocked.extend_from_slice(&self.blocked);
-    }
-
-    /// Extracts `node`'s sender-side port state. The master copy keeps
-    /// running; the parallel driver pairs this with
-    /// [`Fabric::restore_tx_port`] around each parallel region.
-    pub fn take_tx_port(&mut self, node: NodeId) -> TxPort {
-        TxPort {
-            busy: std::mem::take(&mut self.tx_busy[node.0]),
-            drop_next: std::mem::take(&mut self.drop_next_from[node.0]),
-            gray_seq: std::mem::take(&mut self.gray_seq[node.0]),
-        }
-    }
-
-    /// Writes back `node`'s sender-side port state taken with
-    /// [`Fabric::take_tx_port`].
-    pub fn restore_tx_port(&mut self, node: NodeId, port: TxPort) {
-        self.tx_busy[node.0] = port.busy;
-        self.drop_next_from[node.0] = port.drop_next;
-        self.gray_seq[node.0] = port.gray_seq;
-    }
-
-    /// Adds `n` frames to the lost tally (worker-side tx losses folded
-    /// back into the master stats).
-    pub fn note_lost(&mut self, n: u64) {
-        self.stats.lost += n;
-    }
-}
-
-/// Borrowed flag state shared by the sequential and worker tx paths.
-#[derive(Clone, Copy)]
-struct FlagView<'a> {
-    link_up: &'a [bool],
-    node_up: &'a [bool],
-    switch_up: bool,
-    degraded: &'a [bool],
-    blocked: &'a [u64],
-}
-
-/// The one true sender-side transmission routine: loss-check order and
-/// arithmetic here define both `Fabric::transmit` (sequential) and
-/// `Fabric::tx_phase` (parallel workers), so the two paths cannot
-/// drift apart.
-fn tx_phase_inner(
-    config: &FabricConfig,
-    flags: FlagView<'_>,
-    port: &mut TxPort,
-    now: SimTime,
-    src_id: NodeId,
-    dst_id: NodeId,
-    bytes: u32,
-) -> TxOutcome {
-    let src = src_id.0;
-    let dst = dst_id.0;
-    let reason = if !flags.node_up[src] {
-        Some(LossReason::SrcNodeDown)
-    } else if !flags.link_up[src] {
-        Some(LossReason::SrcLinkDown)
-    } else if port.drop_next > 0 {
-        port.drop_next -= 1;
-        Some(LossReason::Injected)
-    } else if !flags.switch_up {
-        Some(LossReason::SwitchDown)
-    } else if !flags.link_up[dst] {
-        Some(LossReason::DstLinkDown)
-    } else if !flags.node_up[dst] {
-        Some(LossReason::DstNodeDown)
-    } else if flags.blocked[src] & (1 << dst) != 0 {
-        Some(LossReason::Partitioned)
-    } else {
-        None
-    };
-    if let Some(reason) = reason {
-        return TxOutcome::Lost { reason };
-    }
-
-    // Gray degradation: the path is nominally up, but frames crossing a
-    // degraded endpoint suffer periodic silent loss. The counter lives
-    // in the sender's port state so the decision is made entirely at
-    // the source (the parallel replay assumes committed launches always
-    // deliver) and is deterministic for a given frame sequence.
-    let gray_endpoints =
-        usize::from(flags.degraded[src]) + usize::from(flags.degraded[dst]);
-    if gray_endpoints > 0 {
-        port.gray_seq += 1;
-        if port.gray_seq.is_multiple_of(GRAY_DROP_PERIOD) {
-            return TxOutcome::Lost {
-                reason: LossReason::LinkDegraded,
-            };
-        }
-    }
-
-    let wire = config.wire_time(bytes);
-
-    // Sender serialization.
-    let tx_start = port.busy.max(now);
-    if tx_start.saturating_since(now) > config.max_tx_backlog {
-        return TxOutcome::Lost {
-            reason: LossReason::TxQueueOverrun,
-        };
-    }
-    let tx_end = tx_start + wire;
-    port.busy = tx_end;
-
-    // Propagation along the topology's path for this pair, plus the
-    // gray penalty per degraded endpoint crossed. Extra latency only
-    // ever increases, so the lookahead floor on cross-node visibility
-    // stays valid.
-    TxOutcome::Launched {
-        at_dst_port: tx_end
-            + config.path_latency(src_id, dst_id)
-            + GRAY_EXTRA_LATENCY * gray_endpoints as u64,
     }
 }
 
@@ -779,7 +575,10 @@ mod tests {
             let cfg = FabricConfig::ring(n);
             assert_eq!(cfg.nodes, n);
             // The star fabric's timing does not change with n.
-            assert_eq!(cfg.lookahead(), FabricConfig::clan_four_nodes().lookahead());
+            assert_eq!(
+                cfg.path_latency(NodeId(0), NodeId(n - 1)),
+                FabricConfig::clan_four_nodes().path_latency(NodeId(0), NodeId(1))
+            );
         }
         let four = FabricConfig::clan_four_nodes();
         assert_eq!(four.nodes, 4);
@@ -826,38 +625,6 @@ mod tests {
         .validated();
     }
 
-    /// `lookahead()` must equal the true minimum one-way propagation
-    /// over all node pairs for every builder — it is the causality
-    /// floor of the conservative-parallel engine, so an overestimate
-    /// would silently corrupt `--sim-threads` runs.
-    #[test]
-    fn lookahead_is_the_minimum_cross_node_path_for_every_builder() {
-        let builders: Vec<FabricConfig> = vec![
-            FabricConfig::ring(2),
-            FabricConfig::ring(4),
-            FabricConfig::ring(33),
-            FabricConfig::fat_tree(4, 8),   // one (underfull) leaf
-            FabricConfig::fat_tree(16, 8),  // two leaves
-            FabricConfig::fat_tree(64, 8),  // eight leaves
-            FabricConfig::fat_tree(9, 2),   // ragged last leaf
-        ];
-        for cfg in builders {
-            let min_path = (0..cfg.nodes)
-                .flat_map(|a| (0..cfg.nodes).map(move |b| (a, b)))
-                .filter(|(a, b)| a != b)
-                .map(|(a, b)| cfg.path_latency(NodeId(a), NodeId(b)))
-                .min()
-                .expect("builders guarantee >= 2 nodes");
-            assert_eq!(
-                cfg.lookahead(),
-                min_path,
-                "lookahead mismatch for {:?} n={}",
-                cfg.topology,
-                cfg.nodes
-            );
-        }
-    }
-
     #[test]
     fn fat_tree_cross_leaf_paths_pay_the_spine() {
         let cfg = FabricConfig::fat_tree(16, 8);
@@ -865,7 +632,10 @@ mod tests {
         let cross_leaf = cfg.path_latency(NodeId(0), NodeId(8));
         // Same-leaf = star latency; cross-leaf adds two link hops, the
         // second leaf switch, and the spine.
-        assert_eq!(same_leaf, FabricConfig::ring(16).lookahead());
+        assert_eq!(
+            same_leaf,
+            FabricConfig::ring(16).path_latency(NodeId(0), NodeId(7))
+        );
         assert_eq!(
             cross_leaf,
             same_leaf
@@ -874,7 +644,6 @@ mod tests {
                 + cfg.switch_latency
                 + SimDuration::from_micros(2)
         );
-        assert_eq!(cfg.lookahead(), same_leaf);
     }
 
     #[test]
@@ -1154,33 +923,30 @@ mod tests {
         ));
     }
 
+    /// Partition masks are 64 bits wide: a destination at or past node
+    /// 64 must never be shifted into one, or node 70 would alias node 6
+    /// (and debug builds would panic on the overflowing shift).
     #[test]
-    fn gray_state_rides_the_tx_port_through_take_and_restore() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
-        f.set_link_degraded(NodeId(0), true);
-        // Advance the counter partway through a period on the master.
-        for i in 0..10u64 {
-            let t = SimTime::ZERO + SimDuration::from_millis(i + 1);
-            f.transmit(t, &frame(0, 1, 64));
+    fn partition_masks_ignore_destinations_past_node_63() {
+        let mut f = Fabric::new(FabricConfig::fat_tree(128, 8));
+        f.set_pair_blocked(NodeId(0), NodeId(6), true);
+        assert!(f.pair_blocked(NodeId(0), NodeId(6)));
+        assert!(!f.pair_blocked(NodeId(0), NodeId(70)));
+        assert!(!f.pair_blocked(NodeId(70), NodeId(0)));
+        for dst in [70usize, 127] {
+            assert!(
+                matches!(
+                    f.transmit(SimTime::ZERO, &frame(0, dst, 64)),
+                    TransmitOutcome::Delivered { .. }
+                ),
+                "frame 0 -> {dst} must not see the 0-6 partition"
+            );
         }
-        let flags = f.flags();
-        assert!(flags.degraded[0]);
-        let mut port = f.take_tx_port(NodeId(0));
-        assert_eq!(port.gray_seq, 10);
-
-        // Worker-side phase continues the same counter.
-        let cfg = f.config().clone();
-        let mut lost = 0u32;
-        for i in 0..GRAY_DROP_PERIOD {
-            let t = SimTime::ZERO + SimDuration::from_millis(u64::from(i) + 100);
-            if matches!(
-                Fabric::tx_phase(&cfg, &flags, &mut port, t, &frame(0, 1, 64)),
-                TxOutcome::Lost { .. }
-            ) {
-                lost += 1;
+        assert!(matches!(
+            f.transmit(SimTime::ZERO, &frame(0, 6, 64)),
+            TransmitOutcome::Lost {
+                reason: LossReason::Partitioned
             }
-        }
-        assert_eq!(lost, 1);
-        f.restore_tx_port(NodeId(0), port);
+        ));
     }
 }

@@ -9,8 +9,8 @@
 //! retransmit/abort activity, membership-exclusion flushes, gray-link
 //! losses, fault windows, and admission backlog.
 //!
-//! The design mirrors the trace pipeline so the parallel driver stays
-//! byte-identical: components emit `Effect::Attr(AttrEvent)` into
+//! The design mirrors the trace pipeline so the report is
+//! byte-identical for a seed: components emit `Effect::Attr(AttrEvent)` into
 //! their ordinary effect buffers; the cluster facade applies them (and
 //! its own lifecycle events) in exact `(time, seq)` order into one
 //! [`AttrState`]. Nothing here consults wall clock or iterates a hash
@@ -233,9 +233,8 @@ type StageSample = [u64; 3];
 /// The run-wide attribution accumulator, owned by the cluster facade.
 ///
 /// All mutation goes through [`AttrState::record`], called in the
-/// exact `(time, seq)` order of the sequential event loop (the
-/// parallel driver replays the same calls facade-side), so the final
-/// state is byte-identical across `--jobs` and `--sim-threads`.
+/// exact `(time, seq)` order of the event loop, so the final state is
+/// byte-identical across `--jobs`.
 #[derive(Debug)]
 pub struct AttrState {
     nodes: Vec<NodeEvidence>,

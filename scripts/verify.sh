@@ -4,9 +4,9 @@
 # harness.
 #
 # The golden checks run small-scale targets with `--jobs 0` (all cores)
-# and diff stdout against the checked-in sequential captures, so they
-# verify both the harness output and the byte-identity of the parallel
-# runner in one step. `--timing` output goes to stderr and
+# and again with `--jobs 1`, and diff stdout against the checked-in
+# captures, so they verify both the harness output and the
+# byte-identity of the parallel runner. `--timing` output goes to stderr and
 # BENCH_repro.json, which this script preserves. The timed table1 run
 # also gates on events dispatched: the optimized event loop may not
 # dispatch more events than the seed loop that produced the goldens.
@@ -30,10 +30,7 @@ echo "== criterion benches compile"
 cargo check -q -p bench --benches --features bench-harness
 
 echo "== cargo test"
-# Single-threaded: the parallel-identity sweeps mutate the process-wide
-# sim-threads default, and serial runs keep timing-sensitive output
-# stable on small hosts.
-RUST_TEST_THREADS=1 cargo test -q --workspace
+cargo test -q --workspace
 
 echo "== perfbench tests"
 # perfbench is a package of its own, outside the root workspace: its
@@ -94,32 +91,29 @@ echo "== repro fig3 --small vs golden"
 cargo run --release -q -p bench --bin repro -- fig3 --small --jobs 0 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_fig3_small.txt "$tmp_out"
 
-echo "== conservative-parallel engine matches the sequential goldens"
-# The same goldens, regenerated with each simulation sharded across two
-# worker threads. Any divergence from the sequential captures — one
-# byte — fails the build: the lookahead-window engine must be
-# observationally identical, not statistically close.
-cargo run --release -q -p bench --bin repro -- table1 --small --sim-threads 2 >"$tmp_out" 2>/dev/null
+echo "== table1 + fig3 --jobs 1 match the same goldens"
+cargo run --release -q -p bench --bin repro -- table1 --small --jobs 1 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_table1_small.txt "$tmp_out"
-cargo run --release -q -p bench --bin repro -- fig3 --small --sim-threads 2 --jobs 0 >"$tmp_out" 2>/dev/null
+cargo run --release -q -p bench --bin repro -- fig3 --small --jobs 1 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_fig3_small.txt "$tmp_out"
-echo "   table1 + fig3 identical at --sim-threads 2"
+echo "   table1 + fig3 identical at --jobs 1 and --jobs 0"
 
 echo "== repro crossover --small vs golden"
 cargo run --release -q -p bench --bin repro -- crossover --small --jobs 0 >"$tmp_out" 2>/dev/null
+diff -u scripts/golden_crossover_small.txt "$tmp_out"
+cargo run --release -q -p bench --bin repro -- crossover --small --jobs 1 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_crossover_small.txt "$tmp_out"
 
 echo "== repro montecarlo --small vs golden"
 # The Monte-Carlo estimator replays generated multi-fault timelines
 # (correlated groups, gray faults, overlapping arrivals); the golden
 # pins the whole estimate — every replication row, the confidence
-# intervals, and the closed-form cross-check verdict — across --jobs
-# and --sim-threads.
+# intervals, and the closed-form cross-check verdict — across --jobs.
 cargo run --release -q -p bench --bin repro -- montecarlo --small --jobs 0 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_montecarlo_small.txt "$tmp_out"
-cargo run --release -q -p bench --bin repro -- montecarlo --small --sim-threads 2 >"$tmp_out" 2>/dev/null
+cargo run --release -q -p bench --bin repro -- montecarlo --small --jobs 1 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_montecarlo_small.txt "$tmp_out"
-echo "   montecarlo identical at --jobs 0 and --sim-threads 2"
+echo "   montecarlo identical at --jobs 0 and --jobs 1"
 
 echo "== montecarlo sanity gates"
 # The showcase timeline must actually exercise the new fault universe
@@ -138,12 +132,12 @@ echo "== repro membership --small vs golden"
 # The ring-vs-gossip detector sweep: rack-crash detection latency,
 # availability/throughput, gray-fault false exclusions, and rejoin
 # latency for both detectors over N in {4,8,16,32}. The golden pins
-# every row and the crossover sentence across --jobs and --sim-threads.
+# every row and the crossover sentence across --jobs.
 cargo run --release -q -p bench --bin repro -- membership --small --jobs 0 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_membership_small.txt "$tmp_out"
-cargo run --release -q -p bench --bin repro -- membership --small --sim-threads 2 >"$tmp_out" 2>/dev/null
+cargo run --release -q -p bench --bin repro -- membership --small --jobs 1 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_membership_small.txt "$tmp_out"
-echo "   membership identical at --jobs 0 and --sim-threads 2"
+echo "   membership identical at --jobs 0 and --jobs 1"
 
 echo "== membership sanity gates"
 # At the largest swept N the epidemic detector must beat the ring on
@@ -167,12 +161,12 @@ echo "   N=32 detection: ring ${ring32}s vs gossip ${gossip32}s; gray-fault spli
 echo "== repro scale --small vs golden"
 # The cache-sync scaling sweep: eager-broadcast vs batched-digest over
 # N in {4,16} on a radix-8 fat-tree fabric, cold-start node-crash
-# scenario. The golden pins every row across --jobs and --sim-threads.
+# scenario. The golden pins every row across --jobs.
 cargo run --release -q -p bench --bin repro -- scale --small --jobs 0 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_scale_small.txt "$tmp_out"
-cargo run --release -q -p bench --bin repro -- scale --small --sim-threads 2 >"$tmp_out" 2>/dev/null
+cargo run --release -q -p bench --bin repro -- scale --small --jobs 1 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_scale_small.txt "$tmp_out"
-echo "   scale identical at --jobs 0 and --sim-threads 2"
+echo "   scale identical at --jobs 0 and --jobs 1"
 
 echo "== scale sanity gates"
 # The tentpole claim, asserted on the TCP-PRESS-HB ring rows: eager
@@ -203,12 +197,12 @@ echo "== repro fig3 --attribution vs golden"
 # Root-cause attribution: every lost/deadline-missing request is
 # classified into exactly one cause bucket. The golden pins the three
 # runs' Pareto tables, conservation verdicts, stage splits, and
-# critical-path percentiles across --jobs and --sim-threads.
+# critical-path percentiles across --jobs.
 cargo run --release -q -p bench --bin repro -- fig3 --small --attribution --jobs 0 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_fig3_attr_small.txt "$tmp_out"
-cargo run --release -q -p bench --bin repro -- fig3 --small --attribution --sim-threads 2 >"$tmp_out" 2>/dev/null
+cargo run --release -q -p bench --bin repro -- fig3 --small --attribution --jobs 1 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_fig3_attr_small.txt "$tmp_out"
-echo "   fig3 attribution identical at --jobs 0 and --sim-threads 2"
+echo "   fig3 attribution identical at --jobs 0 and --jobs 1"
 
 echo "== attribution conservation gates"
 # The conservation law, re-derived here from the printed tables rather
@@ -260,6 +254,8 @@ echo "   scale: 12/12 sweep points conserve"
 
 echo "== repro table1 --metrics vs golden"
 cargo run --release -q -p bench --bin repro -- table1 --small --metrics --jobs 0 >"$tmp_out" 2>/dev/null
+diff -u scripts/golden_table1_metrics_small.txt "$tmp_out"
+cargo run --release -q -p bench --bin repro -- table1 --small --metrics --jobs 1 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_table1_metrics_small.txt "$tmp_out"
 
 echo "== HTML reports are byte-identical across --jobs"
