@@ -1,5 +1,7 @@
-//! Cooperative caching: the per-node LRU file cache and the
-//! cluster-wide caching directory each node maintains from broadcasts.
+//! Cooperative caching: the per-node LRU file cache, the cluster-wide
+//! caching directory each node maintains from its peers' announcements,
+//! and the [`DigestLog`] that batches this node's own announcements
+//! under [`CacheSyncImpl::Digest`](crate::CacheSyncImpl::Digest).
 //!
 //! Both structures sit on the request path of every node, and the
 //! directory holds one slot per file of the whole document set, so both
@@ -8,7 +10,7 @@
 //! become resident), and the cache is a slab of `u32`-linked list nodes
 //! indexed by file id.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use simnet::fabric::NodeId;
@@ -406,11 +408,93 @@ fn compact(node: NodeId) -> u16 {
     node.0 as u16
 }
 
+/// Caching deltas awaiting digest flushes.
+#[derive(Debug, Default)]
+pub struct DigestLog {
+    /// Coalesced deltas keyed by file: whether the file is now cached
+    /// here, and the generation the delta was recorded at.
+    deltas: BTreeMap<FileId, (bool, u64)>,
+    /// Monotonic generation stamped on each recorded delta.
+    gen: u64,
+    /// Round-robin flush position over the sorted peer list.
+    cursor: usize,
+    /// Highest generation each peer has been sent a digest through.
+    seen: BTreeMap<NodeId, u64>,
+}
+
+impl DigestLog {
+    /// Records one caching action. A file cached and evicted between
+    /// flushes coalesces to a single (idempotent) evict.
+    pub fn record(&mut self, file: FileId, cached: bool) {
+        self.gen += 1;
+        self.deltas.insert(file, (cached, self.gen));
+    }
+
+    /// One digest period over `peers` (sorted): offers each of the next
+    /// `fanout` of them, round-robin, every delta it has not seen as one
+    /// batch of adds and evicts, then drops the deltas every peer has
+    /// seen. `send` reports whether the transport took the batch. Only
+    /// then does the watermark advance: a refused batch retries in full
+    /// on the peer's next turn, so congestion or an unreachable peer can
+    /// delay convergence but never silently lose deltas.
+    pub fn flush(
+        &mut self,
+        peers: &[NodeId],
+        fanout: usize,
+        mut send: impl FnMut(NodeId, Vec<FileId>, Vec<FileId>) -> bool,
+    ) {
+        if peers.is_empty() || self.deltas.is_empty() {
+            return;
+        }
+        for _ in 0..fanout.clamp(1, peers.len()) {
+            self.cursor %= peers.len();
+            let peer = peers[self.cursor];
+            self.cursor += 1;
+            let seen = self.seen_by(peer);
+            let (mut adds, mut evicts) = (Vec::new(), Vec::new());
+            for (&file, &(cached, gen)) in &self.deltas {
+                if gen > seen {
+                    (if cached { &mut adds } else { &mut evicts }).push(file);
+                }
+            }
+            // With nothing newer than the watermark, advancing it is free.
+            let caught_up = adds.is_empty() && evicts.is_empty();
+            if caught_up || send(peer, adds, evicts) {
+                self.seen.insert(peer, self.gen);
+            }
+        }
+        let floor = self.floor(peers);
+        self.deltas.retain(|_, (_, gen)| *gen > floor);
+    }
+
+    /// Files with deltas not yet sent to every one of `peers`.
+    pub fn pending(&self, peers: &[NodeId]) -> Vec<FileId> {
+        let floor = self.floor(peers);
+        self.deltas
+            .iter()
+            .filter(|(_, (_, gen))| *gen > floor)
+            .map(|(f, _)| *f)
+            .collect()
+    }
+
+    fn seen_by(&self, peer: NodeId) -> u64 {
+        self.seen.get(&peer).copied().unwrap_or(0)
+    }
+
+    /// The highest generation every one of `peers` has been sent.
+    fn floor(&self, peers: &[NodeId]) -> u64 {
+        peers
+            .iter()
+            .map(|p| self.seen_by(*p))
+            .min()
+            .unwrap_or(self.gen)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
 
     #[test]
     fn lru_evicts_least_recent() {
@@ -695,5 +779,84 @@ mod tests {
                 prop_assert_eq!(c.contains(file), model.by_file.contains_key(&file));
             }
         }
+    }
+
+    fn peers(ids: &[usize]) -> Vec<NodeId> {
+        ids.iter().copied().map(NodeId).collect()
+    }
+
+    /// Runs one flush, recording each offered digest as `(peer, adds,
+    /// evicts)`; peers in `refuse` turn theirs down.
+    fn flush(
+        log: &mut DigestLog,
+        to: &[NodeId],
+        fanout: usize,
+        refuse: &[NodeId],
+    ) -> Vec<(NodeId, Vec<FileId>, Vec<FileId>)> {
+        let mut offered = Vec::new();
+        log.flush(to, fanout, |peer, adds, evicts| {
+            offered.push((peer, adds, evicts));
+            !refuse.contains(&peer)
+        });
+        offered
+    }
+
+    #[test]
+    fn an_add_then_evict_coalesces_into_one_evict() {
+        let mut log = DigestLog::default();
+        log.record(4, true);
+        log.record(5, true);
+        log.record(4, false);
+        let sent = flush(&mut log, &peers(&[1]), 1, &[]);
+        assert_eq!(sent, [(NodeId(1), vec![5], vec![4])]);
+        assert!(log.pending(&peers(&[1])).is_empty());
+    }
+
+    #[test]
+    fn fanout_rotates_round_robin_and_gc_waits_for_every_peer() {
+        let mut log = DigestLog::default();
+        let all = peers(&[1, 2, 3]);
+        log.record(7, true);
+        let first = flush(&mut log, &all, 2, &[]);
+        assert_eq!(
+            first.iter().map(|d| d.0).collect::<Vec<_>>(),
+            peers(&[1, 2])
+        );
+        assert_eq!(log.pending(&all), [7], "node 3 has not seen it");
+        let second = flush(&mut log, &all, 2, &[]);
+        // Node 3 gets the delta; node 1, caught up, needs no frame.
+        assert_eq!(second, [(NodeId(3), vec![7], vec![])]);
+        assert!(log.pending(&all).is_empty());
+        // Fully collected: nothing is offered any more.
+        assert!(flush(&mut log, &all, 3, &[]).is_empty());
+    }
+
+    #[test]
+    fn a_refused_digest_is_offered_again_in_full() {
+        let mut log = DigestLog::default();
+        let all = peers(&[1, 2]);
+        log.record(1, true);
+        flush(&mut log, &all, 2, &[NodeId(2)]);
+        assert_eq!(log.pending(&all), [1]);
+        log.record(2, true);
+        let retry = flush(&mut log, &all, 2, &[]);
+        assert_eq!(
+            retry,
+            [
+                (NodeId(1), vec![2], vec![]),
+                (NodeId(2), vec![1, 2], vec![])
+            ]
+        );
+        assert!(log.pending(&all).is_empty());
+    }
+
+    #[test]
+    fn without_peers_nothing_is_pending_or_sent() {
+        let mut log = DigestLog::default();
+        log.record(3, false);
+        assert!(flush(&mut log, &[], 2, &[]).is_empty());
+        assert!(log.pending(&[]).is_empty());
+        // A peer that joins later still gets the delta.
+        assert_eq!(log.pending(&peers(&[2])), [3]);
     }
 }

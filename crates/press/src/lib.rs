@@ -19,6 +19,7 @@
 
 pub mod cache;
 pub mod config;
+pub mod membership;
 pub mod msg;
 pub mod node;
 pub mod version;

@@ -126,9 +126,7 @@ impl PressMsg {
             MsgBody::Forward { .. } => 64,
             MsgBody::FileResp { .. } => file_bytes,
             MsgBody::CacheAdd { .. } | MsgBody::CacheEvict { .. } => 32,
-            MsgBody::CacheDigest { adds, evicts } => {
-                32 + 4 * (adds.len() + evicts.len()) as u32
-            }
+            MsgBody::CacheDigest { adds, evicts } => 32 + 4 * (adds.len() + evicts.len()) as u32,
             MsgBody::Heartbeat { .. } => 32,
             // Fixed header plus (node, incarnation, state) triples.
             MsgBody::Gossip(g) => 32 + 16 * g.updates().len() as u32,
@@ -148,9 +146,9 @@ impl PressMsg {
         match &self.body {
             MsgBody::Forward { .. } => MsgClass::Forward,
             MsgBody::FileResp { .. } => MsgClass::FileData,
-            MsgBody::CacheAdd { .. }
-            | MsgBody::CacheEvict { .. }
-            | MsgBody::CacheDigest { .. } => MsgClass::CacheUpdate,
+            MsgBody::CacheAdd { .. } | MsgBody::CacheEvict { .. } | MsgBody::CacheDigest { .. } => {
+                MsgClass::CacheUpdate
+            }
             MsgBody::Heartbeat { .. } | MsgBody::Gossip(_) => MsgClass::Heartbeat,
             MsgBody::MemberDown { .. }
             | MsgBody::RejoinRequest
