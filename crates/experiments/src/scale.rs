@@ -510,8 +510,10 @@ mod tests {
     /// freezes an eager sender (§5.4) and its skipped broadcasts are
     /// never resent, so the paper's protocol does *not* re-converge
     /// through a crash — the digest log, which survives blocking and
-    /// flushes later, does. The eager-mode staleness is visible in the
-    /// sweep's disk-serve counts, not a bug to hide here.)
+    /// flushes later, does. `press`'s node test
+    /// `eager_announcements_skipped_by_a_freeze_are_never_resent` pins
+    /// that asymmetry as expected behaviour; in the sweep it shows as
+    /// eager disk-serve counts.)
     #[test]
     fn eager_and_digest_directories_converge_after_quiescence() {
         let n = 4;

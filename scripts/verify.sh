@@ -20,6 +20,11 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release"
 cargo build --release --workspace
 
+echo "== cargo fmt --check (press)"
+# The press crate is kept rustfmt-clean; the other crates are not yet,
+# so the check is scoped to it.
+cargo fmt -p press --check
+
 echo "== cargo clippy"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
