@@ -236,7 +236,8 @@ impl FxPool {
 
 /// Cancellation bookkeeping for one TCP connection's timers.
 ///
-/// TCP bumps the shared per-connection `gen` on every `arm_timer` and
+/// TCP's reliability machine (`transport::tcp::reliability`) bumps the
+/// shared per-connection `gen` on every arming, of any timer kind, and
 /// `timer_fired` demands an exact match, so *any* pending timer whose
 /// gen is older than the newest `SetTimer` gen seen for the connection
 /// is a guaranteed no-op — it can be cancelled out of the engine instead

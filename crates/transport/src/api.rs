@@ -305,6 +305,25 @@ pub enum Effect<M> {
 /// effects to.
 pub type Effects<M> = Vec<Effect<M>>;
 
+/// Appends the trace instant `name` on `node`'s lane at `now`, with the
+/// attributes `args` adds, when `enabled`. The category is the name's
+/// prefix (`"tcp.abort"` is a `"tcp"` event). The event is only built
+/// while tracing is on, so the disabled path costs one branch.
+pub(crate) fn trace_instant<M>(
+    out: &mut Effects<M>,
+    enabled: bool,
+    name: &'static str,
+    node: NodeId,
+    now: SimTime,
+    args: impl FnOnce(telemetry::TraceEvent) -> telemetry::TraceEvent,
+) {
+    if enabled {
+        let cat = name.split_once('.').map_or(name, |(cat, _)| cat);
+        let event = telemetry::TraceEvent::instant(name, cat, node.0 as u32, now);
+        out.push(Effect::Trace(args(event)));
+    }
+}
+
 /// One intra-cluster communication endpoint (all connections of one node).
 ///
 /// Implementations: [`crate::tcp::TcpStack`] and [`crate::via::ViaNic`].
@@ -362,16 +381,18 @@ pub trait Substrate<M: Clone> {
     /// A frame addressed to this node arrived from the fabric.
     fn frame_arrived(&mut self, now: SimTime, frame: Frame<WirePayload<M>>, out: &mut Effects<M>);
 
-    /// A frame this node transmitted was lost; `reason` says why. TCP
-    /// ignores this (loss is signalled end-to-end); VIA's fail-stop model
-    /// breaks the connection.
+    /// A frame this node transmitted was lost; `reason` says why.
+    /// Default: ignored, as TCP does — it assumes losses are transient
+    /// congestion and leaves recovery, or the abort, to its retransmit
+    /// timer. VIA's fail-stop model breaks the connection.
     fn transmit_failed(
         &mut self,
-        now: SimTime,
-        peer: NodeId,
-        reason: LossReason,
-        out: &mut Effects<M>,
-    );
+        _now: SimTime,
+        _peer: NodeId,
+        _reason: LossReason,
+        _out: &mut Effects<M>,
+    ) {
+    }
 
     /// A timer armed via [`Effect::SetTimer`] fired.
     fn timer_fired(&mut self, now: SimTime, key: TimerKey, out: &mut Effects<M>);
@@ -383,13 +404,15 @@ pub trait Substrate<M: Clone> {
     fn set_app_receiving(&mut self, now: SimTime, receiving: bool, out: &mut Effects<M>);
 
     /// Sets whether kernel memory (skbuf) allocation currently fails on
-    /// this node. Only TCP allocates kernel memory per packet; VIA
-    /// pre-allocates and is immune (§5.4).
-    fn set_alloc_fail(&mut self, failing: bool);
+    /// this node. Only TCP allocates kernel memory per packet. Default:
+    /// ignored, as VIA does — it pre-allocates all kernel resources at
+    /// channel set-up and is immune (§5.4).
+    fn set_alloc_fail(&mut self, _failing: bool) {}
 
     /// Sets whether memory-pinning requests currently fail on this node.
     /// Only VIA pins memory; see [`crate::via::ViaNic::register_pages`].
-    fn set_pin_fail(&mut self, failing: bool);
+    /// Default: ignored, as TCP does.
+    fn set_pin_fail(&mut self, _failing: bool) {}
 
     /// The application process restarted: all endpoint state is lost.
     /// Peers discover this through resets on their next transmission.

@@ -129,10 +129,14 @@ impl CostModel {
         SimDuration::from_nanos(ns as u64)
     }
 
+    /// Checksum CPU for one segment of `bytes` payload bytes.
+    pub fn checksum_cost(&self, bytes: u32) -> SimDuration {
+        SimDuration::from_nanos((f64::from(bytes) * self.checksum_ns_per_byte) as u64)
+    }
+
     /// Receive-side CPU for one message of `bytes` payload bytes.
     pub fn recv_cost(&self, bytes: u32, bulk: bool) -> SimDuration {
-        let mut ns =
-            (self.recv_fixed + self.interrupt + self.poll).as_nanos() as f64;
+        let mut ns = (self.recv_fixed + self.interrupt + self.poll).as_nanos() as f64;
         if !(bulk && self.zero_copy_bulk) {
             ns += f64::from(bytes) * self.copy_ns_per_byte_recv;
         }

@@ -21,6 +21,7 @@
 
 pub mod api;
 pub mod cost;
+mod peers;
 pub mod substrate_impl;
 pub mod tcp;
 pub mod via;
@@ -33,3 +34,6 @@ pub use cost::CostModel;
 pub use substrate_impl::SubstrateImpl;
 pub use tcp::{TcpConfig, TcpStack};
 pub use via::{ViaConfig, ViaMode, ViaNic};
+
+#[cfg(test)]
+mod ferry;

@@ -22,16 +22,17 @@
 //!   messages itself when running on VIA (§3); modeled as credits
 //!   returned in batches.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use simnet::fabric::{Frame, LossReason, NodeId};
 use simnet::{SimDuration, SimTime};
 
 use crate::api::{
-    BreakReason, CallParams, Effect, Effects, ErrorSite, MsgClass, PtrParam, SendStatus,
-    Substrate, TimerKey, TimerKind, Upcall, WirePayload,
+    trace_instant, BreakReason, CallParams, Effect, Effects, ErrorSite, MsgClass, PtrParam,
+    SendStatus, Substrate, TimerKey, TimerKind, Upcall, WirePayload,
 };
 use crate::cost::CostModel;
+use crate::peers::PeerSlots;
 
 /// How data moves on the VI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,6 +218,23 @@ impl<M> Vi<M> {
     }
 }
 
+impl<M> PeerSlots<Option<Vi<M>>> {
+    fn vi(&self, peer: NodeId) -> Option<&Vi<M>> {
+        self.get(peer)?.as_ref()
+    }
+
+    fn vi_mut(&mut self, peer: NodeId) -> Option<&mut Vi<M>> {
+        self.get_mut(peer)?.as_mut()
+    }
+
+    /// The VI to `peer`, if it is established and belongs to the peer's
+    /// incarnation `inc`.
+    fn live(&self, peer: NodeId, inc: u64) -> Option<&Vi<M>> {
+        self.vi(peer)
+            .filter(|vi| vi.state == ViState::Established && vi.peer_inc == inc)
+    }
+}
+
 /// Behaviour counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ViaStats {
@@ -259,7 +277,7 @@ pub struct ViaNic<M> {
     pin_fail: bool,
     pinned_pages: u32,
     app_receiving: bool,
-    vis: BTreeMap<NodeId, Vi<M>>,
+    vis: PeerSlots<Option<Vi<M>>>,
     parked: Vec<(NodeId, M, MsgClass, u32)>,
     stats: ViaStats,
     /// Structured-tracing switch; checked before any trace event is
@@ -285,7 +303,7 @@ impl<M: Clone> ViaNic<M> {
             pin_fail: false,
             pinned_pages: pinned,
             app_receiving: true,
-            vis: BTreeMap::new(),
+            vis: PeerSlots::default(),
             parked: Vec::new(),
             stats: ViaStats::default(),
             trace: false,
@@ -306,7 +324,7 @@ impl<M: Clone> ViaNic<M> {
 
     /// Remaining send credits towards `peer` (testing/diagnostics).
     pub fn credits(&self, peer: NodeId) -> u32 {
-        self.vis.get(&peer).map_or(0, |vi| vi.credits)
+        self.vis.vi(peer).map_or(0, |vi| vi.credits)
     }
 
     /// Registers (pins) `pages` 4 KB pages with the NIC — the dynamic
@@ -330,17 +348,12 @@ impl<M: Clone> ViaNic<M> {
         };
         if self.pinned_pages + pages > limit {
             self.stats.pin_failures += 1;
-            if self.trace {
-                out.push(Effect::Trace(telemetry::TraceEvent::instant(
-                    "via.pin_fail",
-                    "via",
-                    self.node.0 as u32,
-                    now,
-                )
-                .arg_u64("requested", u64::from(pages))
-                .arg_u64("pinned", u64::from(self.pinned_pages))
-                .arg_u64("limit", u64::from(limit))));
-            }
+            let pinned = u64::from(self.pinned_pages);
+            trace_instant(out, self.trace, "via.pin_fail", self.node, now, |e| {
+                e.arg_u64("requested", u64::from(pages))
+                    .arg_u64("pinned", pinned)
+                    .arg_u64("limit", u64::from(limit))
+            });
             return Err(PinError {
                 requested: pages,
                 pinned: self.pinned_pages,
@@ -352,56 +365,51 @@ impl<M: Clone> ViaNic<M> {
         Ok(())
     }
 
-    /// Deregisters (unpins) `pages` pages.
-    pub fn deregister_pages(&mut self, _now: SimTime, pages: u32, out: &mut Effects<M>) {
-        self.pinned_pages = self.pinned_pages.saturating_sub(pages);
-        out.push(Effect::ChargeCpu(self.cost.unpin_cost(pages)));
-    }
-
-    /// Pauses or resumes application-level consumption (process hang).
-    /// While paused, arriving messages are held and no credits return,
-    /// so peers stall exactly like TCP's zero window.
-    pub fn set_app_receiving(&mut self, now: SimTime, receiving: bool, out: &mut Effects<M>) {
-        if self.app_receiving == receiving {
-            return;
-        }
-        self.app_receiving = receiving;
-        if receiving {
-            let parked = std::mem::take(&mut self.parked);
-            for (peer, msg, class, bytes) in parked {
-                self.deliver(now, peer, msg, class, bytes, out);
-            }
-        }
-    }
-
-    fn frame(&self, peer: NodeId, bytes: u32, pkt: ViaPacket<M>) -> Frame<WirePayload<M>> {
-        Frame {
+    fn transmit(&self, peer: NodeId, bytes: u32, pkt: ViaPacket<M>, out: &mut Effects<M>) {
+        out.push(Effect::Transmit(Frame {
             src: self.node,
             dst: peer,
             bytes: bytes + self.config.header_bytes,
             payload: WirePayload::Via(pkt),
-        }
+        }));
     }
 
     fn teardown(&mut self, now: SimTime, peer: NodeId, reason: BreakReason, out: &mut Effects<M>) {
-        if self.vis.remove(&peer).is_some() {
+        if self.vis.get_mut(peer).and_then(Option::take).is_some() {
             self.stats.conn_breaks += 1;
-            if self.trace {
-                out.push(Effect::Trace(telemetry::TraceEvent::instant(
-                    "via.conn_break",
-                    "via",
-                    self.node.0 as u32,
-                    now,
-                )
-                .arg_u64("peer", peer.0 as u64)
-                .arg_str("reason", reason.label())));
-            }
+            trace_instant(out, self.trace, "via.conn_break", self.node, now, |e| {
+                e.arg_u64("peer", peer.0 as u64)
+                    .arg_str("reason", reason.label())
+            });
             if self.attr && !matches!(reason, BreakReason::LocalClose) {
                 out.push(Effect::Attr(telemetry::AttrEvent::Abort));
             }
             out.push(Effect::Upcall(Upcall::ConnBroken { peer, reason }));
         }
         self.parked.retain(|(p, _, _, _)| *p != peer);
+    }
+
+    fn connected(&self, now: SimTime, peer: NodeId, out: &mut Effects<M>) {
+        trace_instant(out, self.trace, "via.connected", self.node, now, |e| {
+            e.arg_u64("peer", peer.0 as u64)
+        });
+        out.push(Effect::Upcall(Upcall::Connected { peer }));
+    }
+
+    fn trace_completion_error(
+        &self,
+        now: SimTime,
+        peer: NodeId,
+        site: &'static str,
+        p: RemotePoison,
+        out: &mut Effects<M>,
+    ) {
+        let name = "via.completion_error";
+        trace_instant(out, self.trace, name, self.node, now, |e| {
+            e.arg_u64("peer", peer.0 as u64)
+                .arg_str("site", site)
+                .arg_str("cause", p.cause())
+        });
     }
 
     fn deliver(
@@ -413,7 +421,9 @@ impl<M: Clone> ViaNic<M> {
         bytes: u32,
         out: &mut Effects<M>,
     ) {
-        out.push(Effect::ChargeCpu(self.cost.recv_cost(bytes, class.is_bulk())));
+        out.push(Effect::ChargeCpu(
+            self.cost.recv_cost(bytes, class.is_bulk()),
+        ));
         self.stats.messages_delivered += 1;
         out.push(Effect::Upcall(Upcall::Deliver {
             peer,
@@ -422,18 +432,13 @@ impl<M: Clone> ViaNic<M> {
             bytes,
         }));
         // Re-post the receive descriptor; batch credit returns.
-        if let Some(vi) = self.vis.get_mut(&peer) {
+        if let Some(vi) = self.vis.vi_mut(peer) {
             vi.consumed_since_credit += 1;
             if vi.consumed_since_credit >= self.config.credit_return_batch {
-                let n = vi.consumed_since_credit;
-                vi.consumed_since_credit = 0;
-                let inc = self.incarnation;
+                let n = std::mem::take(&mut vi.consumed_since_credit);
+                let incarnation = self.incarnation;
                 out.push(Effect::ChargeCpu(self.cost.credit_cost));
-                out.push(Effect::Transmit(self.frame(
-                    peer,
-                    0,
-                    ViaPacket::Credit { n, incarnation: inc },
-                )));
+                self.transmit(peer, 0, ViaPacket::Credit { n, incarnation }, out);
             }
         }
     }
@@ -451,7 +456,6 @@ impl<M: Clone> ViaNic<M> {
         out: &mut Effects<M>,
     ) {
         let rdma = self.config.mode == ViaMode::RemoteWrite;
-        let inc = self.incarnation;
         self.stats.messages_sent += 1;
         if self.trace {
             // Every credit-stalled descriptor is worth a span (the wait
@@ -473,23 +477,22 @@ impl<M: Clone> ViaNic<M> {
                 ));
             }
         }
-        out.push(Effect::ChargeCpu(self.cost.send_cost(bytes, class.is_bulk())));
-        out.push(Effect::Transmit(self.frame(
-            peer,
+        out.push(Effect::ChargeCpu(
+            self.cost.send_cost(bytes, class.is_bulk()),
+        ));
+        let pkt = ViaPacket::Data {
+            msg,
+            class,
             bytes,
-            ViaPacket::Data {
-                msg,
-                class,
-                bytes,
-                poison: if rdma { poison } else { None },
-                incarnation: inc,
-            },
-        )));
+            poison: if rdma { poison } else { None },
+            incarnation: self.incarnation,
+        };
+        self.transmit(peer, bytes, pkt, out);
     }
 
     fn drain_pending(&mut self, now: SimTime, peer: NodeId, out: &mut Effects<M>) {
         loop {
-            let Some(vi) = self.vis.get_mut(&peer) else {
+            let Some(vi) = self.vis.vi_mut(peer) else {
                 return;
             };
             if vi.credits == 0 || vi.pending.is_empty() {
@@ -499,7 +502,7 @@ impl<M: Clone> ViaNic<M> {
             let (class, msg, bytes, poison, posted) = vi.pending.pop_front().expect("nonempty");
             self.transmit_data(now, posted, peer, class, msg, bytes, poison, out);
         }
-        if let Some(vi) = self.vis.get_mut(&peer) {
+        if let Some(vi) = self.vis.vi_mut(peer) {
             if vi.blocked && vi.pending.len() <= self.config.max_pending_sends / 2 {
                 vi.blocked = false;
                 out.push(Effect::Upcall(Upcall::Writable { peer }));
@@ -515,9 +518,10 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
 
     fn open(&mut self, now: SimTime, peer: NodeId, out: &mut Effects<M>) {
         let credits = self.config.credits_per_vi;
-        self.vis
-            .insert(peer, Vi::new(now, ViState::ReqSent, 0, credits));
-        let vi = self.vis.get_mut(&peer).expect("just inserted");
+        let vi = self
+            .vis
+            .slot(peer)
+            .insert(Vi::new(now, ViState::ReqSent, 0, credits));
         vi.timer_gen += 1;
         let key = TimerKey {
             node: self.node,
@@ -526,12 +530,8 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
             kind: TimerKind::Connect,
             gen: vi.timer_gen,
         };
-        let inc = self.incarnation;
-        out.push(Effect::Transmit(self.frame(
-            peer,
-            0,
-            ViaPacket::ConnReq { incarnation: inc },
-        )));
+        let incarnation = self.incarnation;
+        self.transmit(peer, 0, ViaPacket::ConnReq { incarnation }, out);
         out.push(Effect::SetTimer {
             at: now + self.config.connect_retry,
             key,
@@ -539,18 +539,30 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
     }
 
     fn close(&mut self, peer: NodeId) {
-        self.vis.remove(&peer);
+        *self.vis.slot(peer) = None;
         self.parked.retain(|(p, _, _, _)| *p != peer);
     }
 
     fn is_connected(&self, peer: NodeId) -> bool {
         self.vis
-            .get(&peer)
+            .vi(peer)
             .is_some_and(|vi| vi.state == ViState::Established)
     }
 
+    /// Pauses or resumes application-level consumption (process hang).
+    /// While paused, arriving messages are held and no credits return,
+    /// so peers stall exactly like TCP's zero window.
     fn set_app_receiving(&mut self, now: SimTime, receiving: bool, out: &mut Effects<M>) {
-        ViaNic::set_app_receiving(self, now, receiving, out);
+        if self.app_receiving == receiving {
+            return;
+        }
+        self.app_receiving = receiving;
+        if receiving {
+            let parked = std::mem::take(&mut self.parked);
+            for (peer, msg, class, bytes) in parked {
+                self.deliver(now, peer, msg, class, bytes, out);
+            }
+        }
     }
 
     fn register_pages(
@@ -562,8 +574,10 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
         ViaNic::register_pages(self, now, pages, out).map_err(|_| crate::api::PinFailed)
     }
 
-    fn deregister_pages(&mut self, now: SimTime, pages: u32, out: &mut Effects<M>) {
-        ViaNic::deregister_pages(self, now, pages, out);
+    /// Deregisters (unpins) `pages` pages.
+    fn deregister_pages(&mut self, _now: SimTime, pages: u32, out: &mut Effects<M>) {
+        self.pinned_pages = self.pinned_pages.saturating_sub(pages);
+        out.push(Effect::ChargeCpu(self.cost.unpin_cost(pages)));
     }
 
     fn send(
@@ -576,10 +590,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
         params: CallParams,
         out: &mut Effects<M>,
     ) -> SendStatus {
-        let Some(vi) = self.vis.get(&peer) else {
-            return SendStatus::NotConnected;
-        };
-        if vi.state != ViState::Established {
+        if !self.is_connected(peer) {
             return SendStatus::NotConnected;
         }
 
@@ -593,75 +604,39 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
         };
         if let Some(p) = poison {
             self.stats.completion_errors += 1;
-            if self.trace {
-                out.push(Effect::Trace(telemetry::TraceEvent::instant(
-                    "via.completion_error",
-                    "via",
-                    self.node.0 as u32,
-                    now,
-                )
-                .arg_u64("peer", peer.0 as u64)
-                .arg_str("site", "local")
-                .arg_str("cause", p.cause())));
-            }
-            match (p, self.config.mode) {
-                // Pointer faults are caught by the local NIC's address
-                // translation; with remote writes the error is reported
-                // at both ends (§5.5), so the poisoned operation also
-                // travels to the peer.
-                (RemotePoison::NullPtr | RemotePoison::OffByPtr, ViaMode::Messaging) => {
-                    out.push(Effect::Upcall(Upcall::CompletionError {
-                        peer,
-                        site: ErrorSite::Local,
-                        cause: p.cause(),
-                    }));
-                    return SendStatus::Accepted;
-                }
-                (RemotePoison::NullPtr | RemotePoison::OffByPtr, ViaMode::RemoteWrite) => {
-                    out.push(Effect::Upcall(Upcall::CompletionError {
-                        peer,
-                        site: ErrorSite::Local,
-                        cause: p.cause(),
-                    }));
-                    self.transmit_data(now, now, peer, class, msg, bytes, Some(p), out);
-                    return SendStatus::Accepted;
-                }
+            self.trace_completion_error(now, peer, "local", p, out);
+            if p == RemotePoison::OffBySize && self.config.mode == ViaMode::Messaging {
                 // A wrong length passes the local checks ("valid" bad
-                // parameters) and fails where the data lands.
-                (RemotePoison::OffBySize, ViaMode::Messaging) => {
-                    // Error manifests at the receiver only.
-                    let vi = self.vis.get_mut(&peer).expect("checked");
-                    if vi.credits > 0 {
-                        vi.credits -= 1;
-                    }
-                    self.stats.messages_sent += 1;
-                    let inc = self.incarnation;
-                    out.push(Effect::Transmit(self.frame(
-                        peer,
-                        bytes,
-                        ViaPacket::Data {
-                            msg,
-                            class,
-                            bytes,
-                            poison: Some(p),
-                            incarnation: inc,
-                        },
-                    )));
-                    return SendStatus::Accepted;
-                }
-                (RemotePoison::OffBySize, ViaMode::RemoteWrite) => {
-                    out.push(Effect::Upcall(Upcall::CompletionError {
-                        peer,
-                        site: ErrorSite::Local,
-                        cause: p.cause(),
-                    }));
-                    self.transmit_data(now, now, peer, class, msg, bytes, Some(p), out);
-                    return SendStatus::Accepted;
-                }
+                // parameters) and fails only where the data lands.
+                let vi = self.vis.vi_mut(peer).expect("checked");
+                vi.credits = vi.credits.saturating_sub(1);
+                self.stats.messages_sent += 1;
+                let pkt = ViaPacket::Data {
+                    msg,
+                    class,
+                    bytes,
+                    poison: Some(p),
+                    incarnation: self.incarnation,
+                };
+                self.transmit(peer, bytes, pkt, out);
+                return SendStatus::Accepted;
             }
+            // Pointer faults are caught by the local NIC's address
+            // translation. With remote writes every error is reported at
+            // both ends (§5.5), so the poisoned operation also travels to
+            // the peer.
+            out.push(Effect::Upcall(Upcall::CompletionError {
+                peer,
+                site: ErrorSite::Local,
+                cause: p.cause(),
+            }));
+            if self.config.mode == ViaMode::RemoteWrite {
+                self.transmit_data(now, now, peer, class, msg, bytes, Some(p), out);
+            }
+            return SendStatus::Accepted;
         }
 
-        let vi = self.vis.get_mut(&peer).expect("checked");
+        let vi = self.vis.vi_mut(peer).expect("checked");
         if vi.credits == 0 || !vi.pending.is_empty() {
             self.stats.credit_stalls += 1;
             if vi.pending.len() >= self.config.max_pending_sends {
@@ -684,63 +659,30 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
         let peer = frame.src;
         match pkt {
             ViaPacket::ConnReq { incarnation } => {
-                let fresh = !self
-                    .vis
-                    .get(&peer)
-                    .is_some_and(|vi| vi.state == ViState::Established && vi.peer_inc == incarnation);
-                if fresh {
+                if self.vis.live(peer, incarnation).is_none() {
                     // If a VI to the peer's *previous* incarnation is
                     // still up, the fail-stop model says that peer died:
                     // surface the break before accepting the new one.
-                    if self
-                        .vis
-                        .get(&peer)
-                        .is_some_and(|vi| vi.state == ViState::Established)
-                    {
+                    if self.is_connected(peer) {
                         self.teardown(now, peer, BreakReason::PeerReset, out);
                     }
                     let credits = self.config.credits_per_vi;
-                    self.vis
-                        .insert(peer, Vi::new(now, ViState::Established, incarnation, credits));
-                    if self.trace {
-                        out.push(Effect::Trace(telemetry::TraceEvent::instant(
-                            "via.connected",
-                            "via",
-                            self.node.0 as u32,
-                            now,
-                        )
-                        .arg_u64("peer", peer.0 as u64)));
-                    }
-                    out.push(Effect::Upcall(Upcall::Connected { peer }));
+                    *self.vis.slot(peer) =
+                        Some(Vi::new(now, ViState::Established, incarnation, credits));
+                    self.connected(now, peer, out);
                 }
-                let inc = self.incarnation;
-                out.push(Effect::Transmit(self.frame(
-                    peer,
-                    0,
-                    ViaPacket::ConnAck { incarnation: inc },
-                )));
+                let incarnation = self.incarnation;
+                self.transmit(peer, 0, ViaPacket::ConnAck { incarnation }, out);
             }
             ViaPacket::ConnAck { incarnation } => {
-                let mut established = false;
-                if let Some(vi) = self.vis.get_mut(&peer) {
-                    if vi.state == ViState::ReqSent {
-                        vi.state = ViState::Established;
-                        vi.peer_inc = incarnation;
-                        vi.timer_gen += 1;
-                        established = true;
-                    }
-                }
-                if established {
-                    if self.trace {
-                        out.push(Effect::Trace(telemetry::TraceEvent::instant(
-                            "via.connected",
-                            "via",
-                            self.node.0 as u32,
-                            now,
-                        )
-                        .arg_u64("peer", peer.0 as u64)));
-                    }
-                    out.push(Effect::Upcall(Upcall::Connected { peer }));
+                let Some(vi) = self.vis.vi_mut(peer) else {
+                    return;
+                };
+                if vi.state == ViState::ReqSent {
+                    vi.state = ViState::Established;
+                    vi.peer_inc = incarnation;
+                    vi.timer_gen += 1;
+                    self.connected(now, peer, out);
                     self.drain_pending(now, peer, out);
                 }
             }
@@ -754,28 +696,14 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
                 poison,
                 incarnation,
             } => {
-                let known = self
-                    .vis
-                    .get(&peer)
-                    .is_some_and(|vi| vi.state == ViState::Established && vi.peer_inc == incarnation);
-                if !known {
-                    out.push(Effect::Transmit(self.frame(peer, 0, ViaPacket::Disconnect)));
+                if self.vis.live(peer, incarnation).is_none() {
+                    self.transmit(peer, 0, ViaPacket::Disconnect, out);
                     return;
                 }
                 if let Some(p) = poison {
                     // The corrupted operation completes in error here too.
                     self.stats.completion_errors += 1;
-                    if self.trace {
-                        out.push(Effect::Trace(telemetry::TraceEvent::instant(
-                            "via.completion_error",
-                            "via",
-                            self.node.0 as u32,
-                            now,
-                        )
-                        .arg_u64("peer", peer.0 as u64)
-                        .arg_str("site", "remote")
-                        .arg_str("cause", p.cause())));
-                    }
+                    self.trace_completion_error(now, peer, "remote", p, out);
                     out.push(Effect::Upcall(Upcall::CompletionError {
                         peer,
                         site: ErrorSite::Remote,
@@ -790,15 +718,11 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
                 }
             }
             ViaPacket::Credit { n, incarnation } => {
-                let known = self
-                    .vis
-                    .get(&peer)
-                    .is_some_and(|vi| vi.state == ViState::Established && vi.peer_inc == incarnation);
-                if !known {
+                if self.vis.live(peer, incarnation).is_none() {
                     return;
                 }
                 out.push(Effect::ChargeCpu(self.cost.credit_cost));
-                let vi = self.vis.get_mut(&peer).expect("checked");
+                let vi = self.vis.vi_mut(peer).expect("checked");
                 vi.credits = (vi.credits + n).min(self.config.credits_per_vi);
                 self.drain_pending(now, peer, out);
             }
@@ -823,7 +747,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
             return;
         }
         let peer = key.peer;
-        let Some(vi) = self.vis.get_mut(&peer) else {
+        let Some(vi) = self.vis.vi_mut(peer) else {
             return;
         };
         if key.gen != vi.timer_gen || vi.state != ViState::ReqSent {
@@ -833,21 +757,12 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
             self.teardown(now, peer, BreakReason::RetransmitTimeout, out);
             return;
         }
-        let inc = self.incarnation;
-        out.push(Effect::Transmit(self.frame(
-            peer,
-            0,
-            ViaPacket::ConnReq { incarnation: inc },
-        )));
+        let incarnation = self.incarnation;
+        self.transmit(peer, 0, ViaPacket::ConnReq { incarnation }, out);
         out.push(Effect::SetTimer {
             at: now + self.config.connect_retry,
             key,
         });
-    }
-
-    fn set_alloc_fail(&mut self, _failing: bool) {
-        // VIA pre-allocates all kernel resources at channel set-up; the
-        // skbuf fault cannot touch it (§5.4). Intentionally a no-op.
     }
 
     fn set_pin_fail(&mut self, failing: bool) {
@@ -911,6 +826,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ferry::exchange;
 
     type Nic = ViaNic<&'static str>;
 
@@ -927,33 +843,6 @@ mod tests {
             ViaNic::new(NodeId(0), cfg.clone(), cost.clone()),
             ViaNic::new(NodeId(1), cfg, cost),
         )
-    }
-
-    fn exchange(
-        now: SimTime,
-        nics: &mut [&mut Nic],
-        mut effects: Vec<Effect<&'static str>>,
-    ) -> Vec<Upcall<&'static str>> {
-        let mut upcalls = Vec::new();
-        while let Some(e) = effects.pop() {
-            match e {
-                Effect::Transmit(frame) => {
-                    let mut out = Vec::new();
-                    let dst = frame.dst;
-                    for n in nics.iter_mut() {
-                        if n.node() == dst {
-                            n.frame_arrived(now, frame, &mut out);
-                            break;
-                        }
-                    }
-                    effects.extend(out);
-                }
-                Effect::Upcall(u) => upcalls.push(u),
-                Effect::SetTimer { .. } | Effect::ChargeCpu(_) | Effect::Trace(_)
-                | Effect::Attr(_) => {}
-            }
-        }
-        upcalls
     }
 
     fn connect(a: &mut Nic, b: &mut Nic) {
@@ -994,7 +883,15 @@ mod tests {
         let mut all = Vec::new();
         for _ in 0..8 {
             let mut out = Vec::new();
-            a.send(SimTime::ZERO, NodeId(1), MsgClass::Forward, "m", 64, CallParams::default(), &mut out);
+            a.send(
+                SimTime::ZERO,
+                NodeId(1),
+                MsgClass::Forward,
+                "m",
+                64,
+                CallParams::default(),
+                &mut out,
+            );
             all.extend(out);
         }
         exchange(SimTime::ZERO, &mut [&mut a, &mut b], all);
@@ -1013,7 +910,15 @@ mod tests {
         let mut blocked = false;
         for _ in 0..200 {
             let mut out = Vec::new();
-            let st = a.send(SimTime::ZERO, NodeId(1), MsgClass::Forward, "m", 64, CallParams::default(), &mut out);
+            let st = a.send(
+                SimTime::ZERO,
+                NodeId(1),
+                MsgClass::Forward,
+                "m",
+                64,
+                CallParams::default(),
+                &mut out,
+            );
             exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
             if st == SendStatus::WouldBlock {
                 blocked = true;
@@ -1065,11 +970,27 @@ mod tests {
         let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
         let locals = ups
             .iter()
-            .filter(|u| matches!(u, Upcall::CompletionError { site: ErrorSite::Local, .. }))
+            .filter(|u| {
+                matches!(
+                    u,
+                    Upcall::CompletionError {
+                        site: ErrorSite::Local,
+                        ..
+                    }
+                )
+            })
             .count();
         let remotes = ups
             .iter()
-            .filter(|u| matches!(u, Upcall::CompletionError { site: ErrorSite::Remote, .. }))
+            .filter(|u| {
+                matches!(
+                    u,
+                    Upcall::CompletionError {
+                        site: ErrorSite::Remote,
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!((locals, remotes), (1, 0));
         assert_eq!(b.stats().messages_delivered, 0);
@@ -1095,11 +1016,27 @@ mod tests {
         let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
         let locals = ups
             .iter()
-            .filter(|u| matches!(u, Upcall::CompletionError { site: ErrorSite::Local, .. }))
+            .filter(|u| {
+                matches!(
+                    u,
+                    Upcall::CompletionError {
+                        site: ErrorSite::Local,
+                        ..
+                    }
+                )
+            })
             .count();
         let remotes = ups
             .iter()
-            .filter(|u| matches!(u, Upcall::CompletionError { site: ErrorSite::Remote, .. }))
+            .filter(|u| {
+                matches!(
+                    u,
+                    Upcall::CompletionError {
+                        site: ErrorSite::Remote,
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!((locals, remotes), (1, 1), "RDMA faults report at both ends");
     }
@@ -1124,11 +1061,27 @@ mod tests {
         let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
         let remotes = ups
             .iter()
-            .filter(|u| matches!(u, Upcall::CompletionError { site: ErrorSite::Remote, .. }))
+            .filter(|u| {
+                matches!(
+                    u,
+                    Upcall::CompletionError {
+                        site: ErrorSite::Remote,
+                        ..
+                    }
+                )
+            })
             .count();
         let locals = ups
             .iter()
-            .filter(|u| matches!(u, Upcall::CompletionError { site: ErrorSite::Local, .. }))
+            .filter(|u| {
+                matches!(
+                    u,
+                    Upcall::CompletionError {
+                        site: ErrorSite::Local,
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!((locals, remotes), (0, 1));
     }
@@ -1152,12 +1105,23 @@ mod tests {
             },
             &mut out,
         );
-        a.send(SimTime::ZERO, NodeId(1), MsgClass::Forward, "good", 64, CallParams::default(), &mut out);
+        a.send(
+            SimTime::ZERO,
+            NodeId(1),
+            MsgClass::Forward,
+            "good",
+            64,
+            CallParams::default(),
+            &mut out,
+        );
         let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
         assert!(ups
             .iter()
             .any(|u| matches!(u, Upcall::Deliver { msg: "good", .. })));
-        assert!(a.is_connected(NodeId(1)), "the VI survives a bad descriptor");
+        assert!(
+            a.is_connected(NodeId(1)),
+            "the VI survives a bad descriptor"
+        );
     }
 
     #[test]
@@ -1193,11 +1157,23 @@ mod tests {
         a.set_alloc_fail(true);
         b.set_alloc_fail(true);
         let mut out = Vec::new();
-        a.send(SimTime::ZERO, NodeId(1), MsgClass::Forward, "still works", 64, CallParams::default(), &mut out);
+        a.send(
+            SimTime::ZERO,
+            NodeId(1),
+            MsgClass::Forward,
+            "still works",
+            64,
+            CallParams::default(),
+            &mut out,
+        );
         let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-        assert!(ups
-            .iter()
-            .any(|u| matches!(u, Upcall::Deliver { msg: "still works", .. })));
+        assert!(ups.iter().any(|u| matches!(
+            u,
+            Upcall::Deliver {
+                msg: "still works",
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -1206,7 +1182,15 @@ mod tests {
         connect(&mut a, &mut b);
         b.restart(SimTime::ZERO);
         let mut out = Vec::new();
-        a.send(SimTime::ZERO, NodeId(1), MsgClass::Forward, "m", 64, CallParams::default(), &mut out);
+        a.send(
+            SimTime::ZERO,
+            NodeId(1),
+            MsgClass::Forward,
+            "m",
+            64,
+            CallParams::default(),
+            &mut out,
+        );
         let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
         assert!(ups.iter().any(|u| matches!(
             u,

@@ -20,10 +20,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release"
 cargo build --release --workspace
 
-echo "== cargo fmt --check (press)"
-# The press crate is kept rustfmt-clean; the other crates are not yet,
-# so the check is scoped to it.
-cargo fmt -p press --check
+echo "== cargo fmt --check (press, transport)"
+# The press and transport crates are kept rustfmt-clean; the other
+# crates are not yet, so the check is scoped to them.
+cargo fmt -p press -p transport --check
 
 echo "== cargo clippy"
 cargo clippy -q --workspace --all-targets -- -D warnings

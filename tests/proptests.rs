@@ -188,12 +188,16 @@ proptest! {
     }
 
     /// TCP delivers every cleanly-sent message exactly once, in order,
-    /// under an arbitrary pattern of segment losses — retransmission
-    /// recovers everything.
+    /// under an arbitrary pattern of segment losses, duplicates and
+    /// reorderings — retransmission and reassembly recover everything.
+    /// `shuffle[r]` seeds a permutation of round `r`'s frame batch;
+    /// `loss` and `dup` flag the frames in the order they are handled.
     #[test]
     fn tcp_delivers_exactly_once_under_loss(
         sizes in prop::collection::vec(1u32..20_000, 1..20),
         loss in prop::collection::vec(prop::bool::ANY, 0..12),
+        dup in prop::collection::vec(prop::bool::ANY, 0..12),
+        shuffle in prop::collection::vec(any::<u64>(), 0..16),
     ) {
         let mut a: TcpStack<u32> = TcpStack::new(NodeId(0), TcpConfig::default(), CostModel::tcp());
         let mut b: TcpStack<u32> = TcpStack::new(NodeId(1), TcpConfig::default(), CostModel::tcp());
@@ -226,6 +230,7 @@ proptest! {
 
         let mut sent = 0usize;
         let mut loss_iter = loss.into_iter();
+        let mut dup_iter = dup.into_iter();
         for round in 0..400 {
             // Feed pending sends while the buffer accepts them.
             while sent < sizes.len() {
@@ -254,18 +259,28 @@ proptest! {
                     _ => {}
                 }
             }
-            // Deliver or drop each frame.
-            for f in std::mem::take(&mut frames) {
+            // Reorder the batch, then drop, deliver or duplicate each frame.
+            let mut batch = std::mem::take(&mut frames);
+            if let Some(&seed) = shuffle.get(round) {
+                let mut rng = SimRng::seed_from(seed);
+                for i in (1..batch.len()).rev() {
+                    batch.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+            }
+            for f in batch {
                 if loss_iter.next().unwrap_or(false) {
                     continue; // lost
                 }
-                let mut out = Vec::new();
-                if f.dst == NodeId(1) {
-                    b.frame_arrived(now, f, &mut out);
-                } else {
-                    a.frame_arrived(now, f, &mut out);
+                let copies = if dup_iter.next().unwrap_or(false) { 2 } else { 1 };
+                for f in std::iter::repeat_n(f, copies) {
+                    let mut out = Vec::new();
+                    if f.dst == NodeId(1) {
+                        b.frame_arrived(now, f, &mut out);
+                    } else {
+                        a.frame_arrived(now, f, &mut out);
+                    }
+                    effects.extend(out);
                 }
-                effects.extend(out);
             }
             // If idle, fire the earliest timer to force retransmission.
             if effects.is_empty() && frames.is_empty() {
@@ -286,7 +301,6 @@ proptest! {
             if delivered.len() == sizes.len() && sent == sizes.len() {
                 break;
             }
-            let _ = round;
         }
         let expected: Vec<u32> = (0..sizes.len() as u32).collect();
         prop_assert_eq!(delivered, expected, "in-order exactly-once delivery");
