@@ -18,10 +18,7 @@ fn engine_schedule_pop(c: &mut Criterion) {
                     let mut t = 0u64;
                     for i in 0..n {
                         t = t.wrapping_mul(6364136223846793005).wrapping_add(i) % 1_000_000_000;
-                        engine.schedule_at(
-                            SimTime::from_nanos(engine.now().as_nanos() + t),
-                            i,
-                        );
+                        engine.schedule_at(SimTime::from_nanos(engine.now().as_nanos() + t), i);
                         if i % 2 == 0 {
                             black_box(engine.pop());
                         }
@@ -74,7 +71,10 @@ fn engine_timeout_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     let n = 100_000u64;
     group.throughput(Throughput::Elements(n));
-    for (name, use_lane) in [("timeout_stream_heap", false), ("timeout_stream_lane", true)] {
+    for (name, use_lane) in [
+        ("timeout_stream_heap", false),
+        ("timeout_stream_lane", true),
+    ] {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
@@ -182,8 +182,8 @@ fn engine_cancel(c: &mut Criterion) {
             |mut engine| {
                 let mut last = None;
                 for i in 0..n {
-                    let tok = engine
-                        .schedule_cancellable(SimTime::from_nanos(1_000_000 + i * 100), i);
+                    let tok =
+                        engine.schedule_cancellable(SimTime::from_nanos(1_000_000 + i * 100), i);
                     // Each new timer supersedes the previous one.
                     if let Some(prev) = last.replace(tok) {
                         engine.cancel(prev);

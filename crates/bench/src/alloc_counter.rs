@@ -57,7 +57,10 @@ const OPS: u64 = 100_000;
 pub fn check_all() {
     let probe = allocations();
     drop(std::hint::black_box(vec![0u8; 16]));
-    assert!(allocations() > probe, "CountingAlloc is not the global allocator");
+    assert!(
+        allocations() > probe,
+        "CountingAlloc is not the global allocator"
+    );
     check_engine();
     check_frame_slab();
     check_cluster();
@@ -113,7 +116,10 @@ pub fn check_engine() {
     let before = allocations();
     run(&mut engine);
     let n = allocations() - before;
-    assert_eq!(n, 0, "warm engine allocated {n} times over {OPS} pop+push pairs");
+    assert_eq!(
+        n, 0,
+        "warm engine allocated {n} times over {OPS} pop+push pairs"
+    );
     assert_eq!(engine.pending(), 1_024);
     println!("alloc-counter: engine with 4 lanes: 0 allocations / {OPS} pop+push");
 }
@@ -140,7 +146,10 @@ pub fn check_frame_slab() {
     let before = allocations();
     run(&mut slab);
     let n = allocations() - before;
-    assert_eq!(n, 0, "warm frame slab allocated {n} times over {OPS} take+park pairs");
+    assert_eq!(
+        n, 0,
+        "warm frame slab allocated {n} times over {OPS} take+park pairs"
+    );
     assert_eq!(slab.len(), 256);
     println!("alloc-counter: frame slab: 0 allocations / {OPS} take+park");
 }

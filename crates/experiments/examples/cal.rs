@@ -10,7 +10,10 @@ fn main() {
         let r = sim.report();
         println!(
             "{:<14} measured {:7.0} paper {:6.0} ratio {:.3} avail {:.4}",
-            v.name(), t, v.paper_throughput(), t / v.paper_throughput(),
+            v.name(),
+            t,
+            v.paper_throughput(),
+            t / v.paper_throughput(),
             r.availability.availability()
         );
     }

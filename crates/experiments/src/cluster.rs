@@ -389,7 +389,11 @@ impl ClusterSim {
         for i in 0..n {
             let id = NodeId(i);
             let sub = if config.version.uses_via() {
-                SubstrateImpl::Via(ViaNic::new(id, config.via.clone(), config.version.cost_model()))
+                SubstrateImpl::Via(ViaNic::new(
+                    id,
+                    config.via.clone(),
+                    config.version.cost_model(),
+                ))
             } else {
                 SubstrateImpl::Tcp(TcpStack::new(
                     id,
@@ -688,10 +692,7 @@ impl ClusterSim {
                 reg.counter_add("press.cache.digest_retries", s.digest_retries);
             }
         }
-        reg.counter_add(
-            "transport.timers_stale_suppressed",
-            self.timers_suppressed,
-        );
+        reg.counter_add("transport.timers_stale_suppressed", self.timers_suppressed);
         self.clients.export_metrics(&mut reg);
         let views: std::collections::BTreeSet<Vec<usize>> = self
             .nodes
@@ -753,7 +754,8 @@ impl ClusterSim {
             }
             Ev::Client(ClientEvent::Arrival) => {
                 let (req, target, next) = self.clients.arrive(now);
-                self.engine.schedule_at(next, Ev::Client(ClientEvent::Arrival));
+                self.engine
+                    .schedule_at(next, Ev::Client(ClientEvent::Arrival));
                 let sample = self.config.trace.request_sample;
                 let traced = self.sink.enabled() && sample != 0 && req.id % sample == 0;
                 let slot = &self.nodes[target.0];
@@ -795,7 +797,11 @@ impl ClusterSim {
                         self.traced_requests.insert(req.id, (now, target.0));
                     }
                     let deadline = self.clients.accepted(now, req.id);
-                    self.record_attr(now, target.0, telemetry::AttrEvent::Accepted { req_id: req.id });
+                    self.record_attr(
+                        now,
+                        target.0,
+                        telemetry::AttrEvent::Accepted { req_id: req.id },
+                    );
                     self.schedule_deadline(deadline, req.id);
                     self.nodes[target.0].freezer.push(Work::Client(req));
                 } else {
@@ -827,15 +833,11 @@ impl ClusterSim {
                 // recovery reschedules the restart when it thaws.
                 if slot.gen == gen && !slot.running && !slot.frozen {
                     slot.running = true;
-                    self.process_log.push((now, NodeId(node), ProcEvent::Restart));
+                    self.process_log
+                        .push((now, NodeId(node), ProcEvent::Restart));
                     self.record_attr(now, node, telemetry::AttrEvent::FaultEnd);
                     self.sink.emit_with(|| {
-                        telemetry::TraceEvent::instant(
-                            "process.restart",
-                            "proc",
-                            node as u32,
-                            now,
-                        )
+                        telemetry::TraceEvent::instant("process.restart", "proc", node as u32, now)
                     });
                     self.work.push_back((node, Work::Start { cold: false }));
                 }
@@ -1087,9 +1089,11 @@ impl ClusterSim {
             }
             FaultKind::CpuThrottle => {
                 if FaultLedger::edge(&mut self.ledger.nodes[node.0].throttle, inject) {
-                    self.nodes[node.0]
-                        .cpu
-                        .set_throttle(if inject { GRAY_THROTTLE_FACTOR } else { 1 });
+                    self.nodes[node.0].cpu.set_throttle(if inject {
+                        GRAY_THROTTLE_FACTOR
+                    } else {
+                        1
+                    });
                 }
             }
             FaultKind::PartialPartition => {
@@ -1251,7 +1255,8 @@ impl ClusterSim {
                         // end-to-end timeouts can notice. The frame
                         // still counts as lost in the fabric stats.
                         if !reason.silent() {
-                            self.work.push_back((i, Work::TransmitFailed(frame.dst, reason)));
+                            self.work
+                                .push_back((i, Work::TransmitFailed(frame.dst, reason)));
                         } else {
                             self.record_attr(now, i, telemetry::AttrEvent::GrayLoss);
                         }
@@ -1321,7 +1326,11 @@ mod tests {
     fn queued_events_stay_compact() {
         // Every queued event is stored at this size, in the engine's
         // slab or inline in a lane; a frame inline made each one 88 bytes.
-        assert!(std::mem::size_of::<Ev>() <= 48, "Ev is {} bytes", std::mem::size_of::<Ev>());
+        assert!(
+            std::mem::size_of::<Ev>() <= 48,
+            "Ev is {} bytes",
+            std::mem::size_of::<Ev>()
+        );
     }
 
     #[test]
@@ -1518,4 +1527,3 @@ mod tests {
         }
     }
 }
-

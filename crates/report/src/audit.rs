@@ -346,10 +346,9 @@ pub fn audit_series(
         let Some(region) = host else {
             continue;
         };
-        if let Some(&(back, _, _)) = cuts
-            .iter()
-            .find(|&&(c2, _, after2)| c2 > c && c2 - c <= excursion_s && (after2 - before).abs() <= material)
-        {
+        if let Some(&(back, _, _)) = cuts.iter().find(|&&(c2, _, after2)| {
+            c2 > c && c2 - c <= excursion_s && (after2 - before).abs() <= material
+        }) {
             // The level returns: one transient excursion. Its closing
             // cut(s) are part of the same swing, not fresh shifts.
             skip_until = back;
@@ -517,7 +516,11 @@ mod tests {
         assert!(
             audit.pass(),
             "expected agreement, got: {:?}",
-            audit.findings.iter().map(Finding::describe).collect::<Vec<_>>()
+            audit
+                .findings
+                .iter()
+                .map(Finding::describe)
+                .collect::<Vec<_>>()
         );
         assert!(audit.segments.len() >= 4, "fit: {:?}", audit.segments);
     }
@@ -572,7 +575,13 @@ mod tests {
             max_segments: 1,
             ..AuditConfig::default()
         };
-        let audit = audit_series(&crash_series(), &crash_markers(), 1000.0, "test".into(), &cfg);
+        let audit = audit_series(
+            &crash_series(),
+            &crash_markers(),
+            1000.0,
+            "test".into(),
+            &cfg,
+        );
         assert!(audit
             .findings
             .iter()
@@ -596,12 +605,17 @@ mod tests {
             "test".into(),
             &AuditConfig::default(),
         );
-        assert!(audit
-            .findings
-            .iter()
-            .any(|f| f.kind == FindingKind::SpuriousShift && f.stage == Some(Stage::E)),
+        assert!(
+            audit
+                .findings
+                .iter()
+                .any(|f| f.kind == FindingKind::SpuriousShift && f.stage == Some(Stage::E)),
             "findings: {:?}",
-            audit.findings.iter().map(Finding::describe).collect::<Vec<_>>()
+            audit
+                .findings
+                .iter()
+                .map(Finding::describe)
+                .collect::<Vec<_>>()
         );
     }
 
@@ -625,9 +639,16 @@ mod tests {
             &AuditConfig::default(),
         );
         assert!(
-            audit.findings.iter().all(|f| f.kind != FindingKind::SpuriousShift),
+            audit
+                .findings
+                .iter()
+                .all(|f| f.kind != FindingKind::SpuriousShift),
             "excursion flagged: {:?}",
-            audit.findings.iter().map(Finding::describe).collect::<Vec<_>>()
+            audit
+                .findings
+                .iter()
+                .map(Finding::describe)
+                .collect::<Vec<_>>()
         );
     }
 
@@ -652,9 +673,16 @@ mod tests {
         };
         let audit = audit_series(&s, &m, 1000.0, "test".into(), &AuditConfig::default());
         assert!(
-            audit.findings.iter().all(|f| f.kind != FindingKind::MissedBoundary),
+            audit
+                .findings
+                .iter()
+                .all(|f| f.kind != FindingKind::MissedBoundary),
             "immaterial boundary flagged: {:?}",
-            audit.findings.iter().map(Finding::describe).collect::<Vec<_>>()
+            audit
+                .findings
+                .iter()
+                .map(Finding::describe)
+                .collect::<Vec<_>>()
         );
     }
 

@@ -92,7 +92,12 @@ fn setup_section(run: &McRun) -> String {
         .map(|class| {
             vec![
                 class.kind.name().to_string(),
-                if class.kind.is_gray() { "gray" } else { "fail-stop" }.to_string(),
+                if class.kind.is_gray() {
+                    "gray"
+                } else {
+                    "fail-stop"
+                }
+                .to_string(),
                 format!("{:.0}", class.mean_between.as_secs_f64()),
                 format!("{:.0}", class.duration.as_secs_f64()),
             ]

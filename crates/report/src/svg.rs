@@ -154,7 +154,8 @@ pub fn timeline_svg(chart: &TimelineChart<'_>, aria_label: &str) -> String {
     ));
 
     // Event annotations: dashed verticals with staggered labels above.
-    let mut events: Vec<(f64, &str, &str)> = vec![(chart.markers.fault, "fault", "--status-critical")];
+    let mut events: Vec<(f64, &str, &str)> =
+        vec![(chart.markers.fault, "fault", "--status-critical")];
     if let Some(d) = chart.markers.detected {
         events.push((d, "detected", "--status-serious"));
     }
@@ -302,7 +303,11 @@ pub fn mc_timeline_svg(
     // Active-fault washes over the plot.
     for b in bands {
         let (x0, x1) = (x(b.t0), x(b.t1));
-        let var = if b.gray { "--status-serious" } else { "--status-critical" };
+        let var = if b.gray {
+            "--status-serious"
+        } else {
+            "--status-critical"
+        };
         s.push_str(&format!(
             "<rect x=\"{x0}\" y=\"{y0}\" width=\"{w}\" height=\"{ph}\" \
              style=\"fill:var({var});opacity:0.05\"/>\n",
@@ -410,7 +415,11 @@ pub fn mc_timeline_svg(
     for (b, lane) in bands.iter().zip(&lanes) {
         let (x0, x1) = (x(b.t0), x(b.t1));
         let ly = lane_y0 + *lane as f64 * LANE_H;
-        let var = if b.gray { "--status-serious" } else { "--status-critical" };
+        let var = if b.gray {
+            "--status-serious"
+        } else {
+            "--status-critical"
+        };
         s.push_str(&format!(
             "<rect x=\"{x0}\" y=\"{ly}\" width=\"{w}\" height=\"7\" rx=\"2\" \
              style=\"fill:var({var});opacity:0.55\"/>\n",
@@ -663,8 +672,17 @@ mod tests {
             "test chart",
         );
         for needle in [
-            ">A<", ">C<", ">E<", "fault", "detected", "repaired", "measured", "blind fit",
-            "polyline", "Tn", "fault active",
+            ">A<",
+            ">C<",
+            ">E<",
+            "fault",
+            "detected",
+            "repaired",
+            "measured",
+            "blind fit",
+            "polyline",
+            "Tn",
+            "fault active",
         ] {
             assert!(svg.contains(needle), "missing {needle:?} in svg");
         }

@@ -72,4 +72,3 @@ fn report_bytes_are_reproducible() {
     assert_eq!(a, b, "rendering must be byte-deterministic");
     assert!(a.contains("VIA-PRESS-5"));
 }
-
