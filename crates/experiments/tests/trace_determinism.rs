@@ -3,7 +3,8 @@
 //! anything wall-clock. This is what makes `repro -- fig3 --trace`
 //! diffable and the Chrome-trace files safe to commit as goldens.
 
-use experiments::figures::traced_timeline;
+use experiments::figures::timeline_results;
+use experiments::phase1::FaultRunResult;
 use experiments::phase2::RunScale;
 use experiments::scale::scale_config;
 use experiments::{run_indexed, ClusterSim};
@@ -12,15 +13,27 @@ use press::{CacheSyncImpl, MembershipImpl, PressVersion};
 use simnet::fabric::NodeId;
 use simnet::{SimDuration, SimTime};
 
+/// The small fig3 with the chosen observers on: its text and runs.
+fn fig3(jobs: usize, trace: bool, attribution: bool) -> (String, Vec<FaultRunResult>) {
+    timeline_results("fig3", RunScale::Small, 2003, jobs, trace, attribution)
+        .expect("fig3 is a timeline target")
+}
+
+/// The runs' traces, in task order.
+fn traces(runs: &[FaultRunResult]) -> Vec<telemetry::RunTrace> {
+    runs.iter()
+        .map(|r| r.trace.clone().expect("tracing was on"))
+        .collect()
+}
+
 #[test]
 fn traced_fig3_is_byte_identical_across_job_counts() {
-    let (text1, runs1) =
-        traced_timeline("fig3", RunScale::Small, 2003, 1).expect("fig3 is a timeline target");
-    let (text4, runs4) =
-        traced_timeline("fig3", RunScale::Small, 2003, 4).expect("fig3 is a timeline target");
+    let (text1, runs1) = fig3(1, true, false);
+    let (text4, runs4) = fig3(4, true, false);
     // Same rendered figure text...
     assert_eq!(text1, text4);
     // ...and byte-identical exporter output for every format.
+    let (runs1, runs4) = (traces(&runs1), traces(&runs4));
     let chrome1 = telemetry::chrome_trace_json(&runs1);
     let chrome4 = telemetry::chrome_trace_json(&runs4);
     assert_eq!(chrome1, chrome4);
@@ -34,6 +47,31 @@ fn traced_fig3_is_byte_identical_across_job_counts() {
     // The trace is substantial, not a trivially-equal empty file.
     assert!(runs1.iter().map(|r| r.events.len()).sum::<usize>() > 100);
     assert!(chrome1.len() > 10_000);
+}
+
+/// Observers compose: one fig3 pass with both tracing and attribution
+/// on renders exactly the attribution-only text and exports exactly
+/// the trace-only files, and each observer is present only when asked
+/// for.
+#[test]
+fn trace_and_attribution_compose_on_one_run() {
+    let (both_text, both) = fig3(2, true, true);
+    let (attr_text, attr_only) = fig3(1, false, true);
+    let (_, trace_only) = fig3(1, true, false);
+    assert_eq!(both_text, attr_text);
+    assert!(both_text.contains("conservation: OK"));
+    assert!(both.iter().all(|r| r.trace.is_some() && r.attr.is_some()));
+    assert!(attr_only.iter().all(|r| r.trace.is_none()));
+    assert!(trace_only.iter().all(|r| r.attr.is_none()));
+    let (both, trace_only) = (traces(&both), traces(&trace_only));
+    assert_eq!(
+        telemetry::chrome_trace_json(&both),
+        telemetry::chrome_trace_json(&trace_only)
+    );
+    assert_eq!(
+        telemetry::jsonl_log(&both),
+        telemetry::jsonl_log(&trace_only)
+    );
 }
 
 /// One N = 64 node-crash run in the hardest determinism configuration:

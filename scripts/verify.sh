@@ -20,10 +20,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release"
 cargo build --release --workspace
 
-echo "== cargo fmt --check (press, transport)"
-# The press and transport crates are kept rustfmt-clean; the other
-# crates are not yet, so the check is scoped to them.
-cargo fmt -p press -p transport --check
+echo "== cargo fmt --check (press, transport, experiments, report, bench)"
+# These crates are kept rustfmt-clean; the others are not yet, so the
+# check is scoped to them.
+cargo fmt -p press -p transport -p experiments -p report -p bench --check
 
 echo "== cargo clippy"
 cargo clippy -q --workspace --all-targets -- -D warnings
@@ -283,6 +283,25 @@ tmp_trace2=$(mktemp)
 cargo run --release -q -p bench --bin repro -- fig3 --small --trace "$tmp_trace1" >/dev/null 2>&1
 cargo run --release -q -p bench --bin repro -- fig3 --small --jobs 0 --trace "$tmp_trace2" >/dev/null 2>&1
 cmp "$tmp_trace1" "$tmp_trace2"
+
+echo "== observation flags compose on one run"
+# Attribution and tracing observe the same fig3 runs: the composed run
+# must print exactly the attribution golden, write exactly the
+# trace-only file, and still print its --timing row. A flag the target
+# does not take must exit 2.
+cargo run --release -q -p bench --bin repro -- fig3 --small --attribution --trace "$tmp_trace2" \
+    --timing --jobs 0 >"$tmp_out" 2>"$tmp_err"
+diff -u scripts/golden_fig3_attr_small.txt "$tmp_out"
+cmp "$tmp_trace1" "$tmp_trace2"
+grep -q "^fig3 " "$tmp_err" \
+    || { echo "compose gate: no fig3 timing row" >&2; exit 1; }
+status=0
+cargo run --release -q -p bench --bin repro -- table2 --trace "$tmp_trace2" >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "compose gate: table2 --trace exited $status, expected 2" >&2
+    exit 1
+fi
 rm -f "$tmp_trace1" "$tmp_trace2"
+echo "   fig3 --attribution --trace --timing matches both single-flag outputs"
 
 echo "verify: OK"
