@@ -272,7 +272,10 @@ impl<E> Engine<E> {
     /// Panics if `at` is earlier than the current time, or if `lane`
     /// was not registered with this engine.
     pub fn schedule_lane(&mut self, lane: Lane, at: SimTime, event: E) {
-        if self.lanes[lane.0 as usize].back().is_some_and(|tail| at < tail.at) {
+        if self.lanes[lane.0 as usize]
+            .back()
+            .is_some_and(|tail| at < tail.at)
+        {
             self.push_entry(at, NO_SLOT, event);
             return;
         }
@@ -281,7 +284,12 @@ impl<E> Engine<E> {
         let queue = &mut self.lanes[lane.0 as usize];
         queue.push_back(LaneEntry { at, seq, event });
         if queue.len() == 1 {
-            self.heap.push(HeapEntry { at, seq, slot: LANE_HEAD, idx: lane.0 });
+            self.heap.push(HeapEntry {
+                at,
+                seq,
+                slot: LANE_HEAD,
+                idx: lane.0,
+            });
             self.sift_up(self.heap.len() - 1);
         } else {
             self.lane_backlog += 1;
@@ -300,7 +308,10 @@ impl<E> Engine<E> {
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
-                assert!(self.slots.len() < LANE_HEAD as usize, "cancellable slots exhausted");
+                assert!(
+                    self.slots.len() < LANE_HEAD as usize,
+                    "cancellable slots exhausted"
+                );
                 self.slots.push(SLOT_DEAD);
                 (self.slots.len() - 1) as u32
             }

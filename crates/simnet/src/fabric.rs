@@ -709,8 +709,7 @@ mod tests {
     fn destination_conditions_are_not_sender_observable() {
         let mut f = Fabric::new(FabricConfig::clan_four_nodes());
         f.set_link_up(NodeId(1), false);
-        let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(0, 1, 100))
-        else {
+        let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(0, 1, 100)) else {
             panic!("expected loss");
         };
         assert_eq!(reason, LossReason::DstLinkDown);
@@ -718,8 +717,7 @@ mod tests {
 
         f.set_link_up(NodeId(1), true);
         f.set_node_up(NodeId(1), false);
-        let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(0, 1, 100))
-        else {
+        let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(0, 1, 100)) else {
             panic!("expected loss");
         };
         assert_eq!(reason, LossReason::DstNodeDown);
@@ -736,8 +734,7 @@ mod tests {
                 }
             }
         }
-        let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(2, 3, 64))
-        else {
+        let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(2, 3, 64)) else {
             panic!("expected loss");
         };
         assert_eq!(reason, LossReason::SwitchDown);
@@ -746,8 +743,14 @@ mod tests {
     #[test]
     fn transmissions_serialize_on_the_sender_link() {
         let mut f = Fabric::new(FabricConfig::clan_four_nodes());
-        let a = f.transmit(SimTime::ZERO, &frame(0, 1, 125_000)).delivery_time().unwrap();
-        let b = f.transmit(SimTime::ZERO, &frame(0, 2, 125_000)).delivery_time().unwrap();
+        let a = f
+            .transmit(SimTime::ZERO, &frame(0, 1, 125_000))
+            .delivery_time()
+            .unwrap();
+        let b = f
+            .transmit(SimTime::ZERO, &frame(0, 2, 125_000))
+            .delivery_time()
+            .unwrap();
         // Each frame needs 1ms of wire time; the second must queue behind
         // the first on the shared sender link.
         assert!(b > a);
@@ -762,7 +765,8 @@ mod tests {
         // Saturate the sender link.
         let mut dropped = false;
         for _ in 0..100 {
-            if let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(0, 1, 10_000))
+            if let TransmitOutcome::Lost { reason } =
+                f.transmit(SimTime::ZERO, &frame(0, 1, 10_000))
             {
                 assert_eq!(reason, LossReason::TxQueueOverrun);
                 dropped = true;
@@ -798,8 +802,7 @@ mod tests {
     fn crashed_sender_cannot_transmit() {
         let mut f = Fabric::new(FabricConfig::clan_four_nodes());
         f.set_node_up(NodeId(0), false);
-        let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(0, 1, 64))
-        else {
+        let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(0, 1, 64)) else {
             panic!("expected loss");
         };
         assert_eq!(reason, LossReason::SrcNodeDown);
@@ -896,8 +899,7 @@ mod tests {
         assert!(f.path_up(NodeId(0), NodeId(2)));
 
         for (src, dst) in [(0usize, 2usize), (2, 0)] {
-            let TransmitOutcome::Lost { reason } =
-                f.transmit(SimTime::ZERO, &frame(src, dst, 64))
+            let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(src, dst, 64))
             else {
                 panic!("expected {src}->{dst} to be partitioned");
             };

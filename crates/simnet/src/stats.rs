@@ -682,10 +682,7 @@ mod latency_tests {
         // which brackets the sample within the 1.3x resolution.
         for q in [0.0, 0.5, 0.99, 1.0] {
             let v = h.quantile(q);
-            assert!(
-                (0.0042..0.0042 * 1.3).contains(&v),
-                "q={q} gave {v}"
-            );
+            assert!((0.0042..0.0042 * 1.3).contains(&v), "q={q} gave {v}");
         }
         // A zero-latency sample lands in the first bucket.
         let mut z = LatencyHistogram::new();

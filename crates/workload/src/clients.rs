@@ -206,12 +206,7 @@ impl ClientPool {
     pub fn latency_timeline(&self, end: SimTime) -> Vec<LatencyHistogram> {
         let n = (end.as_nanos() / self.config.bucket.as_nanos()) as usize;
         (0..n)
-            .map(|i| {
-                self.latency_buckets
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_default()
-            })
+            .map(|i| self.latency_buckets.get(i).cloned().unwrap_or_default())
             .collect()
     }
 

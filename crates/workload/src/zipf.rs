@@ -30,7 +30,10 @@ impl Zipf {
     /// Panics if `n == 0` or `alpha` is negative or not finite.
     pub fn new(n: u32, alpha: f64) -> Self {
         assert!(n > 0, "zipf needs at least one item");
-        assert!(alpha >= 0.0 && alpha.is_finite(), "bad zipf exponent {alpha}");
+        assert!(
+            alpha >= 0.0 && alpha.is_finite(),
+            "bad zipf exponent {alpha}"
+        );
         let mut cdf = Vec::with_capacity(n as usize);
         let mut acc = 0.0;
         for k in 1..=n {
