@@ -87,10 +87,12 @@
 //!   latency percentiles, the phase-2 projection, and the audit verdict
 //!   (for `montecarlo`, the estimator's replications and intervals).
 //! - `--timing` reports wall-clock, events dispatched, events/second,
-//!   and each target's share of the total wall time on stderr, and
-//!   writes `BENCH_repro.json` at the repo root (appending a compact
-//!   history entry per run); stdout is unchanged. With `all` this is
-//!   the per-phase wall-clock summary for the whole reproduction.
+//!   each target's share of the total wall time, and the process's
+//!   peak resident memory (`VmHWM`, where `/proc/self/status` has it)
+//!   on stderr, and writes `BENCH_repro.json` at the repo root
+//!   (appending a compact history entry per run); stdout is unchanged.
+//!   With `all` this is the per-phase wall-clock summary for the whole
+//!   reproduction.
 
 use std::env;
 use std::time::Instant;
@@ -157,7 +159,35 @@ fn history_entry_valid(e: &JsonValue) -> bool {
         && e.get("total_events").and_then(JsonValue::as_i64).is_some()
 }
 
-fn write_bench_json(path: &str, scale: RunScale, seed: u64, jobs: usize, timings: &[Timing]) {
+/// The peak resident set in MiB from a `/proc/<pid>/status` text: its
+/// `VmHWM` line, in kB.
+fn vm_hwm_mb(status: &str) -> Option<f64> {
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
+/// This process's peak resident set in MiB, if the OS reports it.
+fn peak_rss_mb() -> Option<f64> {
+    vm_hwm_mb(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// Writes the `--timing` document: this run's targets and, when
+/// known, its peak memory at the top level, plus the carried history.
+fn write_bench_json(
+    path: &str,
+    scale: RunScale,
+    seed: u64,
+    jobs: usize,
+    timings: &[Timing],
+    peak_rss_mb: Option<f64>,
+) {
     let total_wall: f64 = timings.iter().map(|t| t.wall_s).sum();
     let total_events: u64 = timings.iter().map(|t| t.events).sum();
 
@@ -214,7 +244,7 @@ fn write_bench_json(path: &str, scale: RunScale, seed: u64, jobs: usize, timings
             ])
         })
         .collect();
-    let doc = jobj(&[
+    let mut fields = vec![
         ("scale", JsonValue::Str(scale_name(scale).to_string())),
         ("seed", JsonValue::Int(seed as i64)),
         ("jobs", JsonValue::Int(jobs as i64)),
@@ -223,7 +253,11 @@ fn write_bench_json(path: &str, scale: RunScale, seed: u64, jobs: usize, timings
         ("total_events", JsonValue::Int(total_events as i64)),
         ("targets", JsonValue::Array(targets)),
         ("history", JsonValue::Array(history)),
-    ]);
+    ];
+    if let Some(mb) = peak_rss_mb {
+        fields.push(("peak_rss_mb", JsonValue::Float((mb * 10.0).round() / 10.0)));
+    }
+    let doc = jobj(&fields);
     if let Err(e) = std::fs::write(path, doc.to_pretty()) {
         eprintln!("warning: could not write {path}: {e}");
     }
@@ -551,7 +585,11 @@ fn print_timing(timings: &[Timing], scale: RunScale, seed: u64, jobs: usize) {
         },
         if total_wall > 0.0 { 100.0 } else { 0.0 }
     );
-    write_bench_json(BENCH_JSON, scale, seed, jobs, timings);
+    let peak = peak_rss_mb();
+    if let Some(mb) = peak {
+        eprintln!("{:<22} {mb:>8.1} MiB", "peak memory (VmHWM)");
+    }
+    write_bench_json(BENCH_JSON, scale, seed, jobs, timings, peak);
     eprintln!("wrote {BENCH_JSON}");
 }
 
@@ -653,9 +691,18 @@ mod tests {
             wall_s: 1.2345,
             events: 1000,
         }];
-        write_bench_json(path, RunScale::Small, 7, 2, &timings);
-        write_bench_json(path, RunScale::Small, 7, 2, &timings);
-        let doc = telemetry::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        write_bench_json(path, RunScale::Small, 7, 2, &timings, None);
+        let read = || telemetry::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert!(
+            read().get("peak_rss_mb").is_none(),
+            "an unknown peak is left out, not written as zero"
+        );
+        write_bench_json(path, RunScale::Small, 7, 2, &timings, Some(341.26));
+        let doc = read();
+        assert_eq!(
+            doc.get("peak_rss_mb").and_then(JsonValue::as_f64),
+            Some(341.3)
+        );
         let history = doc.get("history").and_then(JsonValue::as_array).unwrap();
         assert_eq!(
             history.len(),
@@ -676,6 +723,14 @@ mod tests {
         let pretty = doc.to_pretty();
         assert_eq!(telemetry::json::parse(&pretty).unwrap().to_pretty(), pretty);
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn peak_memory_is_read_from_the_vm_hwm_line() {
+        let status = "Name:\trepro\nVmPeak:\t  600000 kB\nVmHWM:\t  349184 kB\nVmRSS:\t 1024 kB\n";
+        assert_eq!(vm_hwm_mb(status), Some(341.0));
+        assert_eq!(vm_hwm_mb("Name:\trepro\n"), None);
+        assert_eq!(vm_hwm_mb("VmHWM:\t lots kB\n"), None);
     }
 
     fn parse(args: &str) -> Result<Opts, String> {

@@ -5,7 +5,7 @@
 //!
 //! Both structures sit on the request path of every node, and the
 //! directory holds one slot per file of the whole document set, so both
-//! are flat: the directory is one zero-initialised 8-byte slot per file
+//! are flat: the directory is one zero-initialised 4-byte slot per file
 //! (allocated as zeroed memory, so pages no file has touched never
 //! become resident), and the cache is a slab of `u32`-linked list nodes
 //! indexed by file id.
@@ -17,8 +17,8 @@ use simnet::fabric::NodeId;
 
 use crate::msg::FileId;
 
-/// Largest cluster the directory can describe: holder ids and per-file
-/// holder counts are stored as `u16`.
+/// Largest cluster the directory can describe: a holder is stored as
+/// its id + 1 in a `u16`.
 pub const MAX_NODES: usize = u16::MAX as usize;
 
 /// Hasher for simulator-chosen integer file ids: one multiply
@@ -250,15 +250,22 @@ impl LruCache {
 }
 
 /// Holder ids a directory slot stores inline.
-const INLINE: usize = 3;
+const INLINE: usize = 2;
+
+/// The slot of a file whose holders live in the spill map. No inline
+/// slot takes this pattern: inline cells fill front to back, so an
+/// empty first cell always has an empty cell after it.
+const SPILLED: [u16; INLINE] = [0, u16::MAX];
 
 /// A node's view of who caches what, maintained from `CacheAdd` /
 /// `CacheEvict` broadcasts and digests.
 ///
-/// Each file owns one 8-byte slot: its holder count followed by up to
-/// three holder ids. A file with more holders keeps all of them in
-/// a side map instead, which is only ever looked up by file id. Holders
-/// are kept in insertion order; removal preserves the order of the rest.
+/// Each file owns one 4-byte slot of two `u16` cells, each holding a
+/// holder's id + 1, with 0 meaning empty. A file with more than two
+/// holders keeps all of them in a side map instead, which is only ever
+/// looked up by file id, and its slot holds the [`SPILLED`] marker.
+/// Holders are kept in insertion order; removal preserves the order of
+/// the rest.
 ///
 /// # Example
 ///
@@ -274,10 +281,10 @@ const INLINE: usize = 3;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Directory {
-    /// Per file: `[count, id, id, id]`, unused ids zero. Inline ids are
-    /// all zero while `count > INLINE`.
-    slots: Vec<[u16; 1 + INLINE]>,
-    /// The holders of every file with more than [`INLINE`] of them.
+    /// Per file: up to [`INLINE`] cells of id + 1, filled front to back
+    /// with zeros after them, or [`SPILLED`].
+    slots: Vec<[u16; INLINE]>,
+    /// The cells of every file with more than [`INLINE`] holders.
     spill: IdMap<Vec<u16>>,
     entries: usize,
 }
@@ -288,7 +295,7 @@ impl Directory {
         Directory {
             // An all-zero array element makes this one zeroed
             // allocation, not a per-slot fill.
-            slots: vec![[0; 1 + INLINE]; files as usize],
+            slots: vec![[0; INLINE]; files as usize],
             spill: IdMap::default(),
             entries: 0,
         }
@@ -300,57 +307,57 @@ impl Directory {
     ///
     /// Panics if `node`'s id is not below [`MAX_NODES`].
     pub fn add(&mut self, file: FileId, node: NodeId) {
-        let id = compact(node);
+        let cell = cell(node).unwrap_or_else(|| {
+            panic!(
+                "node id {} does not fit the cache directory, which holds at most {MAX_NODES} nodes",
+                node.0
+            )
+        });
         let slot = &mut self.slots[file as usize];
-        let len = usize::from(slot[0]);
-        if len < INLINE {
-            if slot[1..=len].contains(&id) {
-                return;
-            }
-            slot[len + 1] = id;
-        } else if len == INLINE {
-            if slot[1..].contains(&id) {
-                return;
-            }
-            let mut ids = Vec::with_capacity(2 * INLINE);
-            ids.extend_from_slice(&slot[1..]);
-            ids.push(id);
-            slot[1..].fill(0);
-            self.spill.insert(file, ids);
-        } else {
-            let ids = self
+        if *slot == SPILLED {
+            let cells = self
                 .spill
                 .get_mut(&file)
                 .expect("a spilled file has a spill entry");
-            if ids.contains(&id) {
+            if cells.contains(&cell) {
                 return;
             }
-            ids.push(id);
+            cells.push(cell);
+        } else if let Some(at) = slot.iter().position(|&c| c == 0 || c == cell) {
+            if slot[at] == cell {
+                return;
+            }
+            slot[at] = cell;
+        } else {
+            let mut cells = Vec::with_capacity(2 * INLINE);
+            cells.extend_from_slice(slot);
+            cells.push(cell);
+            *slot = SPILLED;
+            self.spill.insert(file, cells);
         }
-        slot[0] += 1;
         self.entries += 1;
     }
 
     /// Records that `node` no longer caches `file`.
     pub fn remove(&mut self, file: FileId, node: NodeId) {
-        if let Ok(id) = u16::try_from(node.0) {
-            self.remove_id(file, id);
+        if let Some(cell) = cell(node) {
+            self.remove_cell(file, cell);
         }
     }
 
     /// Nodes believed to cache `file`, in the order they were added.
     pub fn holders(&self, file: FileId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        self.ids(file).iter().map(|&id| NodeId(usize::from(id)))
+        self.cells(file).iter().map(|&c| NodeId(usize::from(c) - 1))
     }
 
     /// Forgets everything a departed node cached.
     pub fn drop_node(&mut self, node: NodeId) {
-        let Ok(id) = u16::try_from(node.0) else {
+        let Some(cell) = cell(node) else {
             return;
         };
         for file in 0..self.slots.len() {
-            if self.slots[file][0] != 0 {
-                self.remove_id(file as FileId, id);
+            if self.slots[file] != [0; INLINE] {
+                self.remove_cell(file as FileId, cell);
             }
         }
     }
@@ -360,52 +367,45 @@ impl Directory {
         self.entries
     }
 
-    fn ids(&self, file: FileId) -> &[u16] {
+    fn cells(&self, file: FileId) -> &[u16] {
         let slot = &self.slots[file as usize];
-        let len = usize::from(slot[0]);
-        if len <= INLINE {
-            &slot[1..=len]
-        } else {
+        if *slot == SPILLED {
             &self.spill[&file]
+        } else {
+            let len = slot.iter().take_while(|&&c| c != 0).count();
+            &slot[..len]
         }
     }
 
-    fn remove_id(&mut self, file: FileId, id: u16) {
+    fn remove_cell(&mut self, file: FileId, cell: u16) {
         let slot = &mut self.slots[file as usize];
-        let len = usize::from(slot[0]);
-        if len <= INLINE {
-            let Some(pos) = slot[1..=len].iter().position(|&h| h == id) else {
-                return;
-            };
-            slot.copy_within(pos + 2..=len, pos + 1);
-            slot[len] = 0;
-        } else {
-            let ids = self
+        if *slot == SPILLED {
+            let cells = self
                 .spill
                 .get_mut(&file)
                 .expect("a spilled file has a spill entry");
-            let Some(pos) = ids.iter().position(|&h| h == id) else {
+            let Some(at) = cells.iter().position(|&c| c == cell) else {
                 return;
             };
-            ids.remove(pos);
-            if ids.len() == INLINE {
-                slot[1..].copy_from_slice(ids);
+            cells.remove(at);
+            if cells.len() == INLINE {
+                slot.copy_from_slice(cells);
                 self.spill.remove(&file);
             }
+        } else {
+            let Some(at) = slot.iter().position(|&c| c == cell) else {
+                return;
+            };
+            slot.copy_within(at + 1.., at);
+            slot[INLINE - 1] = 0;
         }
-        slot[0] -= 1;
         self.entries -= 1;
     }
 }
 
-/// `node`'s id as stored in a directory slot.
-fn compact(node: NodeId) -> u16 {
-    assert!(
-        node.0 < MAX_NODES,
-        "node id {} does not fit the cache directory, which holds at most {MAX_NODES} nodes",
-        node.0
-    );
-    node.0 as u16
+/// `node`'s cell value, or `None` if no directory can hold it.
+fn cell(node: NodeId) -> Option<u16> {
+    (node.0 < MAX_NODES).then(|| node.0 as u16 + 1)
 }
 
 /// Caching deltas awaiting digest flushes.
@@ -592,16 +592,39 @@ mod tests {
         d.remove(1, NodeId(1));
         d.remove(1, NodeId(9));
         assert!(d.holders(1).eq([4, 7, 0].map(NodeId)));
+        assert_eq!(d.spill.len(), 1, "three holders stay spilled");
+        d.remove(1, NodeId(7));
+        assert!(d.holders(1).eq([4, 0].map(NodeId)));
         assert!(d.spill.is_empty());
-        assert_eq!(d.entries(), 3);
+        assert_eq!(d.entries(), 2);
         assert_eq!(d.holders(0).len(), 0);
     }
 
+    /// The largest id's cell, 65,535, is the spill marker's second cell:
+    /// it must still read back as a holder wherever it sits.
     #[test]
     fn directory_accepts_the_largest_node_id() {
+        let top = NodeId(MAX_NODES - 1);
         let mut d = Directory::new(1);
-        d.add(0, NodeId(MAX_NODES - 1));
-        assert!(d.holders(0).eq([NodeId(MAX_NODES - 1)]));
+        d.add(0, top);
+        assert!(d.holders(0).eq([top]));
+        d.remove(0, top);
+        d.add(0, NodeId(0));
+        d.add(0, top);
+        assert!(d.holders(0).eq([NodeId(0), top]));
+        d.remove(0, NodeId(0));
+        assert!(d.holders(0).eq([top]));
+        assert!(d.spill.is_empty());
+        assert_eq!(d.entries(), 1);
+    }
+
+    #[test]
+    fn directory_slots_take_four_bytes_per_file() {
+        for n in [0, 1, 240_000] {
+            let d = Directory::new(n);
+            assert_eq!(std::mem::size_of_val(d.slots.as_slice()), 4 * n as usize);
+            assert_eq!(d.slots.capacity(), n as usize);
+        }
     }
 
     #[test]
@@ -715,7 +738,10 @@ mod tests {
         /// in the same order, and the same entry count as one vector per
         /// file. Few files and up to 64 nodes push files well past the
         /// inline capacity; the second half of each sequence is
-        /// removal-heavy, so they shrink back inline too.
+        /// removal-heavy, so they shrink back inline too. One pick in
+        /// eight names one of the three largest ids instead, so the
+        /// largest, whose cell equals the spill marker's, goes through
+        /// every operation.
         #[test]
         fn directory_matches_vec_per_file_model(
             nodes in 2usize..=64,
@@ -730,6 +756,8 @@ mod tests {
                 // Removals usually name a current holder, so they bite.
                 let node = if kind >= adds && !held.is_empty() && pick % 4 != 0 {
                     held[pick as usize % held.len()]
+                } else if pick % 8 == 0 {
+                    NodeId(MAX_NODES - 1 - (pick / 8) as usize % 3)
                 } else {
                     NodeId(pick as usize % nodes)
                 };

@@ -20,10 +20,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release"
 cargo build --release --workspace
 
-echo "== cargo fmt --check (press, transport, experiments, report, bench)"
+echo "== cargo fmt --check (press, transport, experiments, report, bench, simnet, workload)"
 # These crates are kept rustfmt-clean; the others are not yet, so the
 # check is scoped to them.
-cargo fmt -p press -p transport -p experiments -p report -p bench --check
+cargo fmt -p press -p transport -p experiments -p report -p bench -p simnet -p workload --check
 
 echo "== cargo clippy"
 cargo clippy -q --workspace --all-targets -- -D warnings
