@@ -207,10 +207,16 @@ mod tests {
     fn table_3_rows_are_present() {
         let load = paper_fault_load(DAY);
         assert_eq!(load.len(), 11);
-        let link = load.iter().find(|e| e.fault == ModelFault::LinkDown).unwrap();
+        let link = load
+            .iter()
+            .find(|e| e.fault == ModelFault::LinkDown)
+            .unwrap();
         assert_eq!(link.mttf, 6.0 * MONTH);
         assert_eq!(link.mttr, THREE_MINUTES);
-        let switch = load.iter().find(|e| e.fault == ModelFault::SwitchDown).unwrap();
+        let switch = load
+            .iter()
+            .find(|e| e.fault == ModelFault::SwitchDown)
+            .unwrap();
         assert_eq!(switch.mttr, 3_600.0);
         assert_eq!(switch.instances, 1);
     }
@@ -257,9 +263,18 @@ mod tests {
 
     #[test]
     fn sensitivity_classes_borrow_behaviour() {
-        assert_eq!(ModelFault::ViaPacketDrop.behaves_like(), ModelFault::ProcessCrash);
-        assert_eq!(ModelFault::ViaExtraBug.behaves_like(), ModelFault::ProcessCrash);
-        assert_eq!(ModelFault::ViaSystemCrash.behaves_like(), ModelFault::SwitchDown);
+        assert_eq!(
+            ModelFault::ViaPacketDrop.behaves_like(),
+            ModelFault::ProcessCrash
+        );
+        assert_eq!(
+            ModelFault::ViaExtraBug.behaves_like(),
+            ModelFault::ProcessCrash
+        );
+        assert_eq!(
+            ModelFault::ViaSystemCrash.behaves_like(),
+            ModelFault::SwitchDown
+        );
         assert_eq!(ModelFault::LinkDown.behaves_like(), ModelFault::LinkDown);
     }
 

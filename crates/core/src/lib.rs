@@ -54,7 +54,9 @@ pub mod stages;
 
 pub use fault_load::{paper_fault_load, FaultEntry, ModelFault};
 pub use metric::performability;
+pub use model::{
+    average_availability, average_throughput, unavailability_breakdown, FaultBehavior,
+};
 pub use montecarlo::{MonteCarloEstimate, MonteCarloResult, Replication};
-pub use model::{average_availability, average_throughput, unavailability_breakdown, FaultBehavior};
 pub use sensitivity::{crossover_multiplier, CrossoverResult};
 pub use stages::{SevenStage, Stage, StageMarkers, StagePoint};

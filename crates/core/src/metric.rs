@@ -20,7 +20,10 @@ pub const IDEAL_AVAILABILITY: f64 = 0.99999;
 pub fn performability(tn: f64, aa: f64, ideal: f64) -> f64 {
     assert!(tn > 0.0, "normal throughput must be positive");
     assert!(aa > 0.0, "availability must be positive");
-    assert!(ideal > 0.0 && ideal < 1.0, "ideal availability must be in (0,1)");
+    assert!(
+        ideal > 0.0 && ideal < 1.0,
+        "ideal availability must be in (0,1)"
+    );
     let aa = aa.min(1.0 - 1e-15);
     tn * ideal.ln() / aa.ln()
 }

@@ -45,8 +45,7 @@ impl MonteCarloEstimate {
         let (std_dev, std_err) = if n < 2 {
             (0.0, 0.0)
         } else {
-            let var =
-                samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0);
+            let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0);
             let sd = var.sqrt();
             (sd, sd / (n as f64).sqrt())
         };

@@ -131,13 +131,9 @@ mod tests {
             .expect("crossover exists");
         assert!(result.multiplier > 1.0);
         // At the solution, performabilities agree.
-        let via_p = performability_at(
-            6000.0,
-            &via,
-            result.multiplier,
-            IDEAL_AVAILABILITY,
-            |_| true,
-        );
+        let via_p = performability_at(6000.0, &via, result.multiplier, IDEAL_AVAILABILITY, |_| {
+            true
+        });
         assert!((via_p - tcp_p).abs() / tcp_p < 1e-6);
     }
 

@@ -182,7 +182,11 @@ impl StageMarkers {
         let stabilized = self.stabilized.unwrap_or(detected);
         let restabilized = self.restabilized.unwrap_or(self.recovered);
         edges.push((Stage::A, self.fault, detected.min(self.recovered)));
-        edges.push((Stage::B, detected.min(self.recovered), stabilized.min(self.recovered)));
+        edges.push((
+            Stage::B,
+            detected.min(self.recovered),
+            stabilized.min(self.recovered),
+        ));
         edges.push((Stage::C, stabilized.min(self.recovered), self.recovered));
         edges.push((Stage::D, self.recovered, restabilized));
         let e_end = self.reset.unwrap_or(self.end);

@@ -449,8 +449,7 @@ impl Swim {
     }
 
     fn escalate_probes(&mut self, out: &mut Vec<Command>) {
-        let pending: Vec<(u64, Pending)> =
-            self.outstanding.iter().map(|(s, p)| (*s, *p)).collect();
+        let pending: Vec<(u64, Pending)> = self.outstanding.iter().map(|(s, p)| (*s, *p)).collect();
         for (seq, pend) in pending {
             let alive_target = self
                 .peers
@@ -535,7 +534,8 @@ impl Swim {
         let Some(target) = target else { return };
         self.seq += 1;
         self.stats.pings += 1;
-        self.outstanding.insert(self.seq, Pending { target, phase: 0 });
+        self.outstanding
+            .insert(self.seq, Pending { target, phase: 0 });
         let updates = self.piggyback();
         out.push(Command::Send {
             to: target,
@@ -821,7 +821,11 @@ mod tests {
             other => panic!("proxy must relay the ack, got {other:?}"),
         };
         match &relayed {
-            GossipMsg::Ack { seq: s2, target: t2, .. } => {
+            GossipMsg::Ack {
+                seq: s2,
+                target: t2,
+                ..
+            } => {
                 assert_eq!(*s2, seq, "relay echoes the origin's seq");
                 assert_eq!(*t2, target);
             }
@@ -889,9 +893,9 @@ mod tests {
         assert!(out.contains(&Command::Refute { incarnation: 1 }));
         // The refutation spreads on the next message.
         let pig = s.piggyback();
-        assert!(pig.iter().any(|u| u.node == NodeId(0)
-            && u.incarnation == 1
-            && u.state == PeerState::Alive));
+        assert!(pig
+            .iter()
+            .any(|u| u.node == NodeId(0) && u.incarnation == 1 && u.state == PeerState::Alive));
         // The refuting Alive{1} clears suspicion at another member.
         let mut other = swim(1, 4);
         let mut o2 = Vec::new();

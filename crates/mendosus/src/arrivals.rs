@@ -40,9 +40,18 @@ impl ArrivalClass {
     ///
     /// Panics if `kind` is one-shot, or either time is zero.
     pub fn new(kind: FaultKind, mean_between: SimDuration, duration: SimDuration) -> Self {
-        assert!(!kind.is_one_shot(), "{kind} is one-shot; arrival traces need transients");
-        assert!(mean_between > SimDuration::ZERO, "mean inter-arrival must be positive");
-        assert!(duration > SimDuration::ZERO, "fault duration must be positive");
+        assert!(
+            !kind.is_one_shot(),
+            "{kind} is one-shot; arrival traces need transients"
+        );
+        assert!(
+            mean_between > SimDuration::ZERO,
+            "mean inter-arrival must be positive"
+        );
+        assert!(
+            duration > SimDuration::ZERO,
+            "fault duration must be positive"
+        );
         ArrivalClass {
             kind,
             mean_between,

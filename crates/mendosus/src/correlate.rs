@@ -53,9 +53,7 @@ impl CorrelationRule {
     /// Whether `root` triggers this rule.
     pub fn matches(&self, root: &FaultSpec) -> bool {
         root.kind == self.trigger
-            && (!root.kind.targets_node()
-                || self.node.is_none()
-                || self.node == Some(root.node))
+            && (!root.kind.targets_node() || self.node.is_none() || self.node == Some(root.node))
     }
 
     /// The consequent faults for `root`, or empty when the rule does
@@ -94,9 +92,7 @@ impl CorrelationRule {
             name: "switch failure takes attached links".to_string(),
             trigger: FaultKind::SwitchDown,
             node: None,
-            consequences: vec![Consequence::LinksDown(
-                (0..nodes).map(NodeId).collect(),
-            )],
+            consequences: vec![Consequence::LinksDown((0..nodes).map(NodeId).collect())],
         }
     }
 
@@ -172,7 +168,11 @@ mod tests {
         );
         let consequents = rule.expand(&root);
         let nodes: Vec<usize> = consequents.iter().map(|c| c.node.0).collect();
-        assert_eq!(nodes, [0, 2], "the head's own crash is the root, not a consequent");
+        assert_eq!(
+            nodes,
+            [0, 2],
+            "the head's own crash is the root, not a consequent"
+        );
 
         // A crash elsewhere does not trigger the rack rule.
         let other = FaultSpec::transient(
@@ -213,7 +213,11 @@ mod tests {
             explicit_link.clone(),
         ]);
         let expanded = campaign.expand(&rules);
-        assert_eq!(expanded.faults().len(), 2 + 3, "4 links minus the explicit one");
+        assert_eq!(
+            expanded.faults().len(),
+            2 + 3,
+            "4 links minus the explicit one"
+        );
         assert_eq!(expanded.validate(), Ok(()));
         assert_eq!(
             expanded
@@ -241,6 +245,8 @@ mod tests {
         );
         let consequents = rule.expand(&root);
         assert_eq!(consequents.len(), 2);
-        assert!(consequents.iter().all(|c| c.kind == FaultKind::LinkDegraded));
+        assert!(consequents
+            .iter()
+            .all(|c| c.kind == FaultKind::LinkDegraded));
     }
 }

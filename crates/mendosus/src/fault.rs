@@ -145,10 +145,14 @@ impl FaultKind {
         match self {
             FaultKind::LinkDown => "fabric: mark the target node's link down",
             FaultKind::SwitchDown => "fabric: mark the switch down",
-            FaultKind::NodeCrash => "fabric + process: NIC dead, process and memory lost, reboot on recovery",
+            FaultKind::NodeCrash => {
+                "fabric + process: NIC dead, process and memory lost, reboot on recovery"
+            }
             FaultKind::NodeHang => "freeze the whole node; resume in place on recovery",
             FaultKind::KernelAllocFail => "transport: skbuf allocation calls return errors",
-            FaultKind::MemPinFail => "transport: memory-locking threshold drops to the current usage",
+            FaultKind::MemPinFail => {
+                "transport: memory-locking threshold drops to the current usage"
+            }
             FaultKind::AppHang => "daemon sends SIGSTOP; SIGCONT on recovery",
             FaultKind::AppCrash => "daemon kills the process; restart on recovery",
             FaultKind::BadParamNull | FaultKind::BadParamOffPtr | FaultKind::BadParamOffSize => {
@@ -289,7 +293,13 @@ impl FaultSpec {
     ///
     /// Panics if `kind` is not a bad-parameter fault, or if `off_n`
     /// exceeds 100 (the observed dominant range per §4.3).
-    pub fn bad_param(kind: FaultKind, node: NodeId, at: SimTime, class: MsgClass, off_n: u32) -> Self {
+    pub fn bad_param(
+        kind: FaultKind,
+        node: NodeId,
+        at: SimTime,
+        class: MsgClass,
+        off_n: u32,
+    ) -> Self {
         assert!(kind.is_one_shot(), "{kind} is not a bad-parameter fault");
         assert!(off_n <= 100, "off-by-N offsets are 0..=100 bytes");
         FaultSpec {
@@ -317,13 +327,25 @@ mod tests {
     fn catalogue_matches_table_2() {
         assert_eq!(FaultKind::ALL.len(), 11);
         let categories: Vec<&str> = FaultKind::ALL.iter().map(|k| k.category()).collect();
-        assert_eq!(categories.iter().filter(|c| **c == "Network hardware").count(), 2);
-        assert_eq!(categories.iter().filter(|c| **c == "Node").count(), 2);
         assert_eq!(
-            categories.iter().filter(|c| **c == "Resource exhaustion").count(),
+            categories
+                .iter()
+                .filter(|c| **c == "Network hardware")
+                .count(),
             2
         );
-        assert_eq!(categories.iter().filter(|c| **c == "Application").count(), 5);
+        assert_eq!(categories.iter().filter(|c| **c == "Node").count(), 2);
+        assert_eq!(
+            categories
+                .iter()
+                .filter(|c| **c == "Resource exhaustion")
+                .count(),
+            2
+        );
+        assert_eq!(
+            categories.iter().filter(|c| **c == "Application").count(),
+            5
+        );
     }
 
     #[test]

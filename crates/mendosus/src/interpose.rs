@@ -125,9 +125,17 @@ mod tests {
             class: MsgClass::Forward,
             bad: BadParam::OffByPtr(42),
         });
-        let p1 = m.mangle(SimTime::from_secs(1), MsgClass::Forward, CallParams::default());
+        let p1 = m.mangle(
+            SimTime::from_secs(1),
+            MsgClass::Forward,
+            CallParams::default(),
+        );
         assert_eq!(p1.ptr, PtrParam::OffBy(42));
-        let p2 = m.mangle(SimTime::from_secs(1), MsgClass::Forward, CallParams::default());
+        let p2 = m.mangle(
+            SimTime::from_secs(1),
+            MsgClass::Forward,
+            CallParams::default(),
+        );
         assert!(p2.is_clean());
         assert_eq!(m.fired(), 1);
         assert_eq!(m.armed(), 0);
@@ -142,9 +150,17 @@ mod tests {
             bad: BadParam::OffBySize(7),
         });
         // A Forward call does not trip a FileData mangle.
-        let p = m.mangle(SimTime::from_secs(1), MsgClass::Forward, CallParams::default());
+        let p = m.mangle(
+            SimTime::from_secs(1),
+            MsgClass::Forward,
+            CallParams::default(),
+        );
         assert!(p.is_clean());
-        let p = m.mangle(SimTime::from_secs(1), MsgClass::FileData, CallParams::default());
+        let p = m.mangle(
+            SimTime::from_secs(1),
+            MsgClass::FileData,
+            CallParams::default(),
+        );
         assert_eq!(p.size_delta, 7);
     }
 
@@ -161,12 +177,24 @@ mod tests {
             class: MsgClass::Forward,
             bad: BadParam::OffBySize(3),
         });
-        let p = m.mangle(SimTime::from_secs(1), MsgClass::Forward, CallParams::default());
+        let p = m.mangle(
+            SimTime::from_secs(1),
+            MsgClass::Forward,
+            CallParams::default(),
+        );
         assert_eq!(p.ptr, PtrParam::Null);
         // Second is still waiting for its time.
-        let p = m.mangle(SimTime::from_secs(1), MsgClass::Forward, CallParams::default());
+        let p = m.mangle(
+            SimTime::from_secs(1),
+            MsgClass::Forward,
+            CallParams::default(),
+        );
         assert!(p.is_clean());
-        let p = m.mangle(SimTime::from_secs(200), MsgClass::Forward, CallParams::default());
+        let p = m.mangle(
+            SimTime::from_secs(200),
+            MsgClass::Forward,
+            CallParams::default(),
+        );
         assert_eq!(p.size_delta, 3);
         assert_eq!(m.fired(), 2);
     }

@@ -389,11 +389,7 @@ impl AttrState {
     }
 
     fn sample(&mut self, now: SimTime, cause: RootCause, r: &ReqAttr) {
-        let t1 = r
-            .deferred_at
-            .or(r.forwarded_at)
-            .unwrap_or(now)
-            .min(now);
+        let t1 = r.deferred_at.or(r.forwarded_at).unwrap_or(now).min(now);
         let t2 = r.evidence_at.unwrap_or(now).max(t1).min(now);
         let pre = t1.saturating_since(r.issued).as_nanos();
         let mid = t2.saturating_since(t1).as_nanos();
@@ -519,8 +515,16 @@ impl AttrReport {
         for &i in &order {
             let c = self.counts[i];
             cum += c;
-            let share = if total == 0 { 0.0 } else { c as f64 * 100.0 / total as f64 };
-            let cshare = if total == 0 { 0.0 } else { cum as f64 * 100.0 / total as f64 };
+            let share = if total == 0 {
+                0.0
+            } else {
+                c as f64 * 100.0 / total as f64
+            };
+            let cshare = if total == 0 {
+                0.0
+            } else {
+                cum as f64 * 100.0 / total as f64
+            };
             out.push_str(&format!(
                 "{:<24} {:>10} {:>7.1}% {:>7.1}% {:>14.6}\n",
                 CAUSES[i].label(),
@@ -532,18 +536,29 @@ impl AttrReport {
         }
         out.push_str(&format!(
             "{:<24} {:>10} {:>8} {:>8} {:>14.6}\n",
-            "total attributed", total, "", "", per_sec(total)
+            "total attributed",
+            total,
+            "",
+            "",
+            per_sec(total)
         ));
         out.push_str(&format!(
             "{:<24} {:>10} {:>8} {:>8} {:>14.6}\n",
-            "in-flight residual", self.residual, "", "", per_sec(self.residual)
+            "in-flight residual",
+            self.residual,
+            "",
+            "",
+            per_sec(self.residual)
         ));
         let unavail = if totals.attempts == 0 {
             0.0
         } else {
             (1.0 - totals.successes as f64 / totals.attempts as f64) * totals.duration_s
         };
-        out.push_str(&format!("{:<24} {:>10} {:>8} {:>8} {:>14.6}\n", "(1-AA)*T", "", "", "", unavail));
+        out.push_str(&format!(
+            "{:<24} {:>10} {:>8} {:>8} {:>14.6}\n",
+            "(1-AA)*T", "", "", "", unavail
+        ));
 
         let (ok, detail) = self.conservation(totals);
         out.push_str(&format!(
@@ -675,7 +690,14 @@ mod tests {
         // req 2: flushed by a transport abort.
         a.record(t(1), 1, AttrEvent::Accepted { req_id: 2 });
         a.record(t(1), 1, AttrEvent::Forwarded { req_id: 2, peer: 0 });
-        a.record(t(4), 1, AttrEvent::ForwardFlushed { req_id: 2, abort: true });
+        a.record(
+            t(4),
+            1,
+            AttrEvent::ForwardFlushed {
+                req_id: 2,
+                abort: true,
+            },
+        );
         a.record(t(7), 1, AttrEvent::DeadlineMiss { req_id: 2 });
         let r = a.finish();
         assert_eq!(r.counts[RootCause::DetectionLag as usize], 1);
@@ -712,9 +734,19 @@ mod tests {
         a.record(t(4), 0, AttrEvent::Accepted { req_id: 1 });
         let r = a.finish();
         assert_eq!(r.residual, 1);
-        let good = RunTotals { attempts: 5, successes: 1, failures: 3, duration_s: 10.0 };
+        let good = RunTotals {
+            attempts: 5,
+            successes: 1,
+            failures: 3,
+            duration_s: 10.0,
+        };
         assert!(r.conservation(&good).0, "{}", r.conservation(&good).1);
-        let bad = RunTotals { attempts: 5, successes: 1, failures: 4, duration_s: 10.0 };
+        let bad = RunTotals {
+            attempts: 5,
+            successes: 1,
+            failures: 4,
+            duration_s: 10.0,
+        };
         assert!(!r.conservation(&bad).0);
     }
 
@@ -727,7 +759,12 @@ mod tests {
         a.record(t(7), 0, AttrEvent::DeadlineMiss { req_id: 1 });
         a.record(t(8), 0, AttrEvent::ConnFailed);
         let r = a.finish();
-        let totals = RunTotals { attempts: 10, successes: 8, failures: 2, duration_s: 20.0 };
+        let totals = RunTotals {
+            attempts: 10,
+            successes: 8,
+            failures: 2,
+            duration_s: 20.0,
+        };
         let spans = vec![("A".to_string(), 0.0, 5.0), ("B".to_string(), 5.0, 20.0)];
         let s1 = r.render_text("test run", &totals, &spans);
         let s2 = r.render_text("test run", &totals, &spans);

@@ -75,7 +75,12 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// A point event at `at`.
-    pub fn instant(name: impl Into<Cow<'static, str>>, cat: &'static str, tid: u32, at: SimTime) -> Self {
+    pub fn instant(
+        name: impl Into<Cow<'static, str>>,
+        cat: &'static str,
+        tid: u32,
+        at: SimTime,
+    ) -> Self {
         TraceEvent {
             name: name.into(),
             cat,

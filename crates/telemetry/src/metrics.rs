@@ -98,7 +98,11 @@ impl Histogram {
         for (i, n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return if i == 0 { 0 } else { (1u64 << (i - 1)).saturating_mul(2) - 1 };
+                return if i == 0 {
+                    0
+                } else {
+                    (1u64 << (i - 1)).saturating_mul(2) - 1
+                };
             }
         }
         self.max
@@ -133,7 +137,10 @@ impl MetricsRegistry {
 
     /// Records one sample into the named histogram.
     pub fn histogram_record(&mut self, name: &str, v: u64) {
-        self.histograms.entry(name.to_string()).or_default().record(v);
+        self.histograms
+            .entry(name.to_string())
+            .or_default()
+            .record(v);
     }
 
     /// Current value of a counter (0 if absent).

@@ -36,7 +36,10 @@ fn main() {
         let aa = average_availability(tn, &behaviors);
         let p = performability(tn, aa, IDEAL_AVAILABILITY);
         println!("{label}:");
-        println!("  average availability AA = {aa:.6}  (unavailability {:.1} ppm)", (1.0 - aa) * 1e6);
+        println!(
+            "  average availability AA = {aa:.6}  (unavailability {:.1} ppm)",
+            (1.0 - aa) * 1e6
+        );
         println!("  performability P = {p:.1}  (Tn x log(0.99999)/log(AA))");
         // Which fault classes hurt most?
         let mut worst: Vec<(String, f64)> = behaviors

@@ -16,9 +16,7 @@ fn main() {
     let config = ClusterConfig::paper_defaults(version);
     println!(
         "booting {} on {} nodes at {:.0} req/s offered load...",
-        version,
-        config.press.nodes,
-        config.rate
+        version, config.press.nodes, config.rate
     );
 
     let mut sim = ClusterSim::new(config, 42);

@@ -107,7 +107,10 @@ fn report(name: &str, median: Duration, throughput: Option<Throughput>) {
                     line.push_str(&format!("  thrpt: {:.0} elem/s", n as f64 / secs));
                 }
                 Throughput::Bytes(n) => {
-                    line.push_str(&format!("  thrpt: {:.1} MiB/s", n as f64 / secs / (1 << 20) as f64));
+                    line.push_str(&format!(
+                        "  thrpt: {:.1} MiB/s",
+                        n as f64 / secs / (1 << 20) as f64
+                    ));
                 }
             }
         }

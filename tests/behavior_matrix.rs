@@ -54,7 +54,11 @@ fn link_fault_all_versions_match_the_paper() {
         assert!(lag < 2.0, "{v}: lag {lag}");
         assert!(via.needs_operator_reset, "{v} must stay splintered");
         // The surviving 3-node side keeps serving during the fault.
-        assert!(via.during_fault() > 0.4 * via.tn, "{v}: {}", via.during_fault());
+        assert!(
+            via.during_fault() > 0.4 * via.tn,
+            "{v}: {}",
+            via.during_fault()
+        );
     }
 }
 
@@ -67,7 +71,11 @@ fn switch_fault_partitions_everything() {
     assert!(via.during_fault() > 0.0);
 
     let tcp = quick(PressVersion::Tcp, FaultKind::SwitchDown, 0);
-    assert!(tcp.during_fault() < 0.3 * tcp.tn, "TCP freezes: {}", tcp.during_fault());
+    assert!(
+        tcp.during_fault() < 0.3 * tcp.tn,
+        "TCP freezes: {}",
+        tcp.during_fault()
+    );
     assert!(!tcp.needs_operator_reset, "TCP rides it out");
 }
 
@@ -113,11 +121,18 @@ fn node_hang_stalls_tcp_but_hb_splinters() {
 #[test]
 fn kernel_alloc_fault_freezes_tcp_only() {
     let tcp = quick(PressVersion::Tcp, FaultKind::KernelAllocFail, 3);
-    assert!(tcp.during_fault() < 0.3 * tcp.tn, "TCP: {}", tcp.during_fault());
+    assert!(
+        tcp.during_fault() < 0.3 * tcp.tn,
+        "TCP: {}",
+        tcp.during_fault()
+    );
     assert!(!tcp.needs_operator_reset);
 
     let hb = quick(PressVersion::TcpHb, FaultKind::KernelAllocFail, 3);
-    assert!(hb.markers.detected.is_some(), "heartbeats flag the mute node");
+    assert!(
+        hb.markers.detected.is_some(),
+        "heartbeats flag the mute node"
+    );
 
     // VIA pre-allocates: the fault has no visible effect at all.
     for v in [PressVersion::Via0, PressVersion::Via5] {
@@ -160,7 +175,11 @@ fn pin_fault_touches_only_the_zero_copy_version() {
 fn null_pointer_fault_propagation_differs_by_substrate() {
     // TCP: synchronous EFAULT; nothing dies; throughput barely moves.
     let tcp = quick(PressVersion::Tcp, FaultKind::BadParamNull, 3);
-    assert!(tcp.report.process_log.is_empty(), "{:?}", tcp.report.process_log);
+    assert!(
+        tcp.report.process_log.is_empty(),
+        "{:?}",
+        tcp.report.process_log
+    );
     assert!(!tcp.needs_operator_reset);
 
     // VIA-0: asynchronous completion error; the faulting process
@@ -202,7 +221,10 @@ fn app_crash_and_hang_recover_after_the_fault() {
         );
         let hang = quick(v, FaultKind::AppHang, 3);
         assert!(hang.during_fault() < hang.tn, "{v}: a hang costs something");
-        assert!(tail_level(&hang) > 0.7, "{v}: hang must be transparent after SIGCONT");
+        assert!(
+            tail_level(&hang) > 0.7,
+            "{v}: hang must be transparent after SIGCONT"
+        );
     }
 }
 
@@ -217,8 +239,7 @@ fn availability_loss_matches_fault_severity() {
     let stall = quick(PressVersion::Tcp, FaultKind::LinkDown, 3);
     let shed = quick(PressVersion::Via5, FaultKind::MemPinFail, 3);
     assert!(
-        stall.report.availability.availability() + 0.05
-            < shed.report.availability.availability(),
+        stall.report.availability.availability() + 0.05 < shed.report.availability.availability(),
         "stall {} vs shed {}",
         stall.report.availability.availability(),
         shed.report.availability.availability()

@@ -2,9 +2,7 @@
 //! "rigorous membership algorithm"): splintered clusters must re-merge
 //! without operator intervention once the fabric heals.
 
-use cluster_performability::experiments::{
-    run_fault_experiment, ClusterConfig, FaultScenario,
-};
+use cluster_performability::experiments::{run_fault_experiment, ClusterConfig, FaultScenario};
 use cluster_performability::mendosus::FaultKind;
 use cluster_performability::press::PressVersion;
 use cluster_performability::simnet::fabric::NodeId;
@@ -25,7 +23,10 @@ fn link_fault_splinters_heal_with_repair() {
         let (reset_off, _) = run(version, FaultKind::LinkDown, false);
         assert!(reset_off, "{version}: paper PRESS stays splintered");
         let (reset_on, members) = run(version, FaultKind::LinkDown, true);
-        assert!(!reset_on, "{version}: repair must re-merge, members {members:?}");
+        assert!(
+            !reset_on,
+            "{version}: repair must re-merge, members {members:?}"
+        );
         assert_eq!(members, vec![4, 4, 4, 4]);
     }
 }
@@ -35,7 +36,10 @@ fn tcp_press_failed_rejoin_heals_with_repair() {
     let (reset_off, members_off) = run(PressVersion::Tcp, FaultKind::NodeCrash, false);
     assert!(reset_off, "paper TCP-PRESS ends 3+1: {members_off:?}");
     let (reset_on, members_on) = run(PressVersion::Tcp, FaultKind::NodeCrash, true);
-    assert!(!reset_on, "repair must merge the standalone node back: {members_on:?}");
+    assert!(
+        !reset_on,
+        "repair must merge the standalone node back: {members_on:?}"
+    );
     assert_eq!(members_on, vec![4, 4, 4, 4]);
 }
 
@@ -44,7 +48,10 @@ fn switch_fault_total_partition_heals_with_repair() {
     let (reset_off, _) = run(PressVersion::Via3, FaultKind::SwitchDown, false);
     assert!(reset_off, "four singletons without repair");
     let (reset_on, members) = run(PressVersion::Via3, FaultKind::SwitchDown, true);
-    assert!(!reset_on, "repair must rebuild the full cluster: {members:?}");
+    assert!(
+        !reset_on,
+        "repair must rebuild the full cluster: {members:?}"
+    );
     assert_eq!(members, vec![4, 4, 4, 4]);
 }
 

@@ -78,7 +78,12 @@ fn headline_results_hold_on_the_small_testbed() {
     assert!(hb.availability > tcp.availability);
     // Availability is "uniformly terrible": nobody reaches five nines.
     for r in &results {
-        assert!(r.availability < 0.99999, "{}: {}", r.version, r.availability);
+        assert!(
+            r.availability < 0.99999,
+            "{}: {}",
+            r.version,
+            r.availability
+        );
     }
 }
 
