@@ -257,19 +257,6 @@ pub struct McRun {
     pub reps: Vec<McReplication>,
 }
 
-/// The blind segmentation of one replication's series, using the same
-/// noise-scaled penalty recipe as the single-fault audit: segments must
-/// beat the larger of the series' own noise floor and 4% of baseline.
-fn blind_fit(series: &TimeSeries, tn: f64, intervals: usize) -> Vec<FitSegment> {
-    let n = series.points.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let penalty = series.noise_variance().max((0.04 * tn).powi(2)) * 2.0 * (n.max(2) as f64).ln();
-    let max_segments = (2 * intervals + 1).clamp(1, 24);
-    series.piecewise_fit(max_segments, penalty)
-}
-
 /// Runs one Monte-Carlo experiment: a fault-free baseline plus
 /// `setup.replications` independently-seeded fault timelines, fanned
 /// across `jobs` workers (byte-identical to sequential — every run
@@ -343,7 +330,11 @@ pub fn run_montecarlo(setup: &MonteCarloSetup, scale: RunScale, seed: u64, jobs:
     let tn = baseline.mean_between(t0, t1).unwrap_or(0.0);
     assert!(tn > 0.0, "baseline measured no throughput in the window");
     for rep in &mut reps {
-        rep.fit = blind_fit(&rep.series, tn, rep.intervals.len());
+        // The single-fault audit's blind fit, allowed a change point
+        // at each fault's start and end.
+        rep.fit = rep
+            .series
+            .blind_fit(tn, (2 * rep.intervals.len() + 1).clamp(1, 24));
     }
     let result = MonteCarloResult::new(
         tn,

@@ -12,28 +12,10 @@
 
 use experiments::montecarlo::{McReplication, McRun};
 
-use crate::audit::AuditSegment;
+use crate::audit::timed_segments;
 use crate::dashboard::ReportMeta;
 use crate::html::{esc, page, table};
 use crate::svg::{mc_timeline_svg, McBand};
-
-/// Converts a replication's blind fit (sample indices) into run-time
-/// coordinates, using the series' own bucket width.
-fn fit_segments(rep: &McReplication) -> Vec<AuditSegment> {
-    let bucket_s = if rep.series.points.len() >= 2 {
-        (rep.series.points[1].0 - rep.series.points[0].0).max(1e-9)
-    } else {
-        1.0
-    };
-    rep.fit
-        .iter()
-        .map(|s| AuditSegment {
-            t0: s.start as f64 * bucket_s,
-            t1: s.end as f64 * bucket_s,
-            mean: s.mean,
-        })
-        .collect()
-}
 
 /// One band per active-fault interval, labeled with the fault and its
 /// target.
@@ -136,7 +118,7 @@ fn replication_section(i: usize, rep: &McReplication, run: &McRun) -> String {
     ));
     s.push_str(&mc_timeline_svg(
         &rep.series,
-        &fit_segments(rep),
+        &timed_segments(&rep.series, &rep.fit),
         run.result.tn,
         run.end.as_secs_f64(),
         &bands(rep),

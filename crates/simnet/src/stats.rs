@@ -141,6 +141,16 @@ impl TimeSeries {
         self.points.partition_point(|&(pt, _)| pt < t)
     }
 
+    /// The bucket width, inferred from the spacing of the first two
+    /// samples; 1.0 for fewer than two.
+    pub fn bucket_width(&self) -> f64 {
+        if self.points.len() >= 2 {
+            (self.points[1].0 - self.points[0].0).max(1e-9)
+        } else {
+            1.0
+        }
+    }
+
     /// Robust estimate of the per-sample noise variance, from the
     /// median squared first difference: for a piecewise-constant signal
     /// plus i.i.d. noise, `diff[i] = x[i+1] - x[i]` has variance `2σ²`
@@ -258,6 +268,22 @@ impl TimeSeries {
             })
             .collect()
     }
+
+    /// [`piecewise_fit`](Self::piecewise_fit) with a penalty scaled to
+    /// the measured noise: a split must buy more squared-error
+    /// reduction than noise alone would hand it. `2 ln n` per change
+    /// point is the classic (BIC-flavored) rate; the `(0.04·tn)²`
+    /// floor keeps pathologically quiet series from splitting on
+    /// invisible steps. `tn` is the series' normal level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_segments` is 0.
+    pub fn blind_fit(&self, tn: f64, max_segments: usize) -> Vec<FitSegment> {
+        let n = self.points.len();
+        let penalty = self.noise_variance().max((0.04 * tn).powi(2)) * 2.0 * (n.max(2) as f64).ln();
+        self.piecewise_fit(max_segments, penalty)
+    }
 }
 
 /// One piece of a piecewise-constant fit produced by
@@ -271,6 +297,14 @@ pub struct FitSegment {
     pub end: usize,
     /// Least-squares level of the segment.
     pub mean: f64,
+}
+
+impl FitSegment {
+    /// The segment's `[t0, t1)` span in seconds, on a series of
+    /// `bucket_s`-wide buckets ([`TimeSeries::bucket_width`]).
+    pub fn span(&self, bucket_s: f64) -> (f64, f64) {
+        (self.start as f64 * bucket_s, self.end as f64 * bucket_s)
+    }
 }
 
 /// Tallies request outcomes for availability accounting.
@@ -491,6 +525,35 @@ mod tests {
             .collect();
         let series = TimeSeries::new(pts);
         assert!((series.noise_variance() - 2.0 * d * d).abs() < 1e-9);
+    }
+
+    #[test]
+    fn blind_fit_splits_a_visible_step_and_spans_are_in_seconds() {
+        // Half-second buckets: 1000 for 10 s, then 400 for 10 s, with a
+        // ±5 jitter far below the 4%-of-Tn floor.
+        let pts: Vec<(f64, f64)> = (0..40)
+            .map(|i| {
+                let level = if i < 20 { 1000.0 } else { 400.0 };
+                (
+                    i as f64 * 0.5 + 0.25,
+                    level + if i % 2 == 0 { 5.0 } else { -5.0 },
+                )
+            })
+            .collect();
+        let series = TimeSeries::new(pts);
+        assert_eq!(series.bucket_width(), 0.5);
+        let segs = series.blind_fit(1000.0, 8);
+        let spans: Vec<(f64, f64)> = segs.iter().map(|s| s.span(0.5)).collect();
+        assert_eq!(spans, [(0.0, 10.0), (10.0, 20.0)]);
+        // A step under the floor is noise.
+        let quiet = TimeSeries::new(
+            (0..40)
+                .map(|i| (i as f64, if i < 20 { 1000.0 } else { 990.0 }))
+                .collect(),
+        );
+        assert_eq!(quiet.blind_fit(1000.0, 8).len(), 1);
+        assert!(TimeSeries::default().blind_fit(1000.0, 8).is_empty());
+        assert_eq!(TimeSeries::default().bucket_width(), 1.0);
     }
 
     #[test]
