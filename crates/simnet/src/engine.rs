@@ -38,9 +38,9 @@
 //!
 //! - heap, lanes, slab and free lists all recycle their storage, so the
 //!   steady-state schedule/dispatch cycle performs no heap allocation;
-//! - the batch primitives ([`Engine::pop_batch`], [`Engine::drain_until`])
-//!   let driver loops dispatch same-instant bursts without re-checking
-//!   the deadline per event or building intermediate tuples;
+//! - the batch primitives ([`Engine::pop_batch`],
+//!   [`Engine::pop_batch_before`]) let driver loops dispatch
+//!   same-instant bursts without re-checking the deadline per event;
 //! - [`Engine::schedule_cancellable`] returns a [`CancelToken`] that
 //!   removes an event before delivery (lazy tombstones plus periodic
 //!   compaction when dead entries outnumber live ones), so superseded
@@ -412,14 +412,6 @@ impl<E> Engine<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Timestamp of the next event, if any. May report the timestamp of
-    /// a cancelled entry that has not been discarded yet — i.e. a lower
-    /// bound on the next deliverable event's time.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|s| s.at)
-    }
-
     /// Ordering key `(time, seq)` of the next deliverable event. Prunes
     /// cancelled heap entries, so the root is live afterwards.
     #[inline]
@@ -474,40 +466,6 @@ impl<E> Engine<E> {
         Some((at, event))
     }
 
-    /// Like [`Engine::pop`], but leaves events after `deadline` queued and
-    /// instead advances the clock to `deadline` and returns `None`.
-    ///
-    /// This is the main driver loop primitive:
-    ///
-    /// ```
-    /// use simnet::{Engine, SimDuration, SimTime};
-    ///
-    /// let mut engine = Engine::new();
-    /// engine.schedule_in(SimDuration::from_secs(5), ());
-    /// let deadline = SimTime::from_secs(2);
-    /// while let Some((_t, _ev)) = engine.pop_before(deadline) {
-    ///     // handle event
-    /// }
-    /// assert_eq!(engine.now(), deadline);
-    /// assert_eq!(engine.pending(), 1);
-    /// ```
-    pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.next_key() {
-            Some((at, _)) if at <= deadline => {
-                let event = self.take_next();
-                self.now = at;
-                self.dispatched += 1;
-                Some((at, event))
-            }
-            _ => {
-                if self.now < deadline {
-                    self.now = deadline;
-                }
-                None
-            }
-        }
-    }
-
     /// Pops the entire burst of events sharing the earliest timestamp
     /// into `buf` (appended in FIFO order), advances the clock to that
     /// instant, and returns it. Returns `None` (leaving `buf` untouched)
@@ -542,7 +500,7 @@ impl<E> Engine<E> {
     /// Like [`Engine::pop_batch`], but only takes a burst at or before
     /// `deadline`; when the next deliverable event lies beyond it (or
     /// the queue is empty) the clock advances to `deadline` and `None`
-    /// is returned. This is the batched driver-loop primitive:
+    /// is returned. This is the driver-loop primitive:
     ///
     /// ```
     /// use simnet::{Engine, SimTime};
@@ -569,28 +527,6 @@ impl<E> Engine<E> {
                 }
                 None
             }
-        }
-    }
-
-    /// Dispatches every event up to and including `deadline` straight to
-    /// `f`, advancing the clock through each timestamp and leaving it at
-    /// `deadline`. Equivalent to the `pop_before` loop, without the
-    /// per-event deadline re-check and `Option<(SimTime, E)>` plumbing.
-    ///
-    /// `f` must not schedule into the engine (it does not have access);
-    /// use this for terminal dispatch such as draining into a recorder.
-    pub fn drain_until<F: FnMut(SimTime, E)>(&mut self, deadline: SimTime, mut f: F) {
-        while let Some((at, _)) = self.next_key() {
-            if at > deadline {
-                break;
-            }
-            let event = self.take_next();
-            self.now = at;
-            self.dispatched += 1;
-            f(at, event);
-        }
-        if self.now < deadline {
-            self.now = deadline;
         }
     }
 
@@ -728,20 +664,27 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_respects_deadline_and_advances_clock() {
+    fn pop_batch_before_respects_deadline_and_advances_clock() {
         let mut e = Engine::new();
         e.schedule_at(SimTime::from_secs(1), 1);
+        e.schedule_at(SimTime::from_secs(3), 3);
         e.schedule_at(SimTime::from_secs(10), 2);
         let deadline = SimTime::from_secs(5);
         let mut seen = vec![];
-        while let Some((_, ev)) = e.pop_before(deadline) {
-            seen.push(ev);
-        }
-        assert_eq!(seen, [1]);
+        while e.pop_batch_before(deadline, &mut seen).is_some() {}
+        assert_eq!(seen, [1, 3]);
         assert_eq!(e.now(), deadline);
         assert_eq!(e.pending(), 1);
         // The remaining event is still deliverable later.
-        assert_eq!(e.pop_before(SimTime::from_secs(20)).unwrap().1, 2);
+        seen.clear();
+        assert_eq!(
+            e.pop_batch_before(SimTime::from_secs(20), &mut seen),
+            Some(SimTime::from_secs(10))
+        );
+        assert_eq!(seen, [2]);
+        // A deadline behind the clock leaves it where it is.
+        assert_eq!(e.pop_batch_before(deadline, &mut seen), None);
+        assert_eq!(e.now(), SimTime::from_secs(10));
     }
 
     #[test]
@@ -772,30 +715,6 @@ mod tests {
         assert_eq!(e.pop_batch(&mut burst), Some(SimTime::from_secs(2)));
         assert_eq!(burst, [20]);
         assert_eq!(e.pop_batch(&mut burst), None);
-    }
-
-    #[test]
-    fn drain_until_matches_pop_before_loop() {
-        let build = || {
-            let mut e = Engine::new();
-            for i in 0u64..50 {
-                e.schedule_at(SimTime::from_nanos((i * 7) % 13), i);
-            }
-            e
-        };
-        let mut via_pop = Vec::new();
-        let mut a = build();
-        let deadline = SimTime::from_nanos(9);
-        while let Some((t, ev)) = a.pop_before(deadline) {
-            via_pop.push((t, ev));
-        }
-        let mut via_drain = Vec::new();
-        let mut b = build();
-        b.drain_until(deadline, |t, ev| via_drain.push((t, ev)));
-        assert_eq!(via_pop, via_drain);
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.pending(), b.pending());
-        assert_eq!(a.dispatched(), b.dispatched());
     }
 
     #[test]
@@ -889,15 +808,13 @@ mod tests {
 
         let mut d = build(true);
         let mut seen = Vec::new();
-        d.drain_until(SimTime::from_secs(10), |t, ev| seen.push((t, ev)));
-        assert_eq!(
-            seen,
-            [
-                (SimTime::from_secs(1), 0),
-                (SimTime::from_secs(1), 1),
-                (SimTime::from_secs(3), 2)
-            ]
-        );
+        let mut instants = Vec::new();
+        while let Some(t) = d.pop_batch_before(SimTime::from_secs(10), &mut seen) {
+            instants.push(t);
+        }
+        assert_eq!(seen, [0, 1, 2]);
+        assert_eq!(instants, [SimTime::from_secs(1), SimTime::from_secs(3)]);
+        assert_eq!(d.now(), SimTime::from_secs(10));
     }
 
     #[test]
@@ -993,7 +910,7 @@ mod tests {
         e.schedule_at(SimTime::from_nanos(5), (9, 0));
         assert_eq!(e.heap.len(), 5, "four lane heads plus one heap event");
         assert_eq!(e.pending(), 401);
-        assert_eq!(e.peek_time(), Some(SimTime::ZERO));
+        assert_eq!(e.next_key().map(|(at, _)| at), Some(SimTime::ZERO));
         let mut last = SimTime::ZERO;
         let mut n = 0;
         while let Some((at, _)) = e.pop() {
@@ -1019,7 +936,10 @@ mod tests {
         assert_eq!(e.pop_batch(&mut burst), Some(SimTime::from_secs(1)));
         assert_eq!(burst, [1, 2]);
         let mut rest = Vec::new();
-        e.drain_until(SimTime::from_secs(5), |_, ev| rest.push(ev));
+        while e
+            .pop_batch_before(SimTime::from_secs(5), &mut rest)
+            .is_some()
+        {}
         assert_eq!(rest, [3]);
         assert_eq!(e.pending(), 0);
     }
@@ -1179,6 +1099,7 @@ mod tests {
                             }
                         }
                         _ => {
+                            // The driver loop: bursts until the deadline.
                             let deadline = now + SimDuration::from_nanos(a % 30);
                             let mut expect = Vec::new();
                             while m.next_time().is_some_and(|t| t <= deadline) {
@@ -1186,19 +1107,15 @@ mod tests {
                             }
                             m.now = m.now.max(deadline);
                             let mut got = Vec::new();
-                            e.drain_until(deadline, |t, v| got.push((t, v)));
+                            let mut burst = Vec::new();
+                            while let Some(t) = e.pop_batch_before(deadline, &mut burst) {
+                                got.extend(burst.drain(..).map(|v| (t, v)));
+                            }
                             prop_assert_eq!(&got, &expect);
                         }
                     }
                     prop_assert_eq!(e.pending(), m.queue.len());
                     prop_assert_eq!(e.dispatched(), m.dispatched);
-                    if let Some(t) = m.next_time() {
-                        let peek = e.peek_time();
-                        prop_assert!(
-                            peek.is_some_and(|p| p <= t),
-                            "peek_time {peek:?} above the next live event at {t:?}"
-                        );
-                    }
                 }
                 // Whatever is left drains in model order.
                 while let Some(expect) = m.pop() {

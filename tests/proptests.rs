@@ -35,9 +35,10 @@ proptest! {
     }
 
     /// The batch primitives agree with the one-at-a-time `pop` loop:
-    /// `pop_batch` yields exactly one instant per call and `drain_until`
-    /// dispatches the same `(time, event)` sequence, so same-instant
-    /// events stay FIFO through either fast path.
+    /// `pop_batch` yields exactly one instant per call and the
+    /// `pop_batch_before` driver loop dispatches the same `(time, event)`
+    /// sequence up to its deadline, so same-instant events stay FIFO
+    /// through either fast path.
     #[test]
     fn engine_batch_primitives_preserve_fifo(
         times in prop::collection::vec(0u64..40, 1..200),
@@ -67,13 +68,16 @@ proptest! {
         }
         prop_assert_eq!(&via_batch, &expect);
         prop_assert_eq!(batched.pending(), 0);
-        // drain_until: identical prefix up to the deadline, rest queued.
+        // pop_batch_before: identical prefix up to the deadline, rest
+        // queued.
         let cut = SimTime::from_nanos(deadline);
-        let mut via_drain = Vec::new();
-        drained.drain_until(cut, |t, i| via_drain.push((t, i)));
+        let mut via_deadline = Vec::new();
+        while let Some(t) = drained.pop_batch_before(cut, &mut burst) {
+            via_deadline.extend(burst.drain(..).map(|i| (t, i)));
+        }
         let head: Vec<_> = expect.iter().copied().filter(|(t, _)| *t <= cut).collect();
-        prop_assert_eq!(&via_drain, &head);
-        prop_assert_eq!(drained.pending(), expect.len() - via_drain.len());
+        prop_assert_eq!(&via_deadline, &head);
+        prop_assert_eq!(drained.pending(), expect.len() - via_deadline.len());
         prop_assert_eq!(drained.now(), cut, "clock must rest at the deadline");
     }
 
