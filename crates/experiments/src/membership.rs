@@ -315,51 +315,6 @@ fn study_text(points: &[MembershipPoint]) -> String {
     )
 }
 
-/// Pre-rendered gauge keys: one row per `(N, detector)` sweep point, in
-/// sweep order, so snapshots never allocate label strings.
-static POINT_GAUGES: [[&str; 3]; 8] = [
-    [
-        "membership.detection_time_s.ring.n4",
-        "membership.false_exclusions.ring.n4",
-        "membership.rejoin_time_s.ring.n4",
-    ],
-    [
-        "membership.detection_time_s.gossip.n4",
-        "membership.false_exclusions.gossip.n4",
-        "membership.rejoin_time_s.gossip.n4",
-    ],
-    [
-        "membership.detection_time_s.ring.n8",
-        "membership.false_exclusions.ring.n8",
-        "membership.rejoin_time_s.ring.n8",
-    ],
-    [
-        "membership.detection_time_s.gossip.n8",
-        "membership.false_exclusions.gossip.n8",
-        "membership.rejoin_time_s.gossip.n8",
-    ],
-    [
-        "membership.detection_time_s.ring.n16",
-        "membership.false_exclusions.ring.n16",
-        "membership.rejoin_time_s.ring.n16",
-    ],
-    [
-        "membership.detection_time_s.gossip.n16",
-        "membership.false_exclusions.gossip.n16",
-        "membership.rejoin_time_s.gossip.n16",
-    ],
-    [
-        "membership.detection_time_s.ring.n32",
-        "membership.false_exclusions.ring.n32",
-        "membership.rejoin_time_s.ring.n32",
-    ],
-    [
-        "membership.detection_time_s.gossip.n32",
-        "membership.false_exclusions.gossip.n32",
-        "membership.rejoin_time_s.gossip.n32",
-    ],
-];
-
 /// The `repro -- membership` text: the crossover table for the sweep.
 /// With `metrics`, the sweep's `membership.*` gauges and the node-level
 /// snapshot (with the `press.gossip.*` fan-out counters) of each gossip
@@ -371,11 +326,14 @@ pub fn membership(scale: RunScale, seed: u64, jobs: usize, metrics: bool) -> Str
         return out;
     }
     let mut reg = telemetry::MetricsRegistry::new();
-    for (i, p) in points.iter().enumerate() {
-        let [detect, false_excl, rejoin] = POINT_GAUGES[i];
-        reg.gauge_set(detect, p.detection_s);
-        reg.gauge_set(false_excl, p.false_exclusions as f64);
-        reg.gauge_set(rejoin, p.rejoin_s);
+    for p in &points {
+        let key = format!("{}.n{}", detector_name(p.detector), p.nodes);
+        reg.gauge_set(&format!("membership.detection_time_s.{key}"), p.detection_s);
+        reg.gauge_set(
+            &format!("membership.false_exclusions.{key}"),
+            p.false_exclusions as f64,
+        );
+        reg.gauge_set(&format!("membership.rejoin_time_s.{key}"), p.rejoin_s);
     }
     out.push('\n');
     out.push_str(&reg.text_summary(&format!("membership sweep seed{seed}")));
