@@ -10,8 +10,8 @@
 # BENCH_repro.json, which this script preserves. The timed table1 run
 # also gates on events dispatched: the optimized event loop may not
 # dispatch more events than the seed loop that produced the goldens.
-# The HTML report gate renders fig2/fig3 dashboards at two --jobs
-# values and requires byte-identity; the audit gate re-derives every
+# The HTML report gate renders the fig2, fig3, fig3 --attribution and
+# montecarlo dashboards at two --jobs values and requires byte-identity; the audit gate re-derives every
 # stage segmentation blind from the throughput curve and fails on any
 # disagreement with the run log (pipefail makes `| tail -1` strict).
 set -euo pipefail
@@ -20,10 +20,9 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release"
 cargo build --release --workspace
 
-echo "== cargo fmt --check (press, transport, experiments, report, bench, simnet, workload)"
-# These crates are kept rustfmt-clean; the others are not yet, so the
-# check is scoped to them.
-cargo fmt -p press -p transport -p experiments -p report -p bench -p simnet -p workload --check
+echo "== cargo fmt --all --check"
+# Every workspace crate, root test and example is kept rustfmt-clean.
+cargo fmt --all --check
 
 echo "== cargo clippy"
 cargo clippy -q --workspace --all-targets -- -D warnings
@@ -266,11 +265,15 @@ diff -u scripts/golden_table1_metrics_small.txt "$tmp_out"
 echo "== HTML reports are byte-identical across --jobs"
 tmp_rep1=$(mktemp)
 tmp_rep2=$(mktemp)
-for fig in fig2 fig3 montecarlo; do
-    cargo run --release -q -p bench --bin repro -- "$fig" --small --jobs 1 --report "$tmp_rep1" >/dev/null 2>&1
-    cargo run --release -q -p bench --bin repro -- "$fig" --small --jobs 0 --report "$tmp_rep2" >/dev/null 2>&1
+# `fig3 --attribution` is the only report that draws the root-cause
+# chart; the word-split `$run` carries its flag.
+for run in fig2 fig3 "fig3 --attribution" montecarlo; do
+    # shellcheck disable=SC2086
+    cargo run --release -q -p bench --bin repro -- $run --small --jobs 1 --report "$tmp_rep1" >/dev/null 2>&1
+    # shellcheck disable=SC2086
+    cargo run --release -q -p bench --bin repro -- $run --small --jobs 0 --report "$tmp_rep2" >/dev/null 2>&1
     cmp "$tmp_rep1" "$tmp_rep2"
-    echo "   $fig report: $(wc -c <"$tmp_rep1") bytes, identical"
+    echo "   $run report: $(wc -c <"$tmp_rep1") bytes, identical"
 done
 rm -f "$tmp_rep1" "$tmp_rep2"
 
