@@ -82,19 +82,56 @@ fn directory_ops(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    group.bench_function("drop_node_240k_files_16_nodes", |b| {
+        // The 16-node scale directory: half the files cached on one
+        // node, a third of those on a second, a ninth on a third
+        // (spilled). Dropping a node walks every slot once.
+        const FILES: u32 = 240_000;
+        b.iter_batched(
+            || {
+                let mut d = Directory::new(FILES);
+                for f in (0..FILES).step_by(2) {
+                    d.add(f, NodeId((f % 16) as usize));
+                    if f % 3 == 0 {
+                        d.add(f, NodeId((f / 3 % 16) as usize));
+                    }
+                    if f % 9 == 0 {
+                        d.add(f, NodeId((f / 9 % 16) as usize));
+                    }
+                }
+                d
+            },
+            |mut d| {
+                d.drop_node(NodeId(3));
+                black_box(d.entries())
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 
+/// Draws timed per batch, so the clock's own cost stays out of the rate.
+const DRAWS: u64 = 1_000;
+
 fn zipf_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("zipf");
-    group.throughput(Throughput::Elements(1));
-    for n in [6_000u32, 60_000] {
+    group.throughput(Throughput::Elements(DRAWS));
+    for n in [6_000u32, 60_000, 240_000, 960_000] {
         group.bench_function(format!("sample_{n}"), |b| {
             let z = Zipf::new(n, 0.8);
             let mut rng = SimRng::seed_from(1);
-            b.iter(|| black_box(z.sample(&mut rng)))
+            b.iter(|| {
+                for _ in 0..DRAWS {
+                    black_box(z.sample(&mut rng));
+                }
+            })
         });
     }
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("new_240000", |b| {
+        b.iter(|| black_box(Zipf::new(240_000, 0.8)))
+    });
     group.finish();
 }
 

@@ -350,15 +350,28 @@ impl Directory {
         self.cells(file).iter().map(|&c| NodeId(usize::from(c) - 1))
     }
 
-    /// Forgets everything a departed node cached.
+    /// Forgets everything a departed node cached, in one pass over the
+    /// slots: inline cells are cleared in place, and only spilled files
+    /// go through the spill map.
     pub fn drop_node(&mut self, node: NodeId) {
         let Some(cell) = cell(node) else {
             return;
         };
         for file in 0..self.slots.len() {
-            if self.slots[file] != [0; INLINE] {
-                self.remove_cell(file as FileId, cell);
+            let slot = &mut self.slots[file];
+            if slot[0] == cell {
+                *slot = [slot[1], 0];
+            } else if slot[1] == cell && slot[0] != 0 {
+                // `slot[0] != 0` tells an inline second holder from the
+                // largest id's cell in the spill marker.
+                slot[1] = 0;
+            } else {
+                if *slot == SPILLED {
+                    self.remove_cell(file as FileId, cell);
+                }
+                continue;
             }
+            self.entries -= 1;
         }
     }
 
@@ -580,6 +593,40 @@ mod tests {
             assert!(d.holders(f).eq([NodeId(1)]));
         }
         assert_eq!(d.entries(), 4);
+    }
+
+    #[test]
+    fn directory_drop_node_clears_first_second_and_spilled_cells() {
+        let top = NodeId(MAX_NODES - 1);
+        let mut d = Directory::new(5);
+        d.add(0, NodeId(2)); // first cell of two
+        d.add(0, NodeId(1));
+        d.add(1, NodeId(1)); // second cell of two
+        d.add(1, NodeId(2));
+        d.add(2, NodeId(2)); // sole holder
+        for n in [NodeId(4), NodeId(2), NodeId(5)] {
+            d.add(3, n); // three holders: spilled
+        }
+        d.add(4, NodeId(3)); // untouched
+        d.add(4, top);
+        d.drop_node(NodeId(2));
+        assert!(d.holders(0).eq([NodeId(1)]));
+        assert!(d.holders(1).eq([NodeId(1)]));
+        assert_eq!(d.holders(2).len(), 0);
+        assert!(d.holders(3).eq([NodeId(4), NodeId(5)]));
+        assert!(d.spill.is_empty(), "two holders go back inline");
+        assert_eq!(d.slots[3], [5, 6]);
+        assert!(d.holders(4).eq([NodeId(3), top]));
+        assert_eq!(d.entries(), 6);
+        // The largest id is never mistaken for the spill marker's cell.
+        for n in [NodeId(7), NodeId(8), top] {
+            d.add(2, n);
+        }
+        d.drop_node(top);
+        assert!(d.holders(2).eq([NodeId(7), NodeId(8)]));
+        assert!(d.holders(4).eq([NodeId(3)]));
+        assert!(d.spill.is_empty());
+        assert_eq!(d.entries(), 7);
     }
 
     #[test]

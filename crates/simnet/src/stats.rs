@@ -565,16 +565,43 @@ mod tests {
     }
 }
 
+/// Upper bounds of [`LatencyHistogram`]'s buckets: 10 µs, growing 1.3×
+/// while below 100 s. One table serves every histogram.
+const LATENCY_BOUNDS: [f64; latency_bound_count()] = latency_bounds();
+
+/// How many bounds [`LATENCY_BOUNDS`] holds.
+const fn latency_bound_count() -> usize {
+    let (mut b, mut n) = (10e-6, 0);
+    while b < 100.0 {
+        b *= 1.3;
+        n += 1;
+    }
+    n
+}
+
+const fn latency_bounds() -> [f64; latency_bound_count()] {
+    let mut bounds = [0.0; latency_bound_count()];
+    let (mut b, mut i) = (10e-6, 0);
+    while i < bounds.len() {
+        bounds[i] = b;
+        b *= 1.3;
+        i += 1;
+    }
+    bounds
+}
+
 /// A log-bucketed latency histogram with percentile queries.
 ///
-/// Buckets grow geometrically from 10 µs to ~84 s (1.3× per bucket),
+/// Buckets grow geometrically from 10 µs to ~89 s (1.3× per bucket),
 /// which keeps percentile error under 15% across the whole range a
 /// request can survive — plenty for availability work, where the
-/// interesting boundaries are "fast", "slow", and "timed out".
+/// interesting boundaries are "fast", "slow", and "timed out". The
+/// bounds are one shared table, so a histogram is only its counts and
+/// clones without allocating.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
+    /// Samples per bucket; the last bucket holds those past every bound.
+    counts: [u64; LATENCY_BOUNDS.len() + 1],
     total: u64,
     sum: f64,
     max: f64,
@@ -583,16 +610,8 @@ pub struct LatencyHistogram {
 impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        let mut bounds = Vec::new();
-        let mut b = 10e-6;
-        while b < 100.0 {
-            bounds.push(b);
-            b *= 1.3;
-        }
-        let counts = vec![0; bounds.len() + 1];
         LatencyHistogram {
-            bounds,
-            counts,
+            counts: [0; LATENCY_BOUNDS.len() + 1],
             total: 0,
             sum: 0.0,
             max: 0.0,
@@ -602,7 +621,7 @@ impl LatencyHistogram {
     /// Records one latency sample, in seconds.
     pub fn record(&mut self, seconds: f64) {
         let seconds = seconds.max(0.0);
-        let idx = self.bounds.partition_point(|b| *b < seconds);
+        let idx = LATENCY_BOUNDS.partition_point(|b| *b < seconds);
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += seconds;
@@ -644,11 +663,7 @@ impl LatencyHistogram {
         for (i, c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    self.max
-                };
+                return LATENCY_BOUNDS.get(i).copied().unwrap_or(self.max);
             }
         }
         self.max
@@ -656,7 +671,6 @@ impl LatencyHistogram {
 
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        debug_assert_eq!(self.bounds.len(), other.bounds.len());
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -802,9 +816,22 @@ mod latency_proptests {
     fn bucket_resolution_is_bounded() {
         // Adjacent bucket bounds differ by 1.3x: the relative error of a
         // quantile is at most 30%.
-        let h = LatencyHistogram::new();
-        for w in h.bounds.windows(2) {
+        for w in LATENCY_BOUNDS.windows(2) {
             assert!(w[1] / w[0] < 1.3001);
         }
+    }
+
+    /// The shared table holds the very bounds each histogram used to
+    /// build for itself at run time.
+    #[test]
+    fn shared_bounds_match_the_runtime_loop() {
+        let mut runtime = Vec::new();
+        let mut b = 10e-6;
+        while b < 100.0 {
+            runtime.push(b);
+            b *= 1.3;
+        }
+        let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&LATENCY_BOUNDS), bits(&runtime));
     }
 }

@@ -53,6 +53,11 @@ impl<M: Clone> SendQueue<M> {
 
     /// Queues a message unless it would overflow a non-empty buffer. A
     /// mangled send poisons the framing from its first byte on.
+    ///
+    /// Every message takes at least one stream byte, its length prefix,
+    /// so each ends past the one before: some segment's `records` always
+    /// carries it, and no two share the end offset the receiver keys
+    /// them by.
     pub(super) fn push(
         &mut self,
         msg: M,
@@ -61,7 +66,7 @@ impl<M: Clone> SendQueue<M> {
         params: CallParams,
     ) -> SendStatus {
         let len =
-            (i64::from(bytes) + i64::from(params.size_delta)).clamp(0, i64::from(u32::MAX)) as u64;
+            (i64::from(bytes) + i64::from(params.size_delta)).clamp(1, i64::from(u32::MAX)) as u64;
         if self.buffered() + len > self.capacity && self.buffered() > 0 {
             self.blocked = true;
             return SendStatus::WouldBlock;
@@ -158,7 +163,8 @@ mod tests {
 
     #[test]
     fn segments_carry_the_messages_ending_inside_them() {
-        // Messages end at 100, 300, 300 (zero-length) and 1000.
+        // Messages end at 100, 300, 301 (an empty message's length
+        // prefix) and 1001.
         let mut q = queue_of(&[100, 200, 0, 700]);
         let (seq, end) = q.next_range(256).expect("data to send");
         assert_eq!((seq, end), (0, 256));
@@ -167,8 +173,8 @@ mod tests {
         assert_eq!(q.next_range(256), Some((256, 512)));
         assert_eq!(msgs(&q.records(256, 512)), [1, 2]);
         assert_eq!(msgs(&q.records(512, 768)), Vec::<usize>::new());
-        assert_eq!(msgs(&q.records(768, 1000)), [3]);
-        q.sent_up_to(1000);
+        assert_eq!(msgs(&q.records(768, 1001)), [3]);
+        q.sent_up_to(1001);
         assert_eq!(q.next_range(256), None, "nothing left unsent");
     }
 

@@ -61,6 +61,34 @@ fn small_message_round_trip() {
 }
 
 #[test]
+fn an_empty_message_between_two_others_is_delivered() {
+    let (mut a, mut b) = pair();
+    connect(&mut a, &mut b);
+    let mut delivered = Vec::new();
+    for (msg, bytes) in [("first", 64), ("empty", 0), ("last", 64)] {
+        let mut out = Vec::new();
+        let st = a.send(
+            SimTime::ZERO,
+            NodeId(1),
+            MsgClass::Forward,
+            msg,
+            bytes,
+            CallParams::default(),
+            &mut out,
+        );
+        assert_eq!(st, SendStatus::Accepted);
+        let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
+        delivered.extend(ups.iter().filter_map(|u| match u {
+            Upcall::Deliver { msg, .. } => Some(*msg),
+            _ => None,
+        }));
+    }
+    assert_eq!(delivered, ["first", "empty", "last"]);
+    assert_eq!(b.stats().messages_delivered, 3);
+    assert_eq!(a.buffered_bytes(NodeId(1)), 0);
+}
+
+#[test]
 fn large_message_spans_segments_and_arrives_once() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);

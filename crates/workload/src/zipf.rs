@@ -2,9 +2,17 @@
 
 use simnet::SimRng;
 
-/// A Zipf(α) sampler over `n` items (0-based ranks), using a
-/// precomputed CDF and binary search. Web-trace popularity is classically
-/// Zipf-like with α around 0.7–0.9.
+/// A Zipf(α) sampler over `n` items (0-based ranks). Web-trace
+/// popularity is classically Zipf-like with α around 0.7–0.9.
+///
+/// A draw of `u` in `[0, 1)` picks the first rank whose normalised
+/// cumulative mass `sum / total` is at least `u`. The sampler keeps the
+/// un-normalised running sums and a bucket index over them: a draw
+/// searches only the ranks of the bucket holding `u · total`, then
+/// steps to the exact boundary of `sum / total < u`. So every draw is
+/// the rank a binary search over the normalised CDF gives, bit for bit,
+/// whatever the bucket width; the index only decides how few ranks a
+/// draw reads.
 ///
 /// # Example
 ///
@@ -19,8 +27,21 @@ use simnet::SimRng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    /// Running sums of `k^-α` over ranks `1..=k`: never decreasing.
+    sums: Vec<f64>,
+    /// The last running sum, which normalises every other.
+    total: f64,
+    /// One over the bucket width. The width is a power of two, so
+    /// `x * inv_width` and `b * width` are exact.
+    inv_width: f64,
+    /// `guide[b]` counts the ranks whose sum is below `b · width`; the
+    /// last entry, for a boundary above `total`, is `n`.
+    guide: Vec<u32>,
 }
+
+/// The index aims at `n / RANKS_PER_BUCKET` buckets (at least one) and
+/// holds at most one more: under 64 KiB at 240k files.
+const RANKS_PER_BUCKET: u32 = 16;
 
 impl Zipf {
     /// Builds the sampler for `n` items with exponent `alpha`.
@@ -34,34 +55,72 @@ impl Zipf {
             alpha >= 0.0 && alpha.is_finite(),
             "bad zipf exponent {alpha}"
         );
-        let mut cdf = Vec::with_capacity(n as usize);
+        Zipf::with_width(n, alpha, bucket_width(n, alpha))
+    }
+
+    /// The sampler with buckets `width` wide, a positive power of two.
+    /// Draws do not depend on `width`; the index size and the ranks one
+    /// draw searches do.
+    fn with_width(n: u32, alpha: f64, width: f64) -> Self {
         let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / f64::from(k).powf(alpha);
-            cdf.push(acc);
+        let sums: Vec<f64> = (1..=n)
+            .map(|k| {
+                acc += 1.0 / f64::from(k).powf(alpha);
+                acc
+            })
+            .collect();
+        // A pass of its own over the sums just computed: the same boundary
+        // test inside the `powf` loop measured slower than this pass.
+        let mut guide = Vec::with_capacity((n / RANKS_PER_BUCKET) as usize + 2);
+        let mut edge = 0.0;
+        for (rank, &sum) in (0..n).zip(&sums) {
+            // Each boundary this sum reaches has the ranks before it below.
+            while sum >= edge {
+                guide.push(rank);
+                edge = guide.len() as f64 * width;
+            }
         }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
+        guide.push(n);
+        Zipf {
+            sums,
+            total: acc,
+            inv_width: 1.0 / width,
+            guide,
         }
-        Zipf { cdf }
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.cdf.len()
+        self.sums.len()
     }
 
     /// `true` only for an impossible empty sampler (kept for API
     /// completeness; the constructor forbids it).
     pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
+        self.sums.is_empty()
     }
 
     /// Draws an item rank in `[0, n)`; rank 0 is the most popular.
     pub fn sample(&self, rng: &mut SimRng) -> u32 {
-        let u = rng.uniform();
-        self.cdf.partition_point(|&c| c < u) as u32
+        self.rank(rng.uniform())
+    }
+
+    /// The first rank whose normalised sum is not below `u`.
+    fn rank(&self, u: f64) -> u32 {
+        let below = |sum: f64| sum / self.total < u;
+        let x = u * self.total;
+        let b = ((x * self.inv_width) as usize).min(self.guide.len() - 2);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let mut k = lo + self.sums[lo..hi].partition_point(|&a| a < x);
+        // `x` is `u · total` rounded, so `a < x` can disagree with
+        // `below` for sums within an ulp or two of `x`.
+        while k > 0 && !below(self.sums[k - 1]) {
+            k -= 1;
+        }
+        while k < self.sums.len() && below(self.sums[k]) {
+            k += 1;
+        }
+        k as u32
     }
 
     /// Probability mass of the `top` most popular items — used to
@@ -70,9 +129,26 @@ impl Zipf {
         if top == 0 {
             0.0
         } else {
-            self.cdf[(top - 1).min(self.cdf.len() - 1)]
+            self.sums[(top - 1).min(self.sums.len() - 1)] / self.total
         }
     }
+}
+
+/// The bucket width for Zipf(`alpha`) on `n` items: a power of two
+/// sized from `1 + ∫₁ⁿ x^-α dx`, an upper bound on the total that is at
+/// most twice it. The index so ends up with between a quarter of its
+/// target bucket count and one more than it.
+fn bucket_width(n: u32, alpha: f64) -> f64 {
+    let ln_n = f64::from(n).ln();
+    let one_minus = 1.0 - alpha;
+    let bound = 1.0
+        + if one_minus == 0.0 {
+            ln_n
+        } else {
+            (one_minus * ln_n).exp_m1() / one_minus
+        };
+    let buckets = f64::from((n / RANKS_PER_BUCKET).max(1));
+    2f64.powi((bound / buckets).log2().ceil() as i32)
 }
 
 #[cfg(test)]
@@ -109,10 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone_and_normalized() {
+    fn sums_are_monotone_and_normalized() {
         let z = Zipf::new(1000, 1.1);
-        assert!(z.cdf.windows(2).all(|w| w[0] < w[1]));
-        assert!((z.cdf.last().unwrap() - 1.0).abs() < 1e-12);
+        assert!(z.sums.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(z.mass_of_top(1000), 1.0);
         assert_eq!(z.len(), 1000);
         assert!(!z.is_empty());
     }
@@ -129,5 +205,130 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn empty_zipf_is_rejected() {
         Zipf::new(0, 0.8);
+    }
+
+    /// The normalised CDF the sampler used to store.
+    fn reference_cdf(n: u32, alpha: f64) -> Vec<f64> {
+        let mut cdf = Vec::with_capacity(n as usize);
+        let mut acc = 0.0;
+        for k in 1..=n {
+            acc += 1.0 / f64::from(k).powf(alpha);
+            cdf.push(acc);
+        }
+        let total = acc;
+        for v in &mut cdf {
+            *v /= total;
+        }
+        cdf
+    }
+
+    /// The draw the sampler used to make: a binary search of the CDF.
+    fn reference_rank(cdf: &[f64], u: f64) -> u32 {
+        cdf.partition_point(|&c| c < u) as u32
+    }
+
+    const SIZES: [u32; 6] = [1, 2, 7, 1000, 60_000, 240_000];
+    const ALPHAS: [f64; 5] = [0.0, 0.3, 0.8, 1.0, 3.0];
+
+    /// `u` on both sides of every bucket boundary and of every rank's
+    /// CDF value (a stride of them at large `n`), plus the ends of
+    /// `[0, 1]`.
+    fn edge_draws(z: &Zipf, cdf: &[f64]) -> Vec<f64> {
+        let width = 1.0 / z.inv_width;
+        let stride = (cdf.len() / 5_000).max(1);
+        let buckets = (0..z.guide.len()).map(|b| b as f64 * width / z.total);
+        let ranks = cdf.iter().step_by(stride).copied();
+        let mut us = vec![0.0, 1.0, 1.0f64.next_down(), f64::MIN_POSITIVE];
+        for c in buckets.chain(ranks) {
+            us.extend([c.next_down(), c, c.next_up()]);
+        }
+        us
+    }
+
+    fn assert_draws_match(z: &Zipf, cdf: &[f64], us: impl IntoIterator<Item = f64>) {
+        for u in us {
+            assert_eq!(
+                z.rank(u),
+                reference_rank(cdf, u),
+                "n={} u={u:e} width={:e}",
+                cdf.len(),
+                1.0 / z.inv_width
+            );
+        }
+    }
+
+    #[test]
+    fn draws_and_masses_match_the_normalised_cdf_search() {
+        for n in SIZES {
+            for alpha in ALPHAS {
+                let z = Zipf::new(n, alpha);
+                let cdf = reference_cdf(n, alpha);
+                for top in [0, 1, 2, n as usize / 2, n as usize, n as usize + 3] {
+                    let want = if top == 0 {
+                        0.0
+                    } else {
+                        cdf[(top - 1).min(cdf.len() - 1)]
+                    };
+                    assert_eq!(z.mass_of_top(top).to_bits(), want.to_bits());
+                }
+                let draws = if n >= 60_000 { 1_000_000 } else { 100_000 };
+                let (mut rng, mut same) = (
+                    SimRng::seed_from(u64::from(n)),
+                    SimRng::seed_from(u64::from(n)),
+                );
+                for _ in 0..draws {
+                    assert_eq!(
+                        z.sample(&mut rng),
+                        reference_rank(&cdf, same.uniform()),
+                        "n={n} alpha={alpha}"
+                    );
+                }
+                assert_draws_match(&z, &cdf, edge_draws(&z, &cdf));
+            }
+        }
+    }
+
+    /// One bucket over everything and about `n` buckets give the same
+    /// draws as the default width, edges included.
+    #[test]
+    fn draws_do_not_depend_on_the_bucket_width() {
+        for n in SIZES {
+            for alpha in ALPHAS {
+                let cdf = reference_cdf(n, alpha);
+                let total = Zipf::new(n, alpha).total;
+                let one = 2f64.powi(total.log2().floor() as i32 + 1);
+                let many = 2f64.powi((total / f64::from(n)).log2().floor() as i32);
+                for width in [one, many] {
+                    let z = Zipf::with_width(n, alpha, width);
+                    let buckets = z.guide.len() - 1;
+                    if width == one {
+                        assert_eq!(buckets, 1, "n={n} alpha={alpha}");
+                    } else {
+                        assert!(buckets >= n as usize, "n={n} alpha={alpha}");
+                    }
+                    let mut rng = SimRng::seed_from(3);
+                    let draws = (0..20_000).map(|_| rng.uniform());
+                    assert_draws_match(&z, &cdf, draws.chain(edge_draws(&z, &cdf)));
+                }
+            }
+        }
+    }
+
+    /// The default width keeps the index between n/64 and n/16 buckets
+    /// at the document-set sizes the experiments use.
+    #[test]
+    fn the_index_stays_small() {
+        for n in [60_000, 240_000, 960_000] {
+            for alpha in ALPHAS {
+                let z = Zipf::new(n, alpha);
+                let buckets = z.guide.len() - 1;
+                let target = (n / RANKS_PER_BUCKET) as usize;
+                assert!(
+                    (target / 4..=target + 1).contains(&buckets),
+                    "n={n} alpha={alpha}: {buckets} buckets"
+                );
+                assert_eq!(z.sums.capacity(), n as usize);
+            }
+        }
     }
 }
