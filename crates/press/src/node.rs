@@ -360,6 +360,47 @@ impl PressNode {
         }
     }
 
+    /// Dumps this node's behaviour counters into a metrics registry;
+    /// counters from all nodes of a cluster accumulate into the same
+    /// keys.
+    pub fn export_metrics(&self, reg: &mut telemetry::MetricsRegistry) {
+        let s = &self.stats;
+        reg.counter_add("press.served_local", s.served_local);
+        reg.counter_add("press.served_remote", s.served_remote);
+        reg.counter_add("press.served_disk", s.served_disk);
+        reg.counter_add("press.dropped_admission", s.dropped_admission);
+        reg.counter_add("press.dropped_deferred", s.dropped_deferred);
+        reg.counter_add("press.efault_drops", s.efault_drops);
+        reg.counter_add("press.forward_timeouts", s.forward_timeouts);
+        reg.counter_add("press.pin_cache_skips", s.pin_cache_skips);
+        reg.counter_add("press.exclusions", s.exclusions);
+        reg.counter_add("press.rejoined", s.rejoined);
+        reg.counter_add("press.merges", s.merges);
+        // Epidemic-detector fan-out counters exist only when the Gossip
+        // detector runs, so Ring snapshots (and their golden files) are
+        // untouched by the membership subsystem.
+        if let Some(g) = self.swim_stats() {
+            reg.counter_add("press.gossip.pings", g.pings);
+            reg.counter_add("press.gossip.acks", g.acks);
+            reg.counter_add("press.gossip.ping_reqs", g.ping_reqs);
+            reg.counter_add("press.gossip.relays", g.relays);
+            reg.counter_add("press.gossip.suspects", g.suspects);
+            reg.counter_add("press.gossip.clears", g.clears);
+            reg.counter_add("press.gossip.refutations", g.refutations);
+            reg.counter_add("press.gossip.confirms", g.confirms);
+            reg.counter_add("press.gossip.updates_sent", g.updates_sent);
+        }
+        // Cache-sync counters are gated the same way: Eager mode counts
+        // its broadcast frames too, so exporting them unconditionally
+        // would perturb the pre-digest metrics goldens.
+        if self.config.cache_sync == CacheSyncImpl::Digest {
+            reg.counter_add("press.cache.sync_frames", s.cache_sync_frames);
+            reg.counter_add("press.cache.digest_flushes", s.digest_flushes);
+            reg.counter_add("press.cache.digest_deltas", s.digest_deltas);
+            reg.counter_add("press.cache.digest_retries", s.digest_retries);
+        }
+    }
+
     /// Current cooperating membership (includes self).
     pub fn members(&self) -> &BTreeSet<NodeId> {
         &self.members

@@ -178,10 +178,13 @@ impl ClientPool {
     }
 
     /// A deadline fired; scores a timeout if the request is still open.
-    pub fn deadline(&mut self, req_id: u64) {
-        if self.outstanding.remove(&req_id).is_some() {
+    /// Returns `true` when the request was scored (closed).
+    pub fn deadline(&mut self, req_id: u64) -> bool {
+        let open = self.outstanding.remove(&req_id).is_some();
+        if open {
             self.counter.request_timeouts += 1;
         }
+        open
     }
 
     /// Requests currently awaiting a response.
