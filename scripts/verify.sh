@@ -108,6 +108,15 @@ diff -u scripts/golden_crossover_small.txt "$tmp_out"
 cargo run --release -q -p bench --bin repro -- crossover --small --jobs 1 >"$tmp_out" 2>/dev/null
 diff -u scripts/golden_crossover_small.txt "$tmp_out"
 
+echo "== repro fig6 --small vs golden"
+# Figure 6 weights every phase-1 fault run by its rate, so the golden
+# pins the request scoring of all fault classes, application hangs
+# longer than the request timeout included.
+cargo run --release -q -p bench --bin repro -- fig6 --small --jobs 0 >"$tmp_out" 2>/dev/null
+diff -u scripts/golden_fig6_small.txt "$tmp_out"
+cargo run --release -q -p bench --bin repro -- fig6 --small --jobs 1 >"$tmp_out" 2>/dev/null
+diff -u scripts/golden_fig6_small.txt "$tmp_out"
+
 echo "== repro montecarlo --small vs golden"
 # The Monte-Carlo estimator replays generated multi-fault timelines
 # (correlated groups, gray faults, overlapping arrivals); the golden
