@@ -12,8 +12,9 @@
 # dispatch more events than the seed loop that produced the goldens.
 # The HTML report gate renders the fig2, fig3, fig3 --attribution and
 # montecarlo dashboards at two --jobs values and requires byte-identity; the audit gate re-derives every
-# stage segmentation blind from the throughput curve and fails on any
-# disagreement with the run log (pipefail makes `| tail -1` strict).
+# stage segmentation blind from the throughput curve, fails on any
+# disagreement with the run log, and diffs all 55 per-run lines
+# against their golden.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,6 +91,15 @@ if [ "$events" -gt "$seed_events" ]; then
     echo "stale-timer gate: $events events dispatched > seed $seed_events" >&2
     exit 1
 fi
+
+echo "== repro all --small vs golden"
+# Every target `all` runs in one capture: table1-3, fig2-fig10, offbyn,
+# crossover and both ablations, fed by one set of phase-1 profiles.
+cargo run --release -q -p bench --bin repro -- all --small --jobs 0 >"$tmp_out" 2>/dev/null
+diff -u scripts/golden_all_small.txt "$tmp_out"
+cargo run --release -q -p bench --bin repro -- all --small --jobs 1 >"$tmp_out" 2>/dev/null
+diff -u scripts/golden_all_small.txt "$tmp_out"
+echo "   all identical at --jobs 0 and --jobs 1"
 
 echo "== repro fig3 --small vs golden"
 cargo run --release -q -p bench --bin repro -- fig3 --small --jobs 0 >"$tmp_out" 2>/dev/null
@@ -286,8 +296,14 @@ for run in fig2 fig3 "fig3 --attribution" montecarlo; do
 done
 rm -f "$tmp_rep1" "$tmp_rep2"
 
-echo "== blind stage-segmentation audit"
-cargo run --release -q -p bench --bin repro -- audit --small --jobs 0 2>/dev/null | tail -1
+echo "== blind stage-segmentation audit vs golden"
+# All 55 per-run verdicts and segment counts, plus the summary line;
+# the target exits non-zero on any disagreement, which fails here too.
+cargo run --release -q -p bench --bin repro -- audit --small --jobs 0 >"$tmp_out" 2>/dev/null
+diff -u scripts/golden_audit_small.txt "$tmp_out"
+cargo run --release -q -p bench --bin repro -- audit --small --jobs 1 >"$tmp_out" 2>/dev/null
+diff -u scripts/golden_audit_small.txt "$tmp_out"
+tail -1 "$tmp_out"
 
 echo "== traced fig3 is deterministic"
 tmp_trace1=$(mktemp)
