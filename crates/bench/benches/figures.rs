@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::evaluate;
-use experiments::figures::{fig2, fig3, fig4, fig5, table1};
+use experiments::figures::{table1, timeline_results};
 use experiments::phase2::{version_profile, RunScale};
 use performability::fault_load::{paper_fault_load, DAY};
 use press::PressVersion;
@@ -23,18 +23,20 @@ fn bench_tables(c: &mut Criterion) {
 fn bench_timeline_figures(c: &mut Criterion) {
     let mut group = c.benchmark_group("repro_figures");
     group.sample_size(10);
-    group.bench_function("fig2_link_fault", |b| {
-        b.iter(|| black_box(fig2(RunScale::Small, 1, 1).len()))
-    });
-    group.bench_function("fig3_node_crash", |b| {
-        b.iter(|| black_box(fig3(RunScale::Small, 1, 1).len()))
-    });
-    group.bench_function("fig4_memory", |b| {
-        b.iter(|| black_box(fig4(RunScale::Small, 1, 1).len()))
-    });
-    group.bench_function("fig5_null_pointer", |b| {
-        b.iter(|| black_box(fig5(RunScale::Small, 1, 1).len()))
-    });
+    for (name, target) in [
+        ("fig2_link_fault", "fig2"),
+        ("fig3_node_crash", "fig3"),
+        ("fig4_memory", "fig4"),
+        ("fig5_null_pointer", "fig5"),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let (text, _) = timeline_results(target, RunScale::Small, 1, 1, false, false)
+                    .expect("a timeline figure");
+                black_box(text.len())
+            })
+        });
+    }
     group.finish();
 }
 

@@ -102,7 +102,7 @@ use experiments::figures::{
     fig9, off_by_n_summary, table1, table2, table3, timeline_results, REPRO_SEED,
 };
 use experiments::phase1::FaultRunResult;
-use experiments::phase2::{profile_fault_runs, RunScale, VersionProfile};
+use experiments::phase2::{phase1_grid, RunScale, VersionProfile, FAULT_CLASSES};
 use experiments::{effective_jobs, events_dispatched_total, montecarlo_results, McRun};
 use performability::fault_load::DAY;
 use press::PressVersion;
@@ -507,8 +507,19 @@ fn write_file(path: &str, contents: &str) {
 /// 11 measured faults × 5 versions. Fails when any run disagrees.
 fn run_audit(scale: RunScale, seed: u64, jobs: usize) -> Output {
     eprintln!("auditing stage segmentation (11 faults x 5 versions)...");
-    let runs = profile_fault_runs(&PressVersion::ALL, scale, seed, jobs);
-    let audits: Vec<report::RunAudit> = runs.iter().map(report::audit_run).collect();
+    let audits: Vec<report::RunAudit> = phase1_grid(
+        &PressVersion::ALL,
+        &FAULT_CLASSES,
+        false,
+        scale,
+        seed,
+        jobs,
+        report::audit_run,
+    )
+    .into_iter()
+    .flat_map(|row| row.runs)
+    .map(|(_, audit)| audit)
+    .collect();
     let mut text = format!(
         "== blind stage-segmentation audit (scale {}, seed {seed}, {} runs) ==\n",
         scale_name(scale),

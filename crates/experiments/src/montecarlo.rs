@@ -22,19 +22,16 @@
 //! correlation rules) through both paths and checks that the
 //! Monte-Carlo availability brackets the analytic one.
 
-use std::collections::BTreeMap;
-
 use mendosus::{generate_trace, ArrivalClass, Campaign, CorrelationRule, FaultInterval, FaultKind};
-use performability::fault_load::ModelFault;
 use performability::{FaultEntry, MonteCarloResult, Replication};
 use press::PressVersion;
 use simnet::stats::FitSegment;
 use simnet::{SimDuration, SimTime, TimeSeries};
 
 use crate::cluster::ClusterSim;
-use crate::phase1::{measure_warmup, run_fault_experiment};
 use crate::phase2::{
-    config_for, evaluate, measured_from_run, scenario_at, Phase2Result, RunScale, VersionProfile,
+    config_for, evaluate, measured_from_run, model_for_kind, phase1_grid, Phase2Result, RunScale,
+    VersionProfile,
 };
 use crate::runner::run_indexed;
 
@@ -390,8 +387,8 @@ impl CrossCheck {
 /// Runs [`MonteCarloSetup::single_fault`] through both methodologies.
 ///
 /// The closed-form side builds a one-class profile the phase-2 pipeline
-/// accepts: the node-crash behaviour measured by a standard phase-1
-/// run, the warm-up transient, and the Monte-Carlo baseline as Tn (so
+/// accepts: the node-crash behaviour and the warm-up transient measured
+/// by the [`phase1_grid`], and the Monte-Carlo baseline as Tn (so
 /// both paths normalize against the same operating point). The fault
 /// entry's MTTF is chosen so its cluster-wide rate
 /// (`instances / mttf`) equals the arrival generator's rate
@@ -406,30 +403,27 @@ pub fn closed_form_crosscheck(
     let setup = MonteCarloSetup::single_fault(version, scale);
     let run = run_montecarlo(&setup, scale, seed, jobs);
 
-    let config = config_for(version, scale);
-    let nodes = config.press.nodes;
-    let warmup_run = match scale {
-        RunScale::Paper => SimDuration::from_secs(180),
-        RunScale::Small => SimDuration::from_secs(60),
-    };
-    let fault_run = run_fault_experiment(
-        config.clone(),
-        scenario_at(FaultKind::NodeCrash, scale),
-        seed,
-    );
-    let warmup = measure_warmup(config, warmup_run, seed);
-
-    let mut faults = BTreeMap::new();
-    faults.insert(ModelFault::NodeCrash, measured_from_run(&fault_run));
-    let profile = VersionProfile {
-        version,
-        tn: run.result.tn,
-        faults,
-        warmup,
-    };
+    let nodes = config_for(version, scale).press.nodes;
     let class = &setup.classes[0];
+    let fault = model_for_kind(class.kind);
+    let row = phase1_grid(
+        &[version],
+        &[(fault, class.kind)],
+        true,
+        scale,
+        seed,
+        jobs,
+        measured_from_run,
+    )
+    .pop()
+    .expect("one version in, one row out");
+    let warmup = row.warmup.expect("the grid ran the warm-up");
+    let profile = VersionProfile {
+        tn: run.result.tn,
+        ..VersionProfile::from_runs(version, row.runs, warmup)
+    };
     let entry = FaultEntry {
-        fault: ModelFault::NodeCrash,
+        fault,
         // instances / mttf == 1 / mean_between: same cluster-wide rate
         // as the Poisson generator's single stream.
         mttf: nodes as f64 * class.mean_between.as_secs_f64(),

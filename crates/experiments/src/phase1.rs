@@ -124,7 +124,7 @@ pub fn run_fault_experiment(
 
     // Detection: the first membership change or process exit after the
     // injection.
-    let detected = detection_time(&report, &fault, fault_s);
+    let detected = detection_time(&report, fault_s);
 
     // Component repair: when the faulty component (and, for process
     // faults, its process) is back.
@@ -250,7 +250,7 @@ pub fn attr_stage_spans(result: &FaultRunResult) -> Vec<(String, f64, f64)> {
         .collect()
 }
 
-fn detection_time(report: &ClusterReport, _fault: &FaultSpec, fault_s: f64) -> Option<f64> {
+fn detection_time(report: &ClusterReport, fault_s: f64) -> Option<f64> {
     let m = report
         .membership_log
         .iter()

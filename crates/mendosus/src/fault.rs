@@ -92,10 +92,7 @@ impl FaultKind {
     /// error paths (TCP connection breaks, VIA teardown) never fire and
     /// only end-to-end observation can notice.
     pub fn is_gray(self) -> bool {
-        matches!(
-            self,
-            FaultKind::LinkDegraded | FaultKind::CpuThrottle | FaultKind::PartialPartition
-        )
+        FaultKind::GRAY.contains(&self)
     }
 
     /// The fault name used in the paper.
