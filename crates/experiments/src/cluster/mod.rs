@@ -940,7 +940,7 @@ impl ClusterSim {
                 Work::Client(req) => match slot.press.client_request(&mut ctx, req) {
                     ClientAccept::Accepted => self.accept(now, i, req.id),
                     ClientAccept::Dropped(reason) => {
-                        self.requests.dropped(&mut self.obs, now, i, reason)
+                        self.requests.dropped(&mut self.obs, now, i, req.id, reason)
                     }
                 },
                 // If PRESS drops it now, its queued deadline scores it.

@@ -41,14 +41,14 @@ impl RequestLedger {
     pub fn connect_failed(&mut self, obs: &mut Observer, now: SimTime, node: usize, id: u64) {
         self.pool.connect_failed();
         obs.attr(now, node, AttrEvent::ConnFailed);
-        self.trace_instant(obs, "request.conn_failed", now, node, id);
+        self.trace_instant(obs, "request.conn_failed", now, node, id, None);
     }
 
     /// The machine is up but its server process is dead.
     pub fn refused(&mut self, obs: &mut Observer, now: SimTime, node: usize, id: u64) {
         self.pool.refused();
         obs.attr(now, node, AttrEvent::Refused);
-        self.trace_instant(obs, "request.refused", now, node, id);
+        self.trace_instant(obs, "request.refused", now, node, id, None);
     }
 
     fn trace_instant(
@@ -58,13 +58,16 @@ impl RequestLedger {
         now: SimTime,
         node: usize,
         id: u64,
+        reason: Option<&'static str>,
     ) {
         if self.sampled(id) {
-            obs.sink.emit(
-                TraceEvent::instant(name, "client", TID_CLIENTS, now)
-                    .arg_u64("req_id", id)
-                    .arg_u64("node", node as u64),
-            );
+            let mut ev = TraceEvent::instant(name, "client", TID_CLIENTS, now)
+                .arg_u64("req_id", id)
+                .arg_u64("node", node as u64);
+            if let Some(reason) = reason {
+                ev = ev.arg_str("reason", reason);
+            }
+            obs.sink.emit(ev);
         }
     }
 
@@ -79,13 +82,21 @@ impl RequestLedger {
 
     /// PRESS dropped the request instead of accepting it: the client
     /// gives up after its connect timeout.
-    pub fn dropped(&mut self, obs: &mut Observer, now: SimTime, node: usize, reason: DropReason) {
+    pub fn dropped(
+        &mut self,
+        obs: &mut Observer,
+        now: SimTime,
+        node: usize,
+        id: u64,
+        reason: DropReason,
+    ) {
         self.pool.connect_failed();
-        let ev = match reason {
-            DropReason::DeferOverflow => AttrEvent::DroppedOverflow,
-            DropReason::Admission => AttrEvent::DroppedBacklog,
+        let (ev, why) = match reason {
+            DropReason::DeferOverflow => (AttrEvent::DroppedOverflow, "defer_overflow"),
+            DropReason::Admission => (AttrEvent::DroppedBacklog, "admission"),
         };
         obs.attr(now, node, ev);
+        self.trace_instant(obs, "request.dropped", now, node, id, Some(why));
     }
 
     /// `node`'s reply reached the client at `now`. It scores a success
@@ -152,8 +163,8 @@ mod tests {
         l.connect_failed(&mut obs, ms(0), 0, id);
         let id = next(&mut l);
         l.refused(&mut obs, ms(0), 1, id);
-        next(&mut l);
-        l.dropped(&mut obs, ms(0), 2, DropReason::Admission);
+        let id = next(&mut l);
+        l.dropped(&mut obs, ms(0), 2, id, DropReason::Admission);
         let served = next(&mut l);
         let deadline = l.accepted(&mut obs, ms(0), 3, served);
         assert_eq!(deadline, ms(6_000));
@@ -171,11 +182,12 @@ mod tests {
         assert_eq!(l.pool.outstanding(), 0);
         let attr = obs.attr.take().expect("attribution is on").finish();
         assert_eq!((attr.total(), attr.residual), (4, 0));
-        // PRESS drops are not traced; every other fate is, once.
+        // Every fate is traced, once.
         let trace = names(&mut obs);
         let fates = [
             "request.conn_failed",
             "request.refused",
+            "request.dropped",
             "request",
             "request.timeout",
         ];
