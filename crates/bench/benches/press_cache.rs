@@ -132,6 +132,11 @@ fn zipf_sampling(c: &mut Criterion) {
     group.bench_function("new_240000", |b| {
         b.iter(|| black_box(Zipf::new(240_000, 0.8)))
     });
+    // A memo hit, as every simulation after the first of a config sees.
+    group.bench_function("shared_240000", |b| {
+        Zipf::shared(240_000, 0.8);
+        b.iter(|| black_box(Zipf::shared(240_000, 0.8)))
+    });
     group.finish();
 }
 

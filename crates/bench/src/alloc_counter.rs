@@ -1,9 +1,10 @@
-//! Allocation counting for the steady-state hot path.
+//! Allocation counting for the steady-state hot path and set-up.
 //!
-//! [`CountingAlloc`] counts every heap allocation in the process; a
-//! binary installs it as its `#[global_allocator]` and then calls
-//! [`check_all`], which fails (panics) if a warm engine, a warm slab or
-//! the whole-cluster event loop allocates more than its budget. Two
+//! [`CountingAlloc`] counts every heap allocation in the process and the
+//! bytes asked for; a binary installs it as its `#[global_allocator]`
+//! and then calls [`check_all`], which fails (panics) if a second
+//! cluster build rebuilds the popularity table, or a warm engine, a warm
+//! slab or the whole-cluster event loop allocates more than its budget. Two
 //! binaries do so: the `cluster` criterion bench and the `allocations`
 //! test, which `scripts/verify.sh` runs.
 
@@ -14,27 +15,34 @@ use experiments::{ClusterConfig, ClusterSim};
 use press::PressVersion;
 use simnet::{Engine, Frame, Lane, NodeId, SimDuration, SimTime, Slab};
 
-/// A pass-through allocator over [`System`] that counts allocations.
+/// A pass-through allocator over [`System`] that counts allocations and
+/// the bytes they ask for.
 pub struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every call forwards to `System` with the same arguments; the
-// counter is a relaxed atomic with no effect on the allocation.
+// counters are relaxed atomics with no effect on the allocation.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -43,6 +51,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// global allocator).
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Bytes asked for so far, a reallocation counting its new size (zero
+/// unless [`CountingAlloc`] is the global allocator).
+pub fn bytes_allocated() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }
 
 /// Operations per measured window.
@@ -61,9 +75,34 @@ pub fn check_all() {
         allocations() > probe,
         "CountingAlloc is not the global allocator"
     );
+    check_setup();
     check_engine();
     check_frame_slab();
     check_cluster();
+}
+
+/// A second build of one config does not rebuild the Zipf popularity
+/// table: it asks for at least the table's `files × 8` bytes fewer than
+/// the first. It must run before any other simulation of the process, so
+/// the first build is the one that builds the table.
+pub fn check_setup() {
+    let config = ClusterConfig::paper_defaults(PressVersion::TcpHb);
+    let table = u64::from(config.press.files) * 8;
+    let build = || {
+        let before = bytes_allocated();
+        drop(ClusterSim::new(config.clone(), 1));
+        bytes_allocated() - before
+    };
+    let (first, second) = (build(), build());
+    println!(
+        "alloc-counter: set-up of {} files: {first} bytes, then {second} bytes",
+        config.press.files
+    );
+    assert!(
+        second + table <= first,
+        "the second set-up asked for {second} bytes against the first's \
+         {first}: it rebuilt the {table}-byte popularity table"
+    );
 }
 
 /// One step of the engine workload: re-queues the popped event `v` on

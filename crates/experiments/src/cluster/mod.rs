@@ -323,13 +323,31 @@ impl ClusterSim {
             config.sim_threads, 1,
             "sim_threads must be 1: the conservative-parallel engine was removed"
         );
+        // Reject a bad campaign before building anything. Replaying a
+        // malformed one would corrupt the ledger's reference counts, and
+        // a fault on a node the cluster lacks would fail mid-run.
+        if let Err(err) = campaign.validate() {
+            panic!("invalid fault campaign: {err}");
+        }
+        let n = config.press.nodes;
+        for spec in campaign.faults() {
+            // A switch fault names no node.
+            let node = (spec.kind != FaultKind::SwitchDown).then_some(spec.node);
+            for id in node.into_iter().chain(spec.peer) {
+                assert!(
+                    id.0 < n,
+                    "invalid fault campaign: {} on node {} of a {n}-node cluster",
+                    spec.kind,
+                    id.0
+                );
+            }
+        }
         let mut config = config;
         // The epidemic detector derives each node's probe-order stream
         // from the run seed and its node id (no draw from the main rng,
         // so Ring runs are bit-identical with or without this field).
         config.press.gossip.seed = seed;
         let mut rng = SimRng::seed_from(seed);
-        let n = config.press.nodes;
         // A booted 4-node cluster keeps a few hundred events in flight;
         // pre-sizing skips the early heap growth.
         let mut engine = Engine::with_capacity(512);
@@ -379,11 +397,7 @@ impl ClusterSim {
                 parked: 0,
             });
         }
-        // Arm the campaign. Replaying a malformed campaign would
-        // corrupt the ledger's reference counts, so reject it up front.
-        if let Err(err) = campaign.validate() {
-            panic!("invalid fault campaign: {err}");
-        }
+        // Arm the campaign.
         let actions = campaign.actions();
         for (i, a) in actions.iter().enumerate() {
             engine.schedule_at(a.at, Ev::Fault(i));
@@ -1214,6 +1228,34 @@ mod tests {
         let mut config = ClusterConfig::small(PressVersion::Tcp);
         config.sim_threads = 2;
         let _ = ClusterSim::new(config, 1);
+    }
+
+    fn with_fault(spec: mendosus::FaultSpec) -> ClusterSim {
+        let config = ClusterConfig::small(PressVersion::Tcp);
+        ClusterSim::with_campaign(config, Campaign::single(spec), 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "Link fault on node 4 of a 4-node cluster")]
+    fn faults_on_a_missing_node_are_rejected() {
+        let at = SimTime::from_secs(1);
+        let spec = mendosus::FaultSpec::permanent(FaultKind::LinkDown, NodeId(4), at);
+        with_fault(spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "Partial partition (gray) on node 7 of a 4-node cluster")]
+    fn partitions_with_a_missing_peer_are_rejected() {
+        let (at, d) = (SimTime::from_secs(1), SimDuration::from_secs(1));
+        let spec = mendosus::FaultSpec::partial_partition(NodeId(1), NodeId(7), at, d);
+        with_fault(spec);
+    }
+
+    #[test]
+    fn switch_faults_name_no_node() {
+        let at = SimTime::from_secs(1);
+        let spec = mendosus::FaultSpec::permanent(FaultKind::SwitchDown, NodeId(9), at);
+        with_fault(spec).run_until(SimTime::from_secs(2));
     }
 
     /// With attribution off nothing is recorded and the run results are

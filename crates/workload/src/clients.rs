@@ -85,7 +85,7 @@ pub struct ClientPool {
 impl ClientPool {
     /// Creates the pool with its own random stream.
     pub fn new(config: ClientConfig, rng: SimRng) -> Self {
-        let zipf = Zipf::new(config.files, config.zipf_alpha);
+        let zipf = Zipf::shared(config.files, config.zipf_alpha);
         let recorder = ThroughputRecorder::new(config.bucket);
         ClientPool {
             config,

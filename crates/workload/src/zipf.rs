@@ -1,5 +1,7 @@
 //! Zipf-distributed file popularity.
 
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
 use simnet::SimRng;
 
 /// A Zipf(α) sampler over `n` items (0-based ranks). Web-trace
@@ -13,6 +15,10 @@ use simnet::SimRng;
 /// the rank a binary search over the normalised CDF gives, bit for bit,
 /// whatever the bucket width; the index only decides how few ranks a
 /// draw reads.
+///
+/// The sums and the index are shared: `clone()` is O(1), and
+/// [`Zipf::shared`] hands every simulation of one `(n, α)` the same
+/// arrays instead of building them again.
 ///
 /// # Example
 ///
@@ -28,7 +34,7 @@ use simnet::SimRng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     /// Running sums of `k^-α` over ranks `1..=k`: never decreasing.
-    sums: Vec<f64>,
+    sums: Arc<[f64]>,
     /// The last running sum, which normalises every other.
     total: f64,
     /// One over the bucket width. The width is a power of two, so
@@ -36,7 +42,7 @@ pub struct Zipf {
     inv_width: f64,
     /// `guide[b]` counts the ranks whose sum is below `b · width`; the
     /// last entry, for a boundary above `total`, is `n`.
-    guide: Vec<u32>,
+    guide: Arc<[u32]>,
 }
 
 /// The index aims at `n / RANKS_PER_BUCKET` buckets (at least one) and
@@ -58,12 +64,27 @@ impl Zipf {
         Zipf::with_width(n, alpha, bucket_width(n, alpha))
     }
 
+    /// The sampler [`Zipf::new`] builds, sharing its arrays with the
+    /// previous call for the same `n` and `alpha` bits unless a call
+    /// for another pair came between them. The table is a pure function
+    /// of the pair, so a draw cannot tell a shared sampler from a fresh
+    /// one.
+    ///
+    /// # Panics
+    ///
+    /// As [`Zipf::new`].
+    pub fn shared(n: u32, alpha: f64) -> Self {
+        static LAST: Memo = Memo::new();
+        LAST.get(n, alpha)
+    }
+
     /// The sampler with buckets `width` wide, a positive power of two.
     /// Draws do not depend on `width`; the index size and the ranks one
     /// draw searches do.
     fn with_width(n: u32, alpha: f64, width: f64) -> Self {
         let mut acc = 0.0;
-        let sums: Vec<f64> = (1..=n)
+        // An exact-size map: the shared array is written in place.
+        let sums: Arc<[f64]> = (1..=n)
             .map(|k| {
                 acc += 1.0 / f64::from(k).powf(alpha);
                 acc
@@ -73,7 +94,7 @@ impl Zipf {
         // test inside the `powf` loop measured slower than this pass.
         let mut guide = Vec::with_capacity((n / RANKS_PER_BUCKET) as usize + 2);
         let mut edge = 0.0;
-        for (rank, &sum) in (0..n).zip(&sums) {
+        for (rank, &sum) in (0..n).zip(sums.iter()) {
             // Each boundary this sum reaches has the ranks before it below.
             while sum >= edge {
                 guide.push(rank);
@@ -85,7 +106,7 @@ impl Zipf {
             sums,
             total: acc,
             inv_width: 1.0 / width,
-            guide,
+            guide: guide.into(),
         }
     }
 
@@ -131,6 +152,38 @@ impl Zipf {
         } else {
             self.sums[(top - 1).min(self.sums.len() - 1)] / self.total
         }
+    }
+}
+
+/// A one-slot memo of the last sampler built, keyed by `n` and the bits
+/// of `alpha`. It holds at most one table beyond those live samplers
+/// hold.
+struct Memo(Mutex<Option<((u32, u64), Zipf)>>);
+
+impl Memo {
+    const fn new() -> Self {
+        Memo(Mutex::new(None))
+    }
+
+    /// A clone of the memo's sampler on a hit; on a miss, a new one,
+    /// built outside the lock so builds of other pairs do not wait on
+    /// it, then kept. Two racing misses both build; the later one stays.
+    fn get(&self, n: u32, alpha: f64) -> Zipf {
+        let key = (n, alpha.to_bits());
+        if let Some((k, zipf)) = &*self.lock() {
+            if *k == key {
+                return zipf.clone();
+            }
+        }
+        let zipf = Zipf::new(n, alpha);
+        *self.lock() = Some((key, zipf.clone()));
+        zipf
+    }
+
+    /// The slot holds a whole sampler or none, so a panic elsewhere
+    /// while it was locked leaves nothing half written.
+    fn lock(&self) -> MutexGuard<'_, Option<((u32, u64), Zipf)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -327,8 +380,52 @@ mod tests {
                     (target / 4..=target + 1).contains(&buckets),
                     "n={n} alpha={alpha}: {buckets} buckets"
                 );
-                assert_eq!(z.sums.capacity(), n as usize);
+                assert_eq!(z.sums.len(), n as usize);
             }
+        }
+    }
+
+    #[test]
+    fn a_memo_hit_shares_the_arrays() {
+        let memo = Memo::new();
+        let a = memo.get(1000, 0.8);
+        let b = memo.get(1000, 0.8);
+        assert!(Arc::ptr_eq(&a.sums, &b.sums));
+        assert!(Arc::ptr_eq(&a.guide, &b.guide));
+        let fresh = Zipf::new(1000, 0.8);
+        assert!(!Arc::ptr_eq(&a.sums, &fresh.sums));
+    }
+
+    #[test]
+    fn another_n_or_alpha_bit_pattern_misses() {
+        let memo = Memo::new();
+        let a = memo.get(1000, 0.0);
+        for (n, alpha) in [(1001, 0.0), (1000, -0.0), (1000, 0.0f64.next_up())] {
+            let b = memo.get(n, alpha);
+            assert!(!Arc::ptr_eq(&a.sums, &b.sums), "n={n} alpha={alpha:e}");
+        }
+        // The slot now holds the last pair, so the first misses again.
+        let again = memo.get(1000, 0.0);
+        assert!(!Arc::ptr_eq(&a.sums, &again.sums));
+        assert!(Arc::ptr_eq(&again.sums, &memo.get(1000, 0.0).sums));
+    }
+
+    #[test]
+    fn shared_draws_are_the_fresh_draws() {
+        let (n, alpha) = (240_000, 0.8);
+        let memo = Memo::new();
+        memo.get(n, alpha);
+        let shared = memo.get(n, alpha);
+        let fresh = Zipf::new(n, alpha);
+        for top in [0, 1, 2, 1_000, 120_000, 240_000, 240_003] {
+            assert_eq!(
+                shared.mass_of_top(top).to_bits(),
+                fresh.mass_of_top(top).to_bits()
+            );
+        }
+        let (mut a, mut b) = (SimRng::seed_from(11), SimRng::seed_from(11));
+        for _ in 0..200_000 {
+            assert_eq!(shared.sample(&mut a), fresh.sample(&mut b));
         }
     }
 }
