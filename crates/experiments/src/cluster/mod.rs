@@ -712,8 +712,8 @@ impl ClusterSim {
     }
 
     /// Scores a request accepted on `node` and queues its deadline.
-    /// Deadlines are always `now + request_timeout`, so they ride the
-    /// timeout lane.
+    /// Deadlines are always `now +` [`press::REQUEST_TIMEOUT`], like the
+    /// PRESS forward watchdogs, so they share the timeout lane.
     fn accept(&mut self, now: SimTime, node: usize, req_id: u64) {
         let at = self.requests.accepted(&mut self.obs, now, node, req_id);
         let ev = Ev::Client(ClientEvent::Deadline(req_id));

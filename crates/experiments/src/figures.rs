@@ -436,7 +436,7 @@ fn sensitivity_figure(
     profiles: &[VersionProfile],
     base_app_mttf: f64,
     columns: &[(&str, f64)],
-    make_load: impl Fn(&VersionProfile, f64) -> Vec<FaultEntry>,
+    make_load: impl Fn(f64) -> Vec<FaultEntry>,
 ) -> String {
     let mut out = format!("{title}\n\n");
     let mut rows = Vec::new();
@@ -444,7 +444,7 @@ fn sensitivity_figure(
         let mut cells = vec![p.version.name().to_string()];
         for (_, param) in columns {
             let load = if p.version.uses_via() {
-                make_load(p, *param)
+                make_load(*param)
             } else {
                 paper_fault_load(base_app_mttf)
             };
@@ -474,7 +474,7 @@ pub fn fig7(profiles: &[VersionProfile]) -> String {
             ("P @ 1/week", WEEK),
             ("P @ 1/month", MONTH),
         ],
-        |_p, mttf| {
+        |mttf| {
             let mut load = paper_fault_load(MONTH);
             load.push(via_extra(ModelFault::ViaPacketDrop, mttf));
             load
@@ -484,29 +484,18 @@ pub fn fig7(profiles: &[VersionProfile]) -> String {
 
 /// Figure 8: extra application bugs on VIA (TCP fixed at 1/month).
 pub fn fig8(profiles: &[VersionProfile]) -> String {
-    let mut out = String::from(
+    sensitivity_figure(
         "Figure 8 — performability with extra software bugs from VIA's programming model\n\
-         (TCP versions at app fault rate 1/month; VIA versions swept)\n\n",
-    );
-    let mut rows = Vec::new();
-    for p in profiles {
-        let mut cells = vec![p.version.name().to_string()];
-        for mttf in [DAY, WEEK, MONTH] {
-            let load = if p.version.uses_via() {
-                paper_fault_load(mttf)
-            } else {
-                paper_fault_load(MONTH)
-            };
-            let r = evaluate(p, &load);
-            cells.push(format!("{:.0}", r.performability));
-        }
-        rows.push(cells);
-    }
-    out.push_str(&table(
-        &["version", "P @ 1/day", "P @ 1/week", "P @ 1/month"],
-        &rows,
-    ));
-    out
+         (TCP versions at app fault rate 1/month; VIA versions swept)",
+        profiles,
+        MONTH,
+        &[
+            ("P @ 1/day", DAY),
+            ("P @ 1/week", WEEK),
+            ("P @ 1/month", MONTH),
+        ],
+        paper_fault_load,
+    )
 }
 
 /// Figure 9: system crashes from substrate immaturity (modeled as
@@ -522,7 +511,7 @@ pub fn fig9(profiles: &[VersionProfile]) -> String {
             ("P @ 1/month", MONTH),
             ("P @ 1/3months", 3.0 * MONTH),
         ],
-        |_p, mttf| {
+        |mttf| {
             let mut load = paper_fault_load(MONTH);
             load.push(via_extra(ModelFault::ViaSystemCrash, mttf));
             load

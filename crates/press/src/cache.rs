@@ -263,7 +263,7 @@ const SPILLED: [u16; INLINE] = [0, u16::MAX];
 /// Each file owns one 4-byte slot of two `u16` cells, each holding a
 /// holder's id + 1, with 0 meaning empty. A file with more than two
 /// holders keeps all of them in a side map instead, which is only ever
-/// looked up by file id, and its slot holds the [`SPILLED`] marker.
+/// looked up by file id, and its slot holds the `SPILLED` marker.
 /// Holders are kept in insertion order; removal preserves the order of
 /// the rest.
 ///

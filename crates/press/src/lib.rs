@@ -19,6 +19,7 @@
 
 pub mod cache;
 pub mod config;
+mod freeze;
 pub mod membership;
 pub mod msg;
 pub mod node;
@@ -26,6 +27,6 @@ pub mod version;
 
 pub use cache::{Directory, LruCache};
 pub use config::{CacheSyncImpl, MembershipImpl, PressConfig};
-pub use msg::{MsgBody, PressMsg, Request};
+pub use msg::{MsgBody, PressMsg, Request, REQUEST_TIMEOUT};
 pub use node::{AppEffect, AppEvent, ClientAccept, DropReason, NodeCtx, PressNode, Stream};
 pub use version::PressVersion;

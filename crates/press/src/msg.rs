@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use simnet::fabric::NodeId;
-use simnet::SimTime;
+use simnet::{SimDuration, SimTime};
 
 /// Identifies a file in the (static) document set.
 pub type FileId = u32;
@@ -23,6 +23,11 @@ pub struct Request {
     /// When the client issued it.
     pub issued: SimTime,
 }
+
+/// How long a client waits for its response (§5.1). PRESS gives up on a
+/// request at the same horizon: a forward's watchdog fires then, and a
+/// deferred request that old is dropped unserved.
+pub const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(6);
 
 /// An intra-cluster message. Every message piggybacks the sender's
 /// current load ("each node piggy-backs its current load onto any

@@ -1,5 +1,6 @@
-//! The PRESS node: request routing, cooperative caching, reconfiguration
-//! and rejoin, over any [`Substrate`].
+//! The PRESS node: request routing and cooperative caching over any
+//! [`Substrate`], and the entry points that dispatch to its membership
+//! and freeze machines.
 //!
 //! # Execution model
 //!
@@ -13,27 +14,25 @@
 //!
 //! # Who owns what
 //!
-//! [`PressNode`] owns the request path, the membership view and the
-//! protocols that change it (exclusion, rejoin, merge), and the freeze
-//! below. Each protocol choice is settled once per boot in a machine
-//! that never sees a substrate: the [`Detector`] (none, the heartbeat
-//! ring or SWIM) owns beats, deadlines and suspicions; the
-//! [`DigestLog`], present iff [`CacheSyncImpl::Digest`], owns the
-//! batched caching deltas and what each peer has taken of them.
+//! [`PressNode`] owns the request path and every effect: sends,
+//! connections, schedules, traces and attribution. It consults machines
+//! that never see a substrate, one per concern, each settled once per
+//! boot:
+//! - the membership view (`membership::View`) owns the members, the
+//!   join state of the boot and the [`Detector`] (none, the heartbeat
+//!   ring or SWIM), and says whom to admit, exclude or ask to rejoin or
+//!   merge;
+//! - the freeze (`freeze::Freeze`) owns the stalled message of a blocked
+//!   send and the bounded queue of work deferred behind it (§5.4);
+//! - the [`DigestLog`], present iff [`CacheSyncImpl::Digest`], owns the
+//!   batched caching deltas and what each peer has taken of them.
 //!
-//! # Blocking
-//!
-//! PRESS serializes intra-cluster sending; when a send towards some
-//! peer would block ([`SendStatus`]) the node *freezes* its data path,
-//! the behaviour behind "the stalling of communication to the faulty
-//! node freezes the entire cluster" (§5.4). Heartbeats, membership
-//! control and rejoin handling keep running (they live on their own
-//! timers/threads in real PRESS), which is exactly what lets
-//! TCP-PRESS-HB splinter and recover while TCP-PRESS stays frozen.
 //! Forwards, file responses and broadcasts all go through one blocking
-//! send loop, which also retries the stalled message on `Writable`.
+//! send loop, which freezes the node when a send would block
+//! ([`SendStatus::WouldBlock`]) and retries the stalled message on
+//! `Writable`; control messages never block.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use simnet::fabric::NodeId;
 use simnet::{CpuMeter, SimDuration, SimTime};
@@ -44,8 +43,9 @@ use transport::{
 
 use crate::cache::{DigestLog, Directory, LruCache, MAX_NODES};
 use crate::config::{CacheSyncImpl, MembershipImpl, PressConfig};
-use crate::membership::{Detector, Ring};
-use crate::msg::{FileId, MsgBody, PressMsg, Request};
+use crate::freeze::{Deferred, Freeze, Stalled};
+use crate::membership::{Detector, View};
+use crate::msg::{FileId, MsgBody, PressMsg, Request, REQUEST_TIMEOUT};
 use crate::version::PressVersion;
 
 /// Continuations the node schedules for itself.
@@ -105,7 +105,7 @@ pub enum Stream {
     /// `max(earliest free disk, now) + disk_service`.
     Disk,
     /// Fixed-horizon watchdogs ([`AppEvent::PendingTimeout`]), stamped
-    /// `now + 6 s` like the clients' request deadlines.
+    /// `now +` [`REQUEST_TIMEOUT`] like the clients' request deadlines.
     Timeout,
 }
 
@@ -236,33 +236,13 @@ pub struct NodeStats {
     pub digest_retries: u64,
 }
 
-/// The message the data path is frozen on, and the peers it has yet to reach.
-#[derive(Debug)]
-struct Stalled {
-    msg: PressMsg,
-    remaining: VecDeque<NodeId>,
-}
-
-#[derive(Debug)]
-enum Deferred {
-    Client(Request),
-    Event(AppEvent),
-    Deliver { peer: NodeId, msg: PressMsg },
-}
-
 /// One PRESS server process.
 #[derive(Debug)]
 pub struct PressNode {
     id: NodeId,
     version: PressVersion,
     config: PressConfig,
-    members: BTreeSet<NodeId>,
-    joined: bool,
-    rejoining: bool,
-    announce_on_connect: bool,
-    rejoin_tries: u32,
-    /// The failure detector of the current boot.
-    detector: Detector,
+    view: View,
     cache: LruCache,
     directory: Directory,
     /// Present iff the config selects [`CacheSyncImpl::Digest`].
@@ -271,8 +251,7 @@ pub struct PressNode {
     open_requests: u32,
     pending_remote: BTreeMap<u64, (Request, NodeId)>,
     disks: Vec<SimTime>,
-    stalled: Option<Stalled>,
-    deferred: VecDeque<Deferred>,
+    freeze: Freeze,
     stats: NodeStats,
     trace: bool,
     attr: bool,
@@ -310,12 +289,7 @@ impl PressNode {
         PressNode {
             id,
             version,
-            members: BTreeSet::new(),
-            joined: false,
-            rejoining: false,
-            announce_on_connect: false,
-            rejoin_tries: 0,
-            detector: Detector::Off,
+            view: View::new(id, config.nodes),
             cache: LruCache::new(config.cache_entries()),
             directory: Directory::new(config.files),
             digest: digest.then(DigestLog::default),
@@ -323,8 +297,7 @@ impl PressNode {
             open_requests: 0,
             pending_remote: BTreeMap::new(),
             disks: Vec::new(),
-            stalled: None,
-            deferred: VecDeque::new(),
+            freeze: Freeze::new(config.deferred_cap),
             stats: NodeStats::default(),
             trace: false,
             attr: false,
@@ -354,7 +327,7 @@ impl PressNode {
     /// SWIM protocol counters, when this node runs
     /// [`MembershipImpl::Gossip`].
     pub fn swim_stats(&self) -> Option<&gossip::SwimStats> {
-        match &self.detector {
+        match &self.view.detector {
             Detector::Gossip { swim, .. } => Some(swim.stats()),
             _ => None,
         }
@@ -403,26 +376,23 @@ impl PressNode {
 
     /// Current cooperating membership (includes self).
     pub fn members(&self) -> &BTreeSet<NodeId> {
-        &self.members
-    }
-
-    /// The members other than this node, in id order.
-    fn peers(&self) -> Vec<NodeId> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|p| *p != self.id)
-            .collect()
+        &self.view.members
     }
 
     /// Whether the data path is currently frozen on a blocked send.
     pub fn is_blocked(&self) -> bool {
-        self.stalled.is_some()
+        self.freeze.is_frozen()
     }
 
     /// Files currently cached (for rejoin cache-info and tests).
     pub fn cached_files(&self) -> Vec<FileId> {
         self.cache.files().collect()
+    }
+
+    /// This node's cache summary, for a peer (re)joining its view.
+    fn cache_info(&self) -> MsgBody {
+        let files = self.cached_files().into();
+        MsgBody::CacheInfo { files }
     }
 
     /// This node's view of who caches what (for experiments and the
@@ -436,7 +406,7 @@ impl PressNode {
     pub fn digest_pending(&self) -> Vec<FileId> {
         self.digest
             .as_ref()
-            .map_or_else(Vec::new, |log| log.pending(&self.peers()))
+            .map_or_else(Vec::new, |log| log.pending(&self.view.peers()))
     }
 
     /// Boots the process.
@@ -446,44 +416,28 @@ impl PressNode {
     /// running cluster: the node starts alone and runs the rejoin
     /// protocol (§3 "Reconfiguration").
     pub fn start<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>, cold: bool) {
-        self.members.clear();
-        self.members.insert(self.id);
-        if cold {
-            self.members.extend((0..self.config.nodes).map(NodeId));
-        }
-        self.joined = cold;
-        self.rejoining = !cold;
-        self.announce_on_connect = !cold;
-        self.rejoin_tries = 0;
+        self.view
+            .boot(&self.config, self.version.heartbeats(), cold, ctx.now);
         self.open_requests = 0;
         self.pending_remote.clear();
-        if self.stalled.take().is_some() {
-            // A restart clears a frozen data path; close the stall
-            // window so attribution does not blame it forever.
-            self.evidence(ctx, AttrEvent::StallEnd);
-        }
-        self.deferred.clear();
+        let thawed = self.freeze.reset();
+        self.evidence(ctx, thawed);
         self.cache.clear();
         self.directory = Directory::new(self.config.files);
         self.digest = self.digest.as_ref().map(|_| DigestLog::default());
         self.disks = vec![ctx.now; self.config.disks_per_node];
-        for peer in (0..self.config.nodes).map(NodeId) {
-            if peer != self.id {
-                ctx.sub.open(ctx.now, peer, ctx.fx);
+        for peer in self.view.others() {
+            ctx.sub.open(ctx.now, peer, ctx.fx);
+        }
+        match self.view.detector {
+            Detector::Off => {}
+            Detector::Ring(_) => {
+                ctx.schedule_tick(AppEvent::HeartbeatTick, self.config.hb_interval)
+            }
+            Detector::Gossip { .. } => {
+                ctx.schedule_tick(AppEvent::GossipTick, self.config.gossip.probe_interval)
             }
         }
-        self.detector = match self.config.membership {
-            _ if !self.version.heartbeats() => Detector::Off,
-            MembershipImpl::Ring => {
-                ctx.schedule_tick(AppEvent::HeartbeatTick, self.config.hb_interval);
-                let seq = self.detector.ring_seq();
-                Detector::Ring(Ring::new(self.id, &self.config, ctx.now, seq))
-            }
-            MembershipImpl::Gossip => {
-                ctx.schedule_tick(AppEvent::GossipTick, self.config.gossip.probe_interval);
-                Detector::gossip(&self.config, self.id, &self.members)
-            }
-        };
         if !cold {
             ctx.schedule_tick(AppEvent::RejoinTick, self.config.rejoin_retry);
         }
@@ -524,10 +478,11 @@ impl PressNode {
     // Effect and sending helpers
     // ------------------------------------------------------------------
 
-    /// Records attribution evidence, when attribution is on.
-    fn evidence<S: ?Sized>(&self, ctx: &mut NodeCtx<'_, S>, ev: AttrEvent) {
-        if self.attr {
-            ctx.fx.push(Effect::Attr(ev));
+    /// Records attribution evidence, if any, when attribution is on.
+    fn evidence<S: ?Sized>(&self, ctx: &mut NodeCtx<'_, S>, ev: impl Into<Option<AttrEvent>>) {
+        match ev.into() {
+            Some(ev) if self.attr => ctx.fx.push(Effect::Attr(ev)),
+            _ => {}
         }
     }
 
@@ -561,21 +516,19 @@ impl PressNode {
         body: MsgBody,
     ) {
         let msg = self.make_msg(body);
-        self.send_blocking(ctx, msg, to, self.is_blocked());
+        self.send_blocking(ctx, msg, to, false);
     }
 
     /// The blocking data path: hands `msg` to each target in turn. On
-    /// WouldBlock the node freezes with `msg` and the targets it has not
-    /// reached parked as the stalled message, replacing any stalled
-    /// before. That opens a stall window unless `in_window` says one is
-    /// already open. Unconnected targets are skipped; a synchronous
-    /// EFAULT drops the copy.
+    /// WouldBlock the node freezes on `msg` and the targets it has not
+    /// reached (see [`Freeze::stall`] for `retry`). Unconnected targets
+    /// are skipped; a synchronous EFAULT drops the copy.
     fn send_blocking<S: Substrate<PressMsg> + ?Sized>(
         &mut self,
         ctx: &mut NodeCtx<'_, S>,
         msg: PressMsg,
         targets: impl IntoIterator<Item = NodeId>,
-        in_window: bool,
+        retry: bool,
     ) {
         let class = msg.class();
         let bytes = msg.wire_bytes(self.config.file_bytes);
@@ -589,11 +542,9 @@ impl PressNode {
                 SendStatus::Accepted | SendStatus::NotConnected => {}
                 SendStatus::SyncError => self.stats.efault_drops += 1,
                 SendStatus::WouldBlock => {
-                    if !in_window {
-                        self.evidence(ctx, AttrEvent::StallBegin);
-                    }
                     let remaining = std::iter::once(peer).chain(targets).collect();
-                    self.stalled = Some(Stalled { msg, remaining });
+                    let begin = self.freeze.stall(msg, remaining, retry);
+                    self.evidence(ctx, begin);
                     return;
                 }
             }
@@ -641,13 +592,11 @@ impl PressNode {
         req: Request,
     ) -> ClientAccept {
         if self.is_blocked() {
-            if self.deferred.len() < self.config.deferred_cap {
-                self.evidence(ctx, AttrEvent::Deferred { req_id: req.id });
-                self.deferred.push_back(Deferred::Client(req));
-                return ClientAccept::Accepted;
+            if !self.defer(Deferred::Client(req)) {
+                return ClientAccept::Dropped(DropReason::DeferOverflow);
             }
-            self.stats.dropped_deferred += 1;
-            return ClientAccept::Dropped(DropReason::DeferOverflow);
+            self.evidence(ctx, AttrEvent::Deferred { req_id: req.id });
+            return ClientAccept::Accepted;
         }
         if ctx.cpu.backlog(ctx.now) > self.config.admission_backlog {
             self.stats.dropped_admission += 1;
@@ -675,7 +624,7 @@ impl PressNode {
         let holder = self
             .directory
             .holders(req.file)
-            .filter(|n| *n != self.id && self.members.contains(n) && ctx.sub.is_connected(*n))
+            .filter(|n| *n != self.id && self.view.members.contains(n) && ctx.sub.is_connected(*n))
             .min_by_key(|n| self.load_map[n.0]);
         match holder {
             Some(service) => {
@@ -683,7 +632,7 @@ impl PressNode {
                 let (req_id, file, peer) = (req.id, req.file, service.0 as u32);
                 self.evidence(ctx, AttrEvent::Forwarded { req_id, peer });
                 self.pending_remote.insert(req_id, (req, service));
-                let deadline = ctx.now + SimDuration::from_secs(6);
+                let deadline = ctx.now + REQUEST_TIMEOUT;
                 ctx.schedule(deadline, AppEvent::PendingTimeout(req_id), Stream::Timeout);
                 self.send_data(ctx, [service], MsgBody::Forward { req_id, file });
             }
@@ -732,13 +681,13 @@ impl PressNode {
             self.stats.digest_deltas += 1;
             return;
         }
-        self.stats.cache_sync_frames += self.members.len().saturating_sub(1) as u64;
+        self.stats.cache_sync_frames += self.view.members.len().saturating_sub(1) as u64;
         let body = if cached {
             MsgBody::CacheAdd { file }
         } else {
             MsgBody::CacheEvict { file }
         };
-        self.send_data(ctx, self.peers(), body);
+        self.send_data(ctx, self.view.peers(), body);
     }
 
     /// Inserts `file` into the cache (pinning it for zero-copy versions)
@@ -805,7 +754,7 @@ impl PressNode {
         let Some(mut log) = self.digest.take() else {
             return;
         };
-        let peers = self.peers();
+        let peers = self.view.peers();
         log.flush(&peers, self.config.digest_fanout, |peer, adds, evicts| {
             let (adds, evicts) = (adds.into(), evicts.into());
             let status = self.send_control(ctx, peer, MsgBody::CacheDigest { adds, evicts });
@@ -843,7 +792,7 @@ impl PressNode {
             AppEvent::PendingTimeout(req_id) => {
                 self.forward_lost(ctx, req_id, AttrEvent::ForwardTimeout { req_id });
             }
-            ev if self.is_blocked() => self.defer(Deferred::Event(ev)),
+            ev if self.is_blocked() => _ = self.defer(Deferred::Event(ev)),
             AppEvent::Parsed(req) => self.route(ctx, req),
             AppEvent::DiskDone(job) => match job {
                 DiskJob::Local(req) => {
@@ -869,20 +818,22 @@ impl PressNode {
         }
     }
 
-    fn defer(&mut self, item: Deferred) {
-        if self.deferred.len() < self.config.deferred_cap {
-            self.deferred.push_back(item);
-        } else {
+    /// Defers `item` behind the freeze; false, counting a drop, if the
+    /// deferred queue is full.
+    fn defer(&mut self, item: Deferred) -> bool {
+        let queued = self.freeze.defer(item);
+        if !queued {
             self.stats.dropped_deferred += 1;
         }
+        queued
     }
 
     fn heartbeat_tick<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>) {
-        let Detector::Ring(ring) = &mut self.detector else {
+        let Detector::Ring(ring) = &mut self.view.detector else {
             return;
         };
-        let beat = ring.beat(&self.members);
-        let expired = ring.expired(&self.members, ctx.now);
+        let beat = ring.beat(&self.view.members);
+        let expired = ring.expired(&self.view.members, ctx.now);
         // Beat to the ring successor (best effort; a full queue delays
         // the beat, which is precisely the HB false-positive risk).
         if let Some((succ, seq)) = beat {
@@ -901,7 +852,7 @@ impl PressNode {
     /// state machine asks for. Control-plane like the heartbeats: never
     /// blocks on the data path.
     fn gossip_tick<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>) {
-        let Detector::Gossip { swim, .. } = &mut self.detector else {
+        let Detector::Gossip { swim, .. } = &mut self.view.detector else {
             return;
         };
         let mut cmds = Vec::new();
@@ -935,7 +886,7 @@ impl PressNode {
                     self.send_control(ctx, to, MsgBody::Gossip(msg));
                 }
                 gossip::Command::Suspect { node } => {
-                    self.detector.suspect(node, ctx.now);
+                    self.view.detector.suspect(node, ctx.now);
                     self.trace_instant(ctx, "gossip.suspect", &[("peer", node.0 as u64)]);
                 }
                 gossip::Command::ClearSuspect { node } => {
@@ -959,7 +910,7 @@ impl PressNode {
         node: NodeId,
         outcome: &'static str,
     ) {
-        let Some(start) = self.detector.end_suspicion(node) else {
+        let Some(start) = self.view.detector.end_suspicion(node) else {
             return;
         };
         if self.trace {
@@ -973,20 +924,11 @@ impl PressNode {
     }
 
     fn rejoin_tick<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>) {
-        if !self.rejoining {
+        if !self.view.rejoin_tick(self.config.rejoin_attempts) {
             return;
         }
-        self.rejoin_tries += 1;
-        if self.rejoin_tries > self.config.rejoin_attempts {
-            // Give up: serve standalone (§5.3).
-            self.rejoining = false;
-            self.joined = true;
-            return;
-        }
-        for peer in (0..self.config.nodes).map(NodeId) {
-            if peer != self.id {
-                self.send_or_open(ctx, peer, MsgBody::RejoinRequest);
-            }
+        for peer in self.view.others() {
+            self.send_or_open(ctx, peer, MsgBody::RejoinRequest);
         }
         ctx.schedule_tick(AppEvent::RejoinTick, self.config.rejoin_retry);
     }
@@ -996,9 +938,9 @@ impl PressNode {
     /// sub-clusters (§6.2: the "rigorous membership algorithm" the
     /// paper says heartbeats need).
     fn probe_tick<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>) {
-        if self.joined && !self.rejoining {
-            for peer in (0..self.config.nodes).map(NodeId) {
-                if peer != self.id && !self.members.contains(&peer) {
+        if self.view.admits() {
+            for peer in self.view.others() {
+                if !self.view.members.contains(&peer) {
                     self.send_or_open(ctx, peer, MsgBody::MergeRequest);
                 }
             }
@@ -1020,12 +962,11 @@ impl PressNode {
         peer: NodeId,
         abort: bool,
     ) {
-        if peer == self.id || !self.members.remove(&peer) {
+        if !self.view.exclude(peer, ctx.now) {
             return;
         }
         self.stats.exclusions += 1;
-        self.detector.on_exclude(peer, &self.members, ctx.now);
-        let left = self.members.len() as u64;
+        let left = self.view.members.len() as u64;
         let args = [("peer", peer.0 as u64), ("members_left", left)];
         self.trace_instant(ctx, "membership.exclude", &args);
         self.directory.drop_node(peer);
@@ -1041,26 +982,14 @@ impl PressNode {
             self.forward_lost(ctx, req_id, AttrEvent::ForwardFlushed { req_id, abort });
         }
         // Unfreeze anything stalled towards the departed node.
-        let mut unblocked = false;
-        if let Some(stalled) = &mut self.stalled {
-            stalled.remaining.retain(|n| *n != peer);
-            if stalled.remaining.is_empty() {
-                self.stalled = None;
-                unblocked = true;
-                self.evidence(ctx, AttrEvent::StallEnd);
-            }
-        }
+        let thawed = self.freeze.forget(peer);
+        self.evidence(ctx, thawed);
         // Propagate the reconfiguration (§3: the ring structure is
         // modified on every fault).
-        self.send_data(ctx, self.peers(), MsgBody::MemberDown { node: peer });
-        if unblocked && !self.is_blocked() {
+        self.send_data(ctx, self.view.peers(), MsgBody::MemberDown { node: peer });
+        if thawed.is_some() {
             self.drain(ctx);
         }
-    }
-
-    fn admit_member(&mut self, now: SimTime, peer: NodeId) {
-        self.members.insert(peer);
-        self.detector.on_admit(peer, &self.members, now);
     }
 
     // ------------------------------------------------------------------
@@ -1080,7 +1009,7 @@ impl PressNode {
                 // A restarted process identifies itself on every
                 // connection it (re)establishes; peers that still think
                 // it never left simply disregard the announcement.
-                if self.rejoining || self.announce_on_connect {
+                if self.view.announces() {
                     self.send_control(ctx, peer, MsgBody::RejoinRequest);
                 }
             }
@@ -1109,7 +1038,7 @@ impl PressNode {
             });
             return;
         }
-        if self.members.contains(&peer) {
+        if self.view.members.contains(&peer) {
             // The rigorous-membership extension verifies liveness before
             // excluding: if another healthy socket to the peer exists,
             // only a stale connection died, not the node. Anything
@@ -1131,31 +1060,25 @@ impl PressNode {
         ctx: &mut NodeCtx<'_, S>,
         peer: NodeId,
     ) {
-        let Some(Stalled { msg, mut remaining }) =
-            self.stalled.take_if(|s| s.remaining.front() == Some(&peer))
-        else {
+        let Some(Stalled { msg, mut remaining }) = self.freeze.take_for(peer) else {
             return;
         };
-        remaining.retain(|n| self.members.contains(n));
+        remaining.retain(|n| self.view.members.contains(n));
         self.send_blocking(ctx, msg, remaining, true);
-        if !self.is_blocked() {
-            self.evidence(ctx, AttrEvent::StallEnd);
-            self.drain(ctx);
-        }
+        let end = self.freeze.retried();
+        self.evidence(ctx, end);
+        self.drain(ctx);
     }
 
     /// Replays deferred work after an unfreeze, stopping if the node
     /// re-freezes.
     fn drain<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>) {
-        while !self.is_blocked() {
-            let Some(item) = self.deferred.pop_front() else {
-                return;
-            };
+        while let Some(item) = self.freeze.resume() {
             match item {
                 Deferred::Client(req) => {
                     // Stale requests have already timed out at the
                     // client; processing them would be wasted work.
-                    if ctx.now.saturating_since(req.issued) < SimDuration::from_secs(6) {
+                    if ctx.now.saturating_since(req.issued) < REQUEST_TIMEOUT {
                         self.accept(ctx, req);
                     } else {
                         self.stats.dropped_deferred += 1;
@@ -1195,17 +1118,18 @@ impl PressNode {
             self.defer(Deferred::Deliver { peer, msg });
             return;
         }
+        let member = self.view.members.contains(&peer);
         match msg.body {
             MsgBody::Heartbeat { .. } => {
-                if let Detector::Ring(ring) = &mut self.detector {
+                if let Detector::Ring(ring) = &mut self.view.detector {
                     ring.heard(peer, ctx.now);
                 }
             }
             MsgBody::Gossip(g) => {
-                let Detector::Gossip { swim, .. } = &mut self.detector else {
+                let Detector::Gossip { swim, .. } = &mut self.view.detector else {
                     return;
                 };
-                if !self.members.contains(&peer) {
+                if !member {
                     // An excluded (or not-yet-admitted) peer's gossip is
                     // disregarded; re-entry goes through the rejoin
                     // protocol, not the detector.
@@ -1216,39 +1140,35 @@ impl PressNode {
                 swim.on_message(peer, &g, &mut cmds);
                 self.apply_gossip_commands(ctx, cmds);
             }
-            MsgBody::MemberDown { node } => {
-                if self.members.contains(&peer) && node != self.id {
-                    self.exclude(ctx, node, false);
-                }
-            }
-            MsgBody::RejoinRequest => {
-                if self.members.contains(&peer) {
-                    // We still believe the peer is alive: a duplicate or
-                    // stale join — disregard (§5.3, the TCP-PRESS rejoin
-                    // failure).
-                    self.stats.rejoins_disregarded += 1;
+            MsgBody::MemberDown { node } if member => self.exclude(ctx, node, false),
+            // A rejoin from a member is a duplicate or stale join (§5.3,
+            // the TCP-PRESS rejoin failure); a merge from one is answered.
+            MsgBody::RejoinRequest if member => self.stats.rejoins_disregarded += 1,
+            body @ (MsgBody::RejoinRequest | MsgBody::MergeRequest) => {
+                let merge = body == MsgBody::MergeRequest;
+                if !self.view.admits() || merge && !self.config.membership_repair {
                     return;
                 }
-                if !self.joined {
-                    return; // we are not in a position to admit anyone
-                }
-                self.admit_member(ctx.now, peer);
-                let members = self.members.iter().copied().collect();
-                self.send_control(ctx, peer, MsgBody::RejoinInfo { members });
-                let files = self.cached_files().into();
-                self.send_control(ctx, peer, MsgBody::CacheInfo { files });
-            }
-            MsgBody::RejoinInfo { members } => {
-                if !self.rejoining {
-                    return;
-                }
-                for m in members.iter().copied() {
-                    if m != self.id {
-                        self.admit_member(ctx.now, m);
+                if !member {
+                    self.view.admit(peer, ctx.now);
+                    if merge {
+                        self.send_data(ctx, self.view.peers(), MsgBody::MemberUp { node: peer });
                     }
                 }
-                self.rejoining = false;
-                self.joined = true;
+                // Admitted: the view, then this node's caching information.
+                let members = self.view.members.iter().copied().collect();
+                let view = if merge {
+                    MsgBody::MergeAccept { members }
+                } else {
+                    MsgBody::RejoinInfo { members }
+                };
+                self.send_control(ctx, peer, view);
+                self.send_control(ctx, peer, self.cache_info());
+            }
+            MsgBody::RejoinInfo { members } => {
+                if !self.view.rejoined(&members, ctx.now) {
+                    return;
+                }
                 self.stats.rejoined += 1;
                 let n = members.len() as u64;
                 let args = [("via_peer", peer.0 as u64), ("members", n)];
@@ -1256,75 +1176,47 @@ impl PressNode {
                 // With the configuration in hand, reestablish with every
                 // member (§3): announce ourselves so each of them admits
                 // us and sends its caching information.
-                for m in self.peers() {
+                for m in self.view.peers() {
                     if m != peer {
                         self.send_or_open(ctx, m, MsgBody::RejoinRequest);
                     }
                 }
             }
-            MsgBody::CacheInfo { files } => {
-                for f in files.iter().copied() {
-                    self.directory.add(f, peer);
-                }
-            }
-            MsgBody::MergeRequest => {
-                if !self.config.membership_repair || !self.joined {
-                    return;
-                }
-                if !self.members.contains(&peer) {
-                    self.admit_member(ctx.now, peer);
-                    self.send_data(ctx, self.peers(), MsgBody::MemberUp { node: peer });
-                }
-                let members = self.members.iter().copied().collect();
-                self.send_control(ctx, peer, MsgBody::MergeAccept { members });
-                let files = self.cached_files().into();
-                self.send_control(ctx, peer, MsgBody::CacheInfo { files });
-            }
-            MsgBody::MergeAccept { members } => {
-                if !self.config.membership_repair {
-                    return;
-                }
+            MsgBody::CacheInfo { files } => self.learn(peer, &files, &[]),
+            MsgBody::MergeAccept { members } if self.config.membership_repair => {
                 let mut grew = false;
                 for m in members.iter().copied() {
-                    if m != self.id && !self.members.contains(&m) {
-                        self.admit_member(ctx.now, m);
+                    if self.view.admit_new(m, ctx.now) {
                         if !ctx.sub.is_connected(m) {
                             ctx.sub.open(ctx.now, m, ctx.fx);
                         }
                         grew = true;
                     }
                 }
-                if grew {
-                    self.stats.merges += 1;
-                    let n = self.members.len() as u64;
-                    let args = [("via_peer", peer.0 as u64), ("members", n)];
-                    self.trace_instant(ctx, "press.merge", &args);
-                    // Share caching information with the whole merged
-                    // cluster so routing recovers immediately; the Arc'd
-                    // summary is built once and shared by every copy.
-                    let files = self.cached_files().into();
-                    let info = MsgBody::CacheInfo { files };
-                    for m in self.peers() {
-                        self.send_control(ctx, m, info.clone());
-                    }
-                }
-            }
-            MsgBody::MemberUp { node } => {
-                if self.config.membership_repair
-                    && self.members.contains(&peer)
-                    && node != self.id
-                    && !self.members.contains(&node)
-                {
-                    self.admit_member(ctx.now, node);
-                    let files = self.cached_files().into();
-                    self.send_or_open(ctx, node, MsgBody::CacheInfo { files });
-                }
-            }
-            MsgBody::Forward { req_id, file } => {
-                if !self.members.contains(&peer) {
-                    self.stats.ignored_foreign += 1;
+                if !grew {
                     return;
                 }
+                self.stats.merges += 1;
+                let n = self.view.members.len() as u64;
+                let args = [("via_peer", peer.0 as u64), ("members", n)];
+                self.trace_instant(ctx, "press.merge", &args);
+                // Share caching information with the whole merged
+                // cluster so routing recovers immediately; the Arc'd
+                // summary is built once and shared by every copy.
+                let info = self.cache_info();
+                for m in self.view.peers() {
+                    self.send_control(ctx, m, info.clone());
+                }
+            }
+            MsgBody::MemberUp { node }
+                if member
+                    && self.config.membership_repair
+                    && self.view.admit_new(node, ctx.now) =>
+            {
+                self.send_or_open(ctx, node, self.cache_info());
+            }
+            MsgBody::Forward { .. } if !member => self.stats.ignored_foreign += 1,
+            MsgBody::Forward { req_id, file } => {
                 if self.cache.contains(file) {
                     self.cache.touch(file);
                     ctx.cpu.charge(ctx.now, self.config.cache_read_cost);
@@ -1341,31 +1233,25 @@ impl PressNode {
                     ctx.schedule(done, AppEvent::DiskDone(job), Stream::Disk);
                 }
             }
-            MsgBody::FileResp { req_id, .. } => {
-                if self.pending_remote.remove(&req_id).is_some() {
-                    self.reply(ctx, req_id, SimDuration::ZERO);
-                }
+            MsgBody::FileResp { req_id, .. } if self.pending_remote.remove(&req_id).is_some() => {
+                self.reply(ctx, req_id, SimDuration::ZERO);
             }
-            MsgBody::CacheAdd { file } => {
-                if self.members.contains(&peer) {
-                    self.directory.add(file, peer);
-                }
-            }
-            MsgBody::CacheEvict { file } => {
-                if self.members.contains(&peer) {
-                    self.directory.remove(file, peer);
-                }
-            }
-            MsgBody::CacheDigest { adds, evicts } => {
-                if self.members.contains(&peer) {
-                    for f in adds.iter().copied() {
-                        self.directory.add(f, peer);
-                    }
-                    for f in evicts.iter().copied() {
-                        self.directory.remove(f, peer);
-                    }
-                }
-            }
+            MsgBody::CacheAdd { file } if member => self.learn(peer, &[file], &[]),
+            MsgBody::CacheEvict { file } if member => self.learn(peer, &[], &[file]),
+            MsgBody::CacheDigest { adds, evicts } if member => self.learn(peer, &adds, &evicts),
+            // Cache and membership notices from non-members, and merge
+            // traffic without the repair extension, are disregarded.
+            _ => {}
+        }
+    }
+
+    /// Records `peer`'s caching `adds` and `evicts` in the directory.
+    fn learn(&mut self, peer: NodeId, adds: &[FileId], evicts: &[FileId]) {
+        for &f in adds {
+            self.directory.add(f, peer);
+        }
+        for &f in evicts {
+            self.directory.remove(f, peer);
         }
     }
 }
@@ -1785,6 +1671,60 @@ mod tests {
     }
 
     #[test]
+    fn the_deferred_queue_keeps_its_cap_and_drops_what_clients_gave_up() {
+        let mut rig = Rig::new(PressVersion::Tcp);
+        let mut config = rig.node.config.clone();
+        config.deferred_cap = 2;
+        rig.node = PressNode::new(NodeId(0), PressVersion::Tcp, config);
+        rig.node.set_attr(true);
+        rig.start_cold();
+        let assignment: Vec<NodeId> = (0..100).map(|f| NodeId((f % 4) as usize)).collect();
+        rig.with(|n, ctx| n.prewarm(ctx, &assignment));
+        rig.sub.block_to.insert(1);
+        rig.with(|n, ctx| n.on_app_event(ctx, AppEvent::Parsed(req(4, 1))));
+        assert!(rig.node.is_blocked());
+        rig.app.clear();
+        // Two fit; the third arrival and a deferred event overflow.
+        let late = Request {
+            issued: SimTime::from_secs(2),
+            ..req(6, 0)
+        };
+        let accepted: Vec<ClientAccept> = [req(5, 0), late, req(7, 0)]
+            .into_iter()
+            .map(|r| rig.with(|n, ctx| n.client_request(ctx, r)))
+            .collect();
+        use ClientAccept::{Accepted, Dropped};
+        assert_eq!(
+            accepted,
+            [Accepted, Accepted, Dropped(DropReason::DeferOverflow)]
+        );
+        rig.with(|n, ctx| n.on_app_event(ctx, AppEvent::Parsed(req(8, 0))));
+        assert_eq!(rig.node.stats().dropped_deferred, 2);
+        let deferred: Vec<u64> = (rig.fx.iter())
+            .filter_map(|e| match e {
+                Effect::Attr(AttrEvent::Deferred { req_id }) => Some(*req_id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(deferred, [5, 6], "evidence only for what was queued");
+        assert!(rig.scheduled().is_empty(), "nothing runs while frozen");
+        // At the thaw, 6 s after it was issued, request 5 has timed out at
+        // its client and is dropped; request 6 is taken in.
+        rig.sub.block_to.clear();
+        rig.with_at(SimTime::from_secs(7), |n, ctx| {
+            n.on_upcall(ctx, Upcall::Writable { peer: NodeId(1) })
+        });
+        let parsed: Vec<u64> = (rig.scheduled().iter())
+            .filter_map(|e| match e {
+                AppEvent::Parsed(r) => Some(r.id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(parsed, [6]);
+        assert_eq!(rig.node.stats().dropped_deferred, 3);
+    }
+
+    #[test]
     fn conn_break_excludes_peer_and_propagates() {
         let mut rig = Rig::new(PressVersion::Via0);
         rig.start_cold();
@@ -1958,6 +1898,77 @@ mod tests {
         let to3 = rig.sub.sent_to(3);
         assert!(to3.iter().any(|b| matches!(b, MsgBody::RejoinInfo { .. })));
         assert!(to3.iter().any(|b| matches!(b, MsgBody::CacheInfo { .. })));
+    }
+
+    #[test]
+    fn an_unanswered_restart_gives_up_rejoining_and_then_admits_rejoiners() {
+        let mut rig = Rig::new(PressVersion::Tcp);
+        rig.with(|n, ctx| n.start(ctx, false));
+        let deliver = |rig: &mut Rig, peer: usize, body: MsgBody| {
+            rig.with(|n, ctx| {
+                let msg = PressMsg { load: 0, body };
+                let (class, bytes) = (transport::MsgClass::Control, 32);
+                let peer = NodeId(peer);
+                n.on_upcall(
+                    ctx,
+                    Upcall::Deliver {
+                        peer,
+                        msg,
+                        class,
+                        bytes,
+                    },
+                );
+            });
+        };
+        let tick = |rig: &mut Rig| {
+            rig.app.clear();
+            rig.sub.sent.clear();
+            rig.with(|n, ctx| n.on_app_event(ctx, AppEvent::RejoinTick));
+            let rearmed = rig.scheduled().contains(&&AppEvent::RejoinTick);
+            let asked = (1..4).filter(|p| {
+                let to = rig.sub.sent_to(*p);
+                matches!(to.as_slice(), [MsgBody::RejoinRequest])
+            });
+            (asked.count(), rearmed, rig.sub.sent.len())
+        };
+        for _ in 0..rig.node.config.rejoin_attempts {
+            assert_eq!(tick(&mut rig), (3, true, 3), "asks every peer again");
+            // Still seeking: in no position to admit anyone.
+            deliver(&mut rig, 2, MsgBody::RejoinRequest);
+            assert_eq!(rig.node.members().len(), 1);
+            assert_eq!(rig.sub.sent.len(), 3, "no reply");
+        }
+        // One more unanswered tick: the node gives up for good.
+        assert_eq!(tick(&mut rig), (0, false, 0));
+        assert_eq!(tick(&mut rig), (0, false, 0));
+        assert_eq!(rig.node.stats().rejoined, 0);
+        // Serving standalone, it admits a later rejoiner.
+        deliver(&mut rig, 2, MsgBody::RejoinRequest);
+        assert!(rig.node.members().contains(&NodeId(2)));
+        let to2 = rig.sub.sent_to(2);
+        assert!(
+            matches!(
+                to2.as_slice(),
+                [MsgBody::RejoinInfo { members }, MsgBody::CacheInfo { .. }]
+                    if members.as_ref() == [NodeId(0), NodeId(2)]
+            ),
+            "{to2:?}"
+        );
+        assert_eq!(rig.node.stats().rejoins_disregarded, 0);
+        // A warm boot still announces itself on every new connection.
+        rig.with(|n, ctx| n.on_upcall(ctx, Upcall::Connected { peer: NodeId(3) }));
+        assert!(matches!(
+            rig.sub.sent_to(3).as_slice(),
+            [MsgBody::RejoinRequest]
+        ));
+    }
+
+    #[test]
+    fn a_cold_boot_does_not_announce_itself_on_connect() {
+        let mut rig = Rig::new(PressVersion::Tcp);
+        rig.start_cold();
+        rig.with(|n, ctx| n.on_upcall(ctx, Upcall::Connected { peer: NodeId(3) }));
+        assert!(rig.sub.sent.is_empty());
     }
 
     #[test]

@@ -21,10 +21,6 @@ pub struct ClientConfig {
     pub files: u32,
     /// Zipf popularity exponent.
     pub zipf_alpha: f64,
-    /// Give up if the connection cannot be completed in this long.
-    pub connect_timeout: SimDuration,
-    /// Give up if the connected request is not answered in this long.
-    pub request_timeout: SimDuration,
     /// Throughput-series bucket width.
     pub bucket: SimDuration,
 }
@@ -37,8 +33,6 @@ impl ClientConfig {
             nodes: 4,
             files: 60_000,
             zipf_alpha: 0.8,
-            connect_timeout: SimDuration::from_secs(2),
-            request_timeout: SimDuration::from_secs(6),
             bucket: SimDuration::from_secs(1),
         }
     }
@@ -125,16 +119,18 @@ impl ClientPool {
         (req, node, now + self.inter_arrival())
     }
 
-    /// The server accepted `req`; returns the completion deadline the
-    /// composition layer must schedule as [`ClientEvent::Deadline`].
+    /// The server accepted `req`; returns the completion deadline, `now +`
+    /// [`press::REQUEST_TIMEOUT`], the composition layer must schedule as
+    /// [`ClientEvent::Deadline`].
     pub fn accepted(&mut self, now: SimTime, req_id: u64) -> SimTime {
-        let deadline = now + self.config.request_timeout;
+        let deadline = now + press::REQUEST_TIMEOUT;
         self.outstanding.insert(req_id, (deadline, now));
         deadline
     }
 
     /// The connection attempt failed (node down or accept queue
-    /// overflow): the client gives up after the connect timeout.
+    /// overflow): the client gives up. It is scored at once; how long
+    /// the connect timeout runs changes no outcome.
     pub fn connect_failed(&mut self) {
         self.counter.connect_timeouts += 1;
     }

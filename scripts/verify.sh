@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-2 verification: release build, lint, bench compilation, full test
-# suite (the workspace and perfbench), and golden diffs of the repro
-# harness.
+# Tier-2 verification: release build, lint, rustdoc, bench compilation,
+# full test suite (the workspace and perfbench), and golden diffs of the
+# repro harness.
 #
 # The golden checks run small-scale targets with `--jobs 0` (all cores)
 # and again with `--jobs 1`, and diff stdout against the checked-in
@@ -27,6 +27,11 @@ cargo fmt --all --check
 
 echo "== cargo clippy"
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "== cargo doc"
+# Rustdoc warnings (a broken or ambiguous intra-doc link, a public doc
+# linking a private item) fail the build like clippy's.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== criterion benches compile"
 # The benches sit behind the bench-harness feature, which clippy above

@@ -49,7 +49,7 @@ impl Bencher {
     }
 
     /// Times `routine` in batches. The warm-up doubles the batch,
-    /// starting from one call, until a batch takes [`MIN_BATCH`]; each
+    /// starting from one call, until a batch takes `MIN_BATCH`; each
     /// sample is then one batch's time divided by its size.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         let mut time_batch = |n: u32| {

@@ -236,7 +236,7 @@ pub mod prop {
     pub mod collection {
         use crate::{Strategy, TestRng};
 
-        /// Accepted size specifications for [`vec`]: a fixed length or a
+        /// Accepted size specifications for [`vec()`]: a fixed length or a
         /// half-open range of lengths.
         pub struct SizeRange {
             lo: usize,
