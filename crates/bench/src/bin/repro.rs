@@ -89,7 +89,7 @@
 //! - `--timing` reports wall-clock, events dispatched, events/second,
 //!   each target's share of the total wall time, and the process's
 //!   peak resident memory (`VmHWM`, where `/proc/self/status` has it)
-//!   on stderr, and writes `BENCH_repro.json` at the repo root
+//!   on stderr, and writes `BENCH_repro.json` in the working directory
 //!   (appending a compact history entry per run); stdout is unchanged.
 //!   With `all` this is the per-phase wall-clock summary for the whole
 //!   reproduction.
@@ -263,9 +263,9 @@ fn write_bench_json(
     }
 }
 
-/// `BENCH_repro.json` at the repo root (the harness lives two levels
-/// below it).
-const BENCH_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
+/// The `--timing` document, which `--report` reads as its history:
+/// relative to the working directory, so a copied tree writes its own.
+const BENCH_JSON: &str = "BENCH_repro.json";
 
 /// The targets `all` runs, in order.
 const ALL: [&str; 16] = [

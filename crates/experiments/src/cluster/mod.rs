@@ -545,7 +545,7 @@ impl ClusterSim {
         let end = self.engine.now();
         let clients = &self.requests.pool;
         let c = clients.counter();
-        debug_assert_eq!(
+        assert_eq!(
             c.successes + c.failures() + clients.outstanding() as u64,
             c.attempts,
             "a request was scored twice or never"
@@ -567,11 +567,6 @@ impl ClusterSim {
         self.requests
             .pool
             .mean_throughput(self.engine.now(), t0, t1)
-    }
-
-    /// Whether structured tracing is live for this run.
-    pub fn trace_enabled(&self) -> bool {
-        self.obs.sink.enabled()
     }
 
     /// Superseded transport timers cancelled out of the engine before

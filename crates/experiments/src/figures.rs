@@ -4,21 +4,21 @@
 //! (plus structured data where useful). The `repro` binary in the
 //! `bench` crate maps subcommands onto these.
 
-use mendosus::FaultKind;
+use mendosus::{Campaign, FaultKind};
 use performability::fault_load::{paper_fault_load, FaultEntry, ModelFault, DAY, MONTH, WEEK};
 use performability::metric::IDEAL_AVAILABILITY;
 use performability::sensitivity::{crossover_multiplier, performability_at};
 use press::PressVersion;
 use simnet::SimTime;
 
-use crate::cluster::{ClusterConfig, ClusterSim};
+use crate::cluster::ClusterConfig;
 use crate::phase1::{attr_stage_spans, attr_totals, run_fault_experiment, FaultRunResult};
 use crate::phase2::{
     behaviors_for_load, config_for, evaluate, model_for_kind, phase1_grid, scenario_at,
     version_profiles, RunScale, VersionProfile,
 };
 use crate::render::{bar, sparkline, table};
-use crate::runner::run_indexed;
+use crate::runner::{run_indexed, Run};
 
 /// Default seed used by the repro harness.
 pub const REPRO_SEED: u64 = 2003;
@@ -59,13 +59,10 @@ pub fn table1(
                 c
             }
         };
-        let mut sim = ClusterSim::new(config, seed);
-        sim.run_until(SimTime::from_secs(measure_until));
-        let throughput = sim.mean_throughput(window.0, window.1);
-        let summary = metrics.then(|| {
-            sim.metrics_snapshot()
-                .text_summary(&format!("table1 {} seed{seed}", v.name()))
-        });
+        let end = SimTime::from_secs(measure_until);
+        let obs = Run::new(config, Campaign::none(), end, seed).observe();
+        let throughput = obs.sim.mean_throughput(window.0, window.1);
+        let summary = metrics.then(|| obs.metrics_text(&format!("table1 {} seed{seed}", v.name())));
         (v, throughput, summary)
     });
     let rows: Vec<Vec<String>> = data

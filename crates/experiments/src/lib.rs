@@ -17,7 +17,8 @@
 //!   fat-tree fabric, reporting Tn/AT/AA/P and control-frame cost.
 //! * [`figures`] — one entry point per table/figure of the paper.
 //! * [`render`] — plain-text rendering of timelines and bar charts.
-//! * [`runner`] — deterministic parallel execution of independent runs.
+//! * [`runner`] — one observed run, its measures, and deterministic
+//!   parallel execution of independent runs.
 
 pub mod cluster;
 pub mod figures;

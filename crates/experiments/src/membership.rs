@@ -31,10 +31,10 @@ use press::{MembershipImpl, PressVersion};
 use simnet::fabric::{FabricConfig, NodeId};
 use simnet::{SimDuration, SimTime};
 
-use crate::cluster::{ClusterConfig, ClusterSim, ProcEvent};
+use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use crate::phase2::{config_for, RunScale};
 use crate::render::table;
-use crate::runner::run_indexed;
+use crate::runner::{rejoin_time, run_indexed, task_seed, views_reach, Run};
 
 /// Cluster sizes swept (the paper's test-bed is the smallest point).
 pub const SWEEP_NODES: [usize; 4] = [4, 8, 16, 32];
@@ -96,116 +96,63 @@ fn rack_run_secs(n: usize) -> u64 {
     FAULT_AT_S + 15 * (n / 4) as u64 + 45
 }
 
+/// Rejoin run length: the 20 s crash, then time to re-enter.
+const REJOIN_RUN_S: u64 = FAULT_AT_S + 80;
+
 /// Rack crash: `N/4` adjacent machines (nodes `1..=k`) fail permanently
-/// at `t = 10 s`. Returns `(detection_s, detected_all, availability,
-/// throughput, metrics)`.
-fn rack_crash(
-    scale: RunScale,
-    n: usize,
-    detector: MembershipImpl,
-    seed: u64,
-    with_metrics: bool,
-) -> (f64, bool, f64, f64, Option<String>) {
+/// at `t = 10 s`.
+fn rack_crash(config: ClusterConfig, seed: u64) -> Run {
+    let n = config.press.nodes;
+    let at = SimTime::from_secs(FAULT_AT_S);
+    let crashes = (1..=n / 4).map(|i| FaultSpec::permanent(FaultKind::NodeCrash, NodeId(i), at));
+    let end = SimTime::from_secs(rack_run_secs(n));
+    Run::new(config, Campaign::new(crashes), end, seed)
+}
+
+/// Rack-crash detection: the worst live node's latency until its view
+/// shrinks to the survivors, and whether every live node got there.
+fn rack_detection(report: &ClusterReport, n: usize) -> (f64, bool) {
     let k = n / 4;
-    let fault_at = SimTime::from_secs(FAULT_AT_S);
-    let run_s = rack_run_secs(n);
-    let campaign = Campaign::new(
-        (1..=k).map(|i| FaultSpec::permanent(FaultKind::NodeCrash, NodeId(i), fault_at)),
-    );
-    let mut sim = ClusterSim::with_campaign(membership_config(scale, n, detector), campaign, seed);
-    sim.run_until(SimTime::from_secs(run_s));
-    let report = sim.report();
-    let metrics = with_metrics.then(|| {
-        sim.metrics_snapshot().text_summary(&format!(
-            "membership rack-crash {} n{n} seed{seed}",
-            detector_name(detector)
-        ))
-    });
-    let survivors = n - k;
-    let fault_s = fault_at.as_secs_f64();
-    let mut worst = 0.0f64;
-    let mut detected_all = true;
-    for node in (0..n).filter(|i| *i == 0 || *i > k) {
-        let converged = report
-            .membership_log
-            .iter()
-            .find(|(t, id, m)| id.0 == node && *m == survivors && t.as_secs_f64() >= fault_s)
-            .map(|(t, _, _)| t.as_secs_f64() - fault_s);
-        match converged {
-            Some(d) => worst = worst.max(d),
-            None => {
-                detected_all = false;
-                worst = worst.max(run_s as f64 - fault_s);
-            }
-        }
-    }
-    let availability = report.availability.availability();
-    let throughput = report.availability.successes as f64 / run_s as f64;
-    (worst, detected_all, availability, throughput, metrics)
+    let live = (0..n).filter(|i| *i == 0 || *i > k).map(NodeId);
+    let end_s = rack_run_secs(n) as f64;
+    views_reach(report, live, n - k, FAULT_AT_S as f64, end_s)
 }
 
 /// Gray partition: block the fabric pair (1, 2) — both stay alive — for
-/// 30 s. Returns the count of live nodes absent from at least one other
-/// live node's final view (0 is the correct answer; the fault is gray).
-fn gray_partition(scale: RunScale, n: usize, detector: MembershipImpl, seed: u64) -> usize {
-    let campaign = Campaign::single(FaultSpec::partial_partition(
-        NodeId(1),
-        NodeId(2),
-        SimTime::from_secs(FAULT_AT_S),
-        SimDuration::from_secs(30),
-    ));
-    let mut sim = ClusterSim::with_campaign(membership_config(scale, n, detector), campaign, seed);
-    sim.run_until(SimTime::from_secs(FAULT_AT_S + 60));
-    let mut falsely_dead = std::collections::BTreeSet::new();
-    for victim in 0..n {
-        if !sim.process_running(NodeId(victim)) {
-            continue;
-        }
-        for observer in 0..n {
-            if observer == victim || !sim.process_running(NodeId(observer)) {
-                continue;
-            }
-            if !sim
-                .press(NodeId(observer))
-                .members()
-                .contains(&NodeId(victim))
-            {
-                falsely_dead.insert(victim);
-            }
-        }
-    }
-    falsely_dead.len()
+/// 30 s.
+fn gray_partition(config: ClusterConfig, seed: u64) -> Run {
+    let at = SimTime::from_secs(FAULT_AT_S);
+    let gray = FaultSpec::partial_partition(NodeId(1), NodeId(2), at, SimDuration::from_secs(30));
+    let end = at + SimDuration::from_secs(60);
+    Run::new(config, Campaign::single(gray), end, seed)
+}
+
+/// The count of live nodes absent from at least one other live node's
+/// final view (0 is the correct answer after a gray fault).
+fn false_exclusions(sim: &ClusterSim) -> usize {
+    let live: Vec<NodeId> = (0..sim.config().press.nodes)
+        .map(NodeId)
+        .filter(|&id| sim.process_running(id))
+        .collect();
+    live.iter()
+        .filter(|&&victim| {
+            live.iter()
+                .any(|&o| o != victim && !sim.press(o).members().contains(&victim))
+        })
+        .count()
 }
 
 /// Rejoin: node 1's machine crashes at `t = 10 s` for 20 s, restarts,
-/// and re-enters through the rejoin protocol. Returns seconds from
-/// process restart to the node's view being full again (the censored
-/// run remainder if it never is).
-fn rejoin_latency(scale: RunScale, n: usize, detector: MembershipImpl, seed: u64) -> f64 {
-    let campaign = Campaign::single(FaultSpec::transient(
+/// and re-enters through the rejoin protocol.
+fn rejoin(config: ClusterConfig, seed: u64) -> Run {
+    let crash = FaultSpec::transient(
         FaultKind::NodeCrash,
         NodeId(1),
         SimTime::from_secs(FAULT_AT_S),
         SimDuration::from_secs(20),
-    ));
-    let run_s = FAULT_AT_S + 80;
-    let mut sim = ClusterSim::with_campaign(membership_config(scale, n, detector), campaign, seed);
-    sim.run_until(SimTime::from_secs(run_s));
-    let report = sim.report();
-    let Some(restart) = report
-        .process_log
-        .iter()
-        .find(|(_, id, ev)| id.0 == 1 && *ev == ProcEvent::Restart)
-        .map(|(t, _, _)| t.as_secs_f64())
-    else {
-        return run_s as f64;
-    };
-    report
-        .membership_log
-        .iter()
-        .find(|(t, id, m)| id.0 == 1 && *m == n && t.as_secs_f64() >= restart)
-        .map(|(t, _, _)| t.as_secs_f64() - restart)
-        .unwrap_or(run_s as f64 - restart)
+    );
+    let end = SimTime::from_secs(REJOIN_RUN_S);
+    Run::new(config, Campaign::single(crash), end, seed)
 }
 
 /// The sweep over a node list ([`SWEEP_NODES`] for the study; tests
@@ -224,23 +171,27 @@ pub fn study_points(
         .flat_map(|&n| [(n, MembershipImpl::Ring), (n, MembershipImpl::Gossip)])
         .collect();
     run_indexed(jobs, tasks, |i, (n, detector)| {
-        // Independent, index-derived seeds: identical regardless of
-        // which worker runs the point.
-        let s = seed.wrapping_add(7919 * (i as u64 + 1));
-        let (detection_s, detected_all, availability, throughput, metrics) =
-            rack_crash(scale, n, detector, s, with_metrics);
-        let false_exclusions = gray_partition(scale, n, detector, s.wrapping_add(1));
-        let rejoin_s = rejoin_latency(scale, n, detector, s.wrapping_add(2));
+        let s = task_seed(seed, i);
+        let config = membership_config(scale, n, detector);
+        let gray = gray_partition(config.clone(), s.wrapping_add(1));
+        let false_exclusions = false_exclusions(&gray.observe().sim);
+        let rejoined = rejoin(config.clone(), s.wrapping_add(2)).observe().report;
+        let rejoin_s = rejoin_time(&rejoined, NodeId(1), n, REJOIN_RUN_S as f64);
+        let rack = rack_crash(config, s).observe();
+        let (detection_s, detected_all) = rack_detection(&rack.report, n);
+        let a = &rack.report.availability;
+        let name = detector_name(detector);
+        let label = format!("membership rack-crash {name} n{n} seed{s}");
         MembershipPoint {
             nodes: n,
             detector,
             detection_s,
             detected_all,
-            availability,
-            throughput,
+            availability: a.availability(),
+            throughput: a.successes as f64 / rack_run_secs(n) as f64,
             false_exclusions,
             rejoin_s,
-            metrics,
+            metrics: with_metrics.then(|| rack.metrics_text(&label)),
         }
     })
 }
@@ -352,15 +303,25 @@ pub fn membership(scale: RunScale, seed: u64, jobs: usize, metrics: bool) -> Str
 mod tests {
     use super::*;
 
+    fn config(n: usize, detector: MembershipImpl) -> ClusterConfig {
+        membership_config(RunScale::Small, n, detector)
+    }
+
+    fn rack(n: usize, detector: MembershipImpl, seed: u64) -> (f64, bool) {
+        rack_detection(&rack_crash(config(n, detector), seed).observe().report, n)
+    }
+
+    fn gray(detector: MembershipImpl, seed: u64) -> usize {
+        false_exclusions(&gray_partition(config(4, detector), seed).observe().sim)
+    }
+
     /// One small point end-to-end: both detectors detect a rack crash at
     /// N = 4, and gossip never falsely excludes under the gray fault
     /// while the ring does.
     #[test]
     fn small_point_detects_and_gray_fault_separates_detectors() {
-        let (ring_det, ring_all, _, _, _) =
-            rack_crash(RunScale::Small, 4, MembershipImpl::Ring, 7, false);
-        let (gossip_det, gossip_all, _, _, _) =
-            rack_crash(RunScale::Small, 4, MembershipImpl::Gossip, 7, false);
+        let (ring_det, ring_all) = rack(4, MembershipImpl::Ring, 7);
+        let (gossip_det, gossip_all) = rack(4, MembershipImpl::Gossip, 7);
         assert!(ring_all && gossip_all, "both detectors must converge");
         assert!(
             (10.0..30.0).contains(&ring_det),
@@ -371,8 +332,8 @@ mod tests {
             "gossip single-crash detection: {gossip_det}"
         );
 
-        let ring_false = gray_partition(RunScale::Small, 4, MembershipImpl::Ring, 8);
-        let gossip_false = gray_partition(RunScale::Small, 4, MembershipImpl::Gossip, 8);
+        let ring_false = gray(MembershipImpl::Ring, 8);
+        let gossip_false = gray(MembershipImpl::Gossip, 8);
         assert!(ring_false >= 1, "the ring must false-exclude: {ring_false}");
         assert_eq!(gossip_false, 0, "ping-req must save the gray fault");
     }
@@ -382,7 +343,7 @@ mod tests {
     /// and gossip wins at the larger size.
     #[test]
     fn ring_detection_grows_linearly_and_gossip_stays_flat() {
-        let d = |n, det| rack_crash(RunScale::Small, n, det, 11, false).0;
+        let d = |n, det| rack(n, det, 11).0;
         let ring4 = d(4, MembershipImpl::Ring);
         let ring16 = d(16, MembershipImpl::Ring);
         let gossip16 = d(16, MembershipImpl::Gossip);
@@ -400,7 +361,8 @@ mod tests {
     #[test]
     fn rejoin_completes_under_both_detectors() {
         for det in [MembershipImpl::Ring, MembershipImpl::Gossip] {
-            let r = rejoin_latency(RunScale::Small, 4, det, 13);
+            let report = rejoin(config(4, det), 13).observe().report;
+            let r = rejoin_time(&report, NodeId(1), 4, REJOIN_RUN_S as f64);
             assert!(
                 r < 30.0,
                 "{} rejoin must complete promptly: {r}",

@@ -28,12 +28,11 @@ use press::PressVersion;
 use simnet::stats::FitSegment;
 use simnet::{SimDuration, SimTime, TimeSeries};
 
-use crate::cluster::ClusterSim;
 use crate::phase2::{
     config_for, evaluate, measured_from_run, model_for_kind, phase1_grid, Phase2Result, RunScale,
     VersionProfile,
 };
-use crate::runner::run_indexed;
+use crate::runner::{run_indexed, Run};
 
 /// One Monte-Carlo experiment definition: which version to drive, what
 /// fault universe to sample, and how many timelines to average.
@@ -270,69 +269,55 @@ pub fn run_montecarlo(setup: &MonteCarloSetup, scale: RunScale, seed: u64, jobs:
     let end = start + setup.window;
     let (t0, t1) = (start.as_secs_f64(), end.as_secs_f64());
 
-    enum Task {
-        Baseline,
-        Rep(u64),
-    }
-    enum Out {
-        Baseline(TimeSeries),
-        Rep(Box<McReplication>),
-    }
     // Replication seeds: a golden-ratio stride from the target seed,
     // so neighbouring replications land far apart in seed space
-    // (consecutive integers can share arrival-stream luck).
+    // (consecutive integers can share arrival-stream luck). Each
+    // timeline is drawn from its own seed, so drawing them all before
+    // the fan-out changes nothing.
     const STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut tasks = vec![Task::Baseline];
-    tasks.extend(
-        (0..setup.replications)
-            .map(|r| Task::Rep(seed.wrapping_add(STRIDE.wrapping_mul(1 + r as u64)))),
-    );
+    let drawn: Vec<(u64, Campaign, usize)> = (0..setup.replications)
+        .map(|r| {
+            let rep_seed = seed.wrapping_add(STRIDE.wrapping_mul(1 + r as u64));
+            let trace = generate_trace(&setup.classes, start, setup.window, nodes, rep_seed);
+            let campaign = trace.expand(&setup.rules);
+            let correlated = campaign.faults().len() - trace.faults().len();
+            (rep_seed, campaign, correlated)
+        })
+        .collect();
+    let baseline = Run::new(config.clone(), Campaign::none(), end, seed);
+    let reps = drawn
+        .iter()
+        .map(|(s, c, _)| Run::new(config.clone(), c.clone(), end, *s));
+    let runs: Vec<Run> = std::iter::once(baseline).chain(reps).collect();
+    let mut outs = run_indexed(jobs, runs, |_, run| {
+        let report = run.observe().report;
+        (report.throughput, report.availability.availability())
+    })
+    .into_iter();
 
-    let outs = run_indexed(jobs, tasks, |_i, task| match task {
-        Task::Baseline => {
-            let mut sim = ClusterSim::new(config.clone(), seed);
-            sim.run_until(end);
-            Out::Baseline(sim.report().throughput)
-        }
-        Task::Rep(rep_seed) => {
-            let drawn = generate_trace(&setup.classes, start, setup.window, nodes, rep_seed);
-            let injected = drawn.faults().len();
-            let campaign = drawn.expand(&setup.rules);
-            let correlated = campaign.faults().len() - injected;
-            let mut sim = ClusterSim::with_campaign(config.clone(), campaign.clone(), rep_seed);
-            sim.run_until(end);
-            let report = sim.report();
+    let (baseline, _) = outs.next().expect("the baseline ran");
+    let tn = baseline.mean_between(t0, t1).unwrap_or(0.0);
+    assert!(tn > 0.0, "baseline measured no throughput in the window");
+    let reps: Vec<McReplication> = drawn
+        .into_iter()
+        .zip(outs)
+        .map(|((seed, campaign, correlated), (series, availability))| {
             let intervals = campaign.active_intervals(end);
             let overlap = overlap_profile(&intervals, correlated);
-            Out::Rep(Box::new(McReplication {
-                seed: rep_seed,
+            // The single-fault audit's blind fit, allowed a change
+            // point at each fault's start and end.
+            let fit = series.blind_fit(tn, (2 * intervals.len() + 1).clamp(1, 24));
+            McReplication {
+                seed,
                 campaign,
                 intervals,
                 overlap,
-                series: report.throughput,
-                availability: report.availability.availability(),
-                fit: Vec::new(),
-            }))
-        }
-    });
-
-    let mut baseline = TimeSeries::new(Vec::new());
-    let mut reps: Vec<McReplication> = Vec::with_capacity(setup.replications);
-    for out in outs {
-        match out {
-            Out::Baseline(series) => baseline = series,
-            Out::Rep(rep) => reps.push(*rep),
-        }
-    }
-    let tn = baseline.mean_between(t0, t1).unwrap_or(0.0);
-    assert!(tn > 0.0, "baseline measured no throughput in the window");
-    for rep in &mut reps {
-        // The single-fault audit's blind fit, allowed a change point
-        // at each fault's start and end.
-        rep.fit = rep
-            .series
-            .blind_fit(tn, (2 * rep.intervals.len() + 1).clamp(1, 24));
-    }
+                series,
+                availability,
+                fit,
+            }
+        })
+        .collect();
     let result = MonteCarloResult::new(
         tn,
         reps.iter()

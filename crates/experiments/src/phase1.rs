@@ -11,7 +11,8 @@ use press::PressVersion;
 use simnet::fabric::NodeId;
 use simnet::{SimDuration, SimTime, TimeSeries};
 
-use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim, ProcEvent};
+use crate::cluster::{ClusterConfig, ClusterReport};
+use crate::runner::{detection_time, recovery_time, run_totals, Run};
 
 /// One single-fault experiment.
 #[derive(Debug, Clone)]
@@ -73,10 +74,9 @@ pub struct FaultRunResult {
     /// Whether the run ended splintered or with processes down — i.e.
     /// an operator reset would be required to return to normal.
     pub needs_operator_reset: bool,
-    /// The run's structured trace: every emitted event, the derived
-    /// stage A–E spans on the [`telemetry::TID_STAGES`] lane, named
-    /// lanes for every node, and the final metrics snapshot. Present
-    /// exactly when the run's `ClusterConfig::trace` was enabled.
+    /// The run's trace ([`crate::runner::Observed::trace`]) with the
+    /// derived stage A–E spans on the [`telemetry::TID_STAGES`] lane.
+    /// Present exactly when the run's `ClusterConfig::trace` was on.
     pub trace: Option<telemetry::RunTrace>,
     /// The run's root-cause attribution: every lost or deadline-missing
     /// request classified into exactly one cause, conservation-checkable
@@ -106,14 +106,11 @@ pub fn run_fault_experiment(
     scenario: FaultScenario,
     seed: u64,
 ) -> FaultRunResult {
-    let version = config.version;
-    let nodes = config.press.nodes;
-    let fault = scenario.fault.clone();
-    let campaign = Campaign::single(fault.clone());
-    let mut sim = ClusterSim::with_campaign(config, campaign, seed);
+    let (version, nodes) = (config.version, config.press.nodes);
+    let fault = scenario.fault;
     let end = SimTime::ZERO + scenario.run;
-    sim.run_until(end);
-    let report = sim.report();
+    let mut obs = Run::new(config, Campaign::single(fault.clone()), end, seed).observe();
+    let report = &obs.report;
     let series = report.throughput.clone();
 
     let fault_s = fault.at.as_secs_f64();
@@ -121,14 +118,8 @@ pub fn run_fault_experiment(
     // Normal throughput: the pre-fault steady state, skipping the first
     // couple of seconds of client ramp.
     let tn = series.mean_between(2.0, fault_s).unwrap_or(0.0).max(1.0);
-
-    // Detection: the first membership change or process exit after the
-    // injection.
-    let detected = detection_time(&report, fault_s);
-
-    // Component repair: when the faulty component (and, for process
-    // faults, its process) is back.
-    let recovered = recovery_time(&report, &fault, end_s);
+    let detected = detection_time(report, fault_s);
+    let recovered = recovery_time(report, &fault, end_s);
 
     // Stabilization boundaries from the measured curve.
     let stabilized = detected.and_then(|d| {
@@ -161,50 +152,32 @@ pub fn run_fault_experiment(
     if !needs_operator_reset && e.throughput >= 0.95 * tn {
         stages.set(Stage::E, 0.0, 0.0);
     }
-    let mut result = FaultRunResult {
+    let label = format!("{version} {} node{} seed{seed}", fault.kind, fault.node.0);
+    let trace = obs.trace(label, stage_spans(&markers, &stages, tn));
+    FaultRunResult {
         version,
         fault,
         series,
-        report,
+        report: obs.report,
         tn,
         markers,
         stages,
         needs_operator_reset,
-        trace: None,
-        attr: sim.take_attr(),
-    };
-    if sim.trace_enabled() {
-        let mut events = sim.take_trace();
-        events.extend(stage_spans(&result));
-        let mut threads: Vec<(u32, String)> =
-            (0..nodes).map(|i| (i as u32, format!("node{i}"))).collect();
-        threads.push((telemetry::TID_CLUSTER, "cluster".to_string()));
-        threads.push((telemetry::TID_CLIENTS, "clients".to_string()));
-        threads.push((telemetry::TID_STAGES, "stages".to_string()));
-        result.trace = Some(telemetry::RunTrace {
-            label: format!(
-                "{} {} node{} seed{seed}",
-                result.version, result.fault.kind, result.fault.node.0
-            ),
-            threads,
-            events,
-            metrics: sim.metrics_snapshot(),
-        });
+        trace,
+        attr: obs.sim.take_attr(),
     }
-    result
 }
 
 /// Derives the seven-stage spans (the ones this run exhibits) from the
 /// markers, so the trace shows the A–G structure directly above the
 /// per-node lanes. Stage F/G (operator reset) never occur inside a
 /// single run.
-fn stage_spans(result: &FaultRunResult) -> Vec<telemetry::TraceEvent> {
+fn stage_spans(markers: &StageMarkers, stages: &SevenStage, tn: f64) -> Vec<telemetry::TraceEvent> {
     const NAMES: [&str; 7] = [
         "stage.A", "stage.B", "stage.C", "stage.D", "stage.E", "stage.F", "stage.G",
     ];
     let to_time = |s: f64| SimTime::from_nanos((s * 1e9) as u64);
-    result
-        .markers
+    markers
         .intervals()
         .into_iter()
         .filter(|&(_, t0, t1)| t1 > t0)
@@ -219,9 +192,9 @@ fn stage_spans(result: &FaultRunResult) -> Vec<telemetry::TraceEvent> {
             )
             .arg_u64(
                 "throughput_rps",
-                result.stages.get(stage).throughput.max(0.0) as u64,
+                stages.get(stage).throughput.max(0.0) as u64,
             )
-            .arg_u64("tn_rps", result.tn.max(0.0) as u64)
+            .arg_u64("tn_rps", tn.max(0.0) as u64)
         })
         .collect()
 }
@@ -229,13 +202,7 @@ fn stage_spans(result: &FaultRunResult) -> Vec<telemetry::TraceEvent> {
 /// The client-pool totals an attribution report is conserved against:
 /// the scored attempts/successes/failures and the run length.
 pub fn attr_totals(result: &FaultRunResult) -> telemetry::RunTotals {
-    let a = &result.report.availability;
-    telemetry::RunTotals {
-        attempts: a.attempts,
-        successes: a.successes,
-        failures: a.failures(),
-        duration_s: result.markers.end,
-    }
+    run_totals(&result.report, result.markers.end)
 }
 
 /// The run's non-empty stage spans as `(name, t0, t1)` — the stage axis
@@ -250,63 +217,16 @@ pub fn attr_stage_spans(result: &FaultRunResult) -> Vec<(String, f64, f64)> {
         .collect()
 }
 
-fn detection_time(report: &ClusterReport, fault_s: f64) -> Option<f64> {
-    let m = report
-        .membership_log
-        .iter()
-        .map(|(t, _, _)| t.as_secs_f64())
-        .find(|t| *t >= fault_s);
-    let p = report
-        .process_log
-        .iter()
-        .filter(|(_, _, e)| *e == ProcEvent::Exit)
-        .map(|(t, _, _)| t.as_secs_f64())
-        .find(|t| *t >= fault_s);
-    match (m, p) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
-}
-
-fn recovery_time(report: &ClusterReport, fault: &FaultSpec, end_s: f64) -> f64 {
-    let nominal = fault.recovery_at().map_or(end_s, |t| t.as_secs_f64());
-    match fault.kind {
-        FaultKind::NodeCrash | FaultKind::AppCrash => {
-            // Repair completes when the process is running again.
-            report
-                .process_log
-                .iter()
-                .filter(|(t, _, e)| *e == ProcEvent::Restart && t.as_secs_f64() >= nominal)
-                .map(|(t, _, _)| t.as_secs_f64())
-                .next()
-                .unwrap_or(nominal)
-        }
-        k if k.is_one_shot() => {
-            // Bad parameters: repair is the restart of whichever
-            // process(es) fail-fasted; if none did (TCP EFAULT), the
-            // "component" recovers instantly.
-            report
-                .process_log
-                .iter()
-                .filter(|(t, _, e)| *e == ProcEvent::Restart && t.as_secs_f64() >= nominal)
-                .map(|(t, _, _)| t.as_secs_f64())
-                .next_back()
-                .unwrap_or(fault.at.as_secs_f64())
-        }
-        _ => nominal,
-    }
-}
-
 /// Measures the cold-start warm-up transient of a version: boots with
 /// cold caches under load and reports `(duration, mean throughput)` of
 /// the climb to steady state — the stage G parameters after an operator
 /// reset.
 pub fn measure_warmup(mut config: ClusterConfig, run: SimDuration, seed: u64) -> (f64, f64) {
     config.prewarm = false;
-    let mut sim = ClusterSim::new(config, seed);
     let end = SimTime::ZERO + run;
-    sim.run_until(end);
-    let report = sim.report();
+    let report = Run::new(config, Campaign::none(), end, seed)
+        .observe()
+        .report;
     let end_s = end.as_secs_f64();
     let target = report
         .throughput

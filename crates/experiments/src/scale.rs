@@ -43,11 +43,11 @@ use press::{CacheSyncImpl, MembershipImpl, PressVersion};
 use simnet::fabric::{FabricConfig, NodeId};
 use simnet::{SimDuration, SimTime};
 
-use crate::cluster::{ClusterConfig, ClusterSim};
+use crate::cluster::ClusterConfig;
 use crate::membership::detector_name;
 use crate::phase2::{config_for, RunScale};
 use crate::render::table;
-use crate::runner::run_indexed;
+use crate::runner::{run_indexed, run_totals, task_seed, Run};
 
 /// Cluster sizes swept at paper scale (the paper's test-bed is the
 /// smallest point).
@@ -170,80 +170,56 @@ pub fn scale_config(
     c
 }
 
-/// Optional per-point collectors: the node-level metrics snapshot
-/// (`--metrics`) and the root-cause attribution report
-/// (`--attribution`).
-#[derive(Clone, Copy, Default)]
-struct PointExtras {
-    metrics: bool,
-    attr: bool,
-}
-
-/// One sweep point: cold-start run with a transient node-1 crash.
+/// One sweep point: cold-start run with a transient node-1 crash. With
+/// `metrics` the point keeps its node-level metrics snapshot, with
+/// `attribution` its rendered root-cause attribution section.
 fn node_crash_point(
     scale: RunScale,
     n: usize,
-    version: PressVersion,
-    sync: CacheSyncImpl,
-    detector: Option<MembershipImpl>,
+    (version, sync, detector): PointSpec,
     seed: u64,
-    extras: PointExtras,
+    metrics: bool,
+    attribution: bool,
 ) -> ScalePoint {
     let run_s = run_secs(scale);
-    let campaign = Campaign::single(FaultSpec::transient(
+    let crash = FaultSpec::transient(
         FaultKind::NodeCrash,
         NodeId(1),
         SimTime::from_secs(fault_at_s(scale)),
         SimDuration::from_secs(crash_secs(scale)),
-    ));
+    );
     let mut config = scale_config(scale, n, version, sync, detector);
-    config.attribution = extras.attr;
-    let mut sim = ClusterSim::with_campaign(config, campaign, seed);
-    sim.run_until(SimTime::from_secs(run_s));
-    let report = sim.report();
-    let metrics = extras.metrics.then(|| {
-        sim.metrics_snapshot().text_summary(&format!(
-            "scale node-crash {} {} n{n} seed{seed}",
-            version.name(),
-            sync_name(sync)
-        ))
+    config.attribution = attribution;
+    let end = SimTime::from_secs(run_s);
+    let mut obs = Run::new(config, Campaign::single(crash), end, seed).observe();
+    let (name, sync_s) = (version.name(), sync_name(sync));
+    let metrics = metrics
+        .then(|| obs.metrics_text(&format!("scale node-crash {name} {sync_s} n{n} seed{seed}")));
+    let attr_text = obs.sim.take_attr().map(|a| {
+        let detector = detector.map_or("-", detector_name);
+        let label = format!("scale node-crash N={n} {name} {sync_s} {detector} seed{seed}");
+        a.render_text(&label, &run_totals(&obs.report, run_s as f64), &[])
     });
-    let attr_text = sim.take_attr().map(|a| {
-        let totals = telemetry::RunTotals {
-            attempts: report.availability.attempts,
-            successes: report.availability.successes,
-            failures: report.availability.failures(),
-            duration_s: run_s as f64,
-        };
-        let label = format!(
-            "scale node-crash N={n} {} {} {} seed{seed}",
-            version.name(),
-            sync_name(sync),
-            detector.map_or("-", detector_name),
-        );
-        a.render_text(&label, &totals, &[])
-    });
-    let tn = sim
+    let tn = obs
+        .sim
         .mean_throughput(run_s as f64 - tn_window_s(scale), run_s as f64)
         .max(f64::MIN_POSITIVE);
-    let aa = report.availability.availability();
-    let at = report.availability.successes as f64 / run_s as f64;
-    let p = performability(tn, aa, IDEAL_AVAILABILITY);
+    let successes = obs.report.availability.successes;
+    let aa = obs.report.availability.availability();
     let ctrl_frames: u64 = (0..n)
-        .map(|i| sim.press(NodeId(i)).stats().cache_sync_frames)
+        .map(|i| obs.sim.press(NodeId(i)).stats().cache_sync_frames)
         .sum();
-    let ctrl_per_req = ctrl_frames as f64 / report.availability.successes.max(1) as f64;
     ScalePoint {
         nodes: n,
         version,
         sync,
         detector,
         tn,
-        at,
+        at: successes as f64 / run_s as f64,
         aa,
-        p,
+        p: performability(tn, aa, IDEAL_AVAILABILITY),
         ctrl_frames,
-        ctrl_per_req,
+        ctrl_per_req: ctrl_frames as f64 / successes.max(1) as f64,
         metrics,
         attr_text,
     }
@@ -303,15 +279,8 @@ pub fn study_points(
         .iter()
         .flat_map(|&n| POINTS_PER_N.iter().map(move |&p| (n, p)))
         .collect();
-    run_indexed(jobs, tasks, |i, (n, (version, sync, detector))| {
-        // Independent, index-derived seeds: identical regardless of
-        // which worker runs the point.
-        let s = seed.wrapping_add(7919 * (i as u64 + 1));
-        let extras = PointExtras {
-            metrics: with_metrics,
-            attr: with_attr,
-        };
-        node_crash_point(scale, n, version, sync, detector, s, extras)
+    run_indexed(jobs, tasks, |i, (n, spec)| {
+        node_crash_point(scale, n, spec, task_seed(seed, i), with_metrics, with_attr)
     })
 }
 
@@ -420,15 +389,12 @@ pub fn scale(scale: RunScale, seed: u64, jobs: usize, metrics: bool, attribution
 /// measures the per-event cost at large N, not `--jobs` fan-out.
 pub fn scalebench(scale: RunScale, seed: u64) -> String {
     let n = *sweep_nodes(scale).last().expect("sweep is non-empty");
-    let p = node_crash_point(
-        scale,
-        n,
+    let spec = (
         PressVersion::TcpHb,
         CacheSyncImpl::Digest,
         Some(MembershipImpl::Ring),
-        seed,
-        PointExtras::default(),
     );
+    let p = node_crash_point(scale, n, spec, seed, false, false);
     format!(
         "scalebench: N={} {} digest ring  Tn={:.0} req/s  AT={:.0} req/s  \
          AA={:.2}%  ctrl={} ({:.3}/req)\n",
@@ -448,15 +414,8 @@ mod tests {
     use press::PressNode;
 
     fn tcphb_point(n: usize, sync: CacheSyncImpl, seed: u64) -> ScalePoint {
-        node_crash_point(
-            RunScale::Small,
-            n,
-            PressVersion::TcpHb,
-            sync,
-            Some(MembershipImpl::Ring),
-            seed,
-            PointExtras::default(),
-        )
+        let spec = (PressVersion::TcpHb, sync, Some(MembershipImpl::Ring));
+        node_crash_point(RunScale::Small, n, spec, seed, false, false)
     }
 
     /// The headline law: eager control frames per request grow with the
@@ -526,7 +485,6 @@ mod tests {
                 sync,
                 Some(MembershipImpl::Ring),
             );
-            let mut sim = ClusterSim::with_campaign(config, Campaign::none(), 17);
             // 40 s at 600 req/s touches most of the 6000 files (the
             // all-miss opening seconds are disk-bound, so some early
             // requests drop); the last digest rotations then drain
@@ -535,7 +493,8 @@ mod tests {
             // final tick advances the sender's watermark (so it is no
             // longer "pending") yet delivers a few µs later — cutting
             // exactly on the tick would strand it in flight.
-            sim.run_until(SimTime::from_secs(40) + SimDuration::from_millis(100));
+            let end = SimTime::from_secs(40) + SimDuration::from_millis(100);
+            let sim = Run::new(config, Campaign::none(), end, 17).observe().sim;
             let mut cached_anywhere = std::collections::BTreeSet::new();
             let mut pending: Vec<std::collections::BTreeSet<u32>> = Vec::new();
             for h in 0..n {

@@ -7,7 +7,8 @@
 # and again with `--jobs 1`, and diff stdout against the checked-in
 # captures, so they verify both the harness output and the
 # byte-identity of the parallel runner. `--timing` output goes to stderr and
-# BENCH_repro.json, which this script preserves. The timed table1 run
+# to BENCH_repro.json in the working directory, so the timed runs start in
+# a scratch directory and leave the tree's file alone. The timed table1 run
 # also gates on events dispatched: the optimized event loop may not
 # dispatch more events than the seed loop that produced the goldens.
 # The HTML report gate renders the fig2, fig3, fig3 --attribution and
@@ -56,25 +57,16 @@ echo "== allocation budgets"
 cargo test -q --release -p bench --features bench-harness --test allocations
 
 echo "== repro table1 --small --timing vs golden"
-tmp_out=$(mktemp)
-tmp_err=$(mktemp)
-tmp_json=$(mktemp)
-had_json=0
-if [ -f BENCH_repro.json ]; then
-    cp BENCH_repro.json "$tmp_json"
-    had_json=1
-fi
-restore() {
-    rm -f "$tmp_out" "$tmp_err"
-    if [ "$had_json" -eq 1 ]; then
-        mv "$tmp_json" BENCH_repro.json
-    else
-        rm -f "$tmp_json" BENCH_repro.json
-    fi
-}
-trap restore EXIT
+# The timed runs call the plain release binary by path from a scratch
+# directory; make sure it is the one built from this tree.
+cargo build --release -q -p bench --bin repro
+repro="${CARGO_TARGET_DIR:-$PWD/target}/release/repro"
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+tmp_out="$scratch/out"
+tmp_err="$scratch/err"
 
-cargo run --release -q -p bench --bin repro -- table1 --small --timing --jobs 0 >"$tmp_out" 2>"$tmp_err"
+(cd "$scratch" && "$repro" table1 --small --timing --jobs 0) >"$tmp_out" 2>"$tmp_err"
 cat "$tmp_err" >&2
 diff -u scripts/golden_table1_small.txt "$tmp_out"
 
@@ -322,8 +314,8 @@ echo "== observation flags compose on one run"
 # must print exactly the attribution golden, write exactly the
 # trace-only file, and still print its --timing row. A flag the target
 # does not take must exit 2.
-cargo run --release -q -p bench --bin repro -- fig3 --small --attribution --trace "$tmp_trace2" \
-    --timing --jobs 0 >"$tmp_out" 2>"$tmp_err"
+(cd "$scratch" && "$repro" fig3 --small --attribution --trace "$tmp_trace2" --timing --jobs 0) \
+    >"$tmp_out" 2>"$tmp_err"
 diff -u scripts/golden_fig3_attr_small.txt "$tmp_out"
 cmp "$tmp_trace1" "$tmp_trace2"
 grep -q "^fig3 " "$tmp_err" \
