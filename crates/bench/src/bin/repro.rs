@@ -89,8 +89,8 @@
 //! - `--timing` reports wall-clock, events dispatched, events/second,
 //!   each target's share of the total wall time, and the process's
 //!   peak resident memory (`VmHWM`, where `/proc/self/status` has it)
-//!   on stderr, and writes `BENCH_repro.json` in the working directory
-//!   (appending a compact history entry per run); stdout is unchanged.
+//!   on stderr, and writes this run's `BENCH_repro.json` in the working
+//!   directory; stdout is unchanged.
 //!   With `all` this is the per-phase wall-clock summary for the whole
 //!   reproduction.
 
@@ -148,17 +148,6 @@ fn ms3(v: f64) -> JsonValue {
     JsonValue::Float((v * 1000.0).round() / 1000.0)
 }
 
-/// Whether a history entry carries the full expected schema. Entries
-/// from older/foreign formats are dropped rather than propagated.
-fn history_entry_valid(e: &JsonValue) -> bool {
-    e.get("scale").and_then(JsonValue::as_str).is_some()
-        && e.get("seed").and_then(JsonValue::as_i64).is_some()
-        && e.get("jobs").and_then(JsonValue::as_i64).is_some()
-        && e.get("targets").and_then(JsonValue::as_i64).is_some()
-        && e.get("total_wall_s").and_then(JsonValue::as_f64).is_some()
-        && e.get("total_events").and_then(JsonValue::as_i64).is_some()
-}
-
 /// The peak resident set in MiB from a `/proc/<pid>/status` text: its
 /// `VmHWM` line, in kB.
 fn vm_hwm_mb(status: &str) -> Option<f64> {
@@ -179,7 +168,7 @@ fn peak_rss_mb() -> Option<f64> {
 }
 
 /// Writes the `--timing` document: this run's targets and, when
-/// known, its peak memory at the top level, plus the carried history.
+/// known, its peak memory.
 fn write_bench_json(
     path: &str,
     scale: RunScale,
@@ -190,34 +179,6 @@ fn write_bench_json(
 ) {
     let total_wall: f64 = timings.iter().map(|t| t.wall_s).sum();
     let total_events: u64 = timings.iter().map(|t| t.events).sum();
-
-    // Carry forward the existing history (schema-validated entries
-    // only), then append this run and keep the last 20.
-    let mut history: Vec<JsonValue> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|old| telemetry::json::parse(&old).ok())
-        .and_then(|doc| {
-            doc.get("history")
-                .and_then(JsonValue::as_array)
-                .map(<[JsonValue]>::to_vec)
-        })
-        .unwrap_or_default()
-        .into_iter()
-        .filter(history_entry_valid)
-        .collect();
-    history.push(jobj(&[
-        ("scale", JsonValue::Str(scale_name(scale).to_string())),
-        ("seed", JsonValue::Int(seed as i64)),
-        ("jobs", JsonValue::Int(jobs as i64)),
-        ("targets", JsonValue::Int(timings.len() as i64)),
-        ("total_wall_s", ms3(total_wall)),
-        ("total_events", JsonValue::Int(total_events as i64)),
-    ]));
-    if history.len() > 20 {
-        let drop = history.len() - 20;
-        history.drain(..drop);
-    }
-
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -252,7 +213,6 @@ fn write_bench_json(
         ("total_wall_s", ms3(total_wall)),
         ("total_events", JsonValue::Int(total_events as i64)),
         ("targets", JsonValue::Array(targets)),
-        ("history", JsonValue::Array(history)),
     ];
     if let Some(mb) = peak_rss_mb {
         fields.push(("peak_rss_mb", JsonValue::Float((mb * 10.0).round() / 10.0)));
@@ -263,8 +223,8 @@ fn write_bench_json(
     }
 }
 
-/// The `--timing` document, which `--report` reads as its history:
-/// relative to the working directory, so a copied tree writes its own.
+/// The `--timing` document, relative to the working directory, so a
+/// copied tree writes its own.
 const BENCH_JSON: &str = "BENCH_repro.json";
 
 /// The targets `all` runs, in order.
@@ -483,12 +443,7 @@ fn emit(name: &str, o: &Opts, mut out: Output) -> i32 {
                 meta.title = "Monte-Carlo performability".to_string();
                 report::render_mc_report(&meta, run)
             }
-            None => {
-                let history = std::fs::read_to_string(BENCH_JSON)
-                    .map(|text| report::parse_bench_history(&text))
-                    .unwrap_or_default();
-                report::render_report(&meta, &out.runs, &history)
-            }
+            None => report::render_report(&meta, &out.runs),
         };
         write_file(p, &html);
         eprintln!("wrote {p} ({} bytes)", html.len());
@@ -658,42 +613,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn history_entries_are_schema_validated() {
-        let good = telemetry::json::parse(
-            r#"{"scale":"paper","seed":2003,"jobs":2,"targets":16,
-                "total_wall_s":475.368,"total_events":1000}"#,
-        )
-        .unwrap();
-        assert!(history_entry_valid(&good));
-        // Older entries also record the retired sim_threads knob; the
-        // extra key does not disqualify them.
-        let with_sim_threads = telemetry::json::parse(
-            r#"{"scale":"paper","seed":2003,"jobs":2,"sim_threads":4,"targets":16,
-                "total_wall_s":475.368,"total_events":1000}"#,
-        )
-        .unwrap();
-        assert!(history_entry_valid(&with_sim_threads));
-        let missing = telemetry::json::parse(r#"{"scale":"paper","seed":2003}"#).unwrap();
-        assert!(!history_entry_valid(&missing));
-        let wrong_type = telemetry::json::parse(
-            r#"{"scale":3,"seed":2003,"jobs":2,"targets":16,
-                "total_wall_s":475.368,"total_events":1000}"#,
-        )
-        .unwrap();
-        assert!(!history_entry_valid(&wrong_type));
-    }
-
-    #[test]
-    fn bench_json_round_trips_and_appends_history() {
+    fn bench_json_holds_this_run_only() {
         let dir = std::env::temp_dir().join("repro-bench-json-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_repro.json");
         let path = path.to_str().unwrap();
-        // An existing file whose one history entry still records
-        // sim_threads: it must be carried forward, not dropped.
+        // An older file with a history array: nothing of it survives.
         std::fs::write(
             path,
-            r#"{"history":[{"scale":"paper","seed":2003,"jobs":1,"sim_threads":2,
+            r#"{"history":[{"scale":"paper","seed":2003,"jobs":1,
                 "targets":1,"total_wall_s":37.9,"total_events":1000}]}"#,
         )
         .unwrap();
@@ -714,21 +642,13 @@ mod tests {
             doc.get("peak_rss_mb").and_then(JsonValue::as_f64),
             Some(341.3)
         );
-        let history = doc.get("history").and_then(JsonValue::as_array).unwrap();
+        assert!(doc.get("history").is_none(), "no carried history");
         assert_eq!(
-            history.len(),
-            3,
-            "each write appends one entry to the old one"
-        );
-        assert!(history.iter().all(history_entry_valid));
-        assert!(
-            doc.get("sim_threads").is_none(),
-            "top level no longer records sim_threads"
+            doc.get("total_events").and_then(JsonValue::as_i64),
+            Some(1000)
         );
         let targets = doc.get("targets").and_then(JsonValue::as_array).unwrap();
         assert_eq!(targets.len(), 1);
-        assert!(targets[0].get("sim_threads").is_none());
-        assert!(history[1..].iter().all(|e| e.get("sim_threads").is_none()));
         // Keys are emitted sorted: the document is stable under
         // parse → print.
         let pretty = doc.to_pretty();

@@ -4,9 +4,9 @@
 //! throughput timeline with A–G stage bands and event annotations, the
 //! blind-fit overlay and audit verdict, the extracted stage parameters,
 //! and per-stage response-time percentiles; across runs it adds the
-//! phase-2 AT/AA/P projection, the Table 3 fault-load weights, and the
-//! `repro -- all` wall-time history. Rendering is pure (no file or
-//! clock access) and byte-deterministic for fixed inputs.
+//! phase-2 AT/AA/P projection and the Table 3 fault-load weights.
+//! Rendering is pure (no file or clock access) and byte-deterministic
+//! for fixed inputs.
 
 use experiments::phase1::FaultRunResult;
 use experiments::phase2::{self, VersionProfile};
@@ -16,7 +16,7 @@ use simnet::LatencyHistogram;
 
 use crate::audit::{audit_run, AuditConfig, RunAudit};
 use crate::html::{esc, page, table};
-use crate::svg::{history_svg, timeline_svg, TimelineChart};
+use crate::svg::{timeline_svg, TimelineChart};
 
 /// Report-wide context, shown in the header.
 #[derive(Debug, Clone)]
@@ -31,48 +31,12 @@ pub struct ReportMeta {
     pub seed: u64,
 }
 
-/// One `repro -- all --timing` history entry, for the wall-time
-/// sparkline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BenchHistoryPoint {
-    /// Wall-clock seconds for the full target sweep.
-    pub wall_s: f64,
-    /// How many targets the sweep covered.
-    pub targets: i64,
-}
-
-/// Pulls the history series out of a `BENCH_repro.json` document.
-/// Tolerant of missing/foreign fields and of parse errors (returns an
-/// empty history): the report must not fail because the bench log is
-/// stale.
-pub fn parse_bench_history(text: &str) -> Vec<BenchHistoryPoint> {
-    let Ok(doc) = telemetry::json::parse(text) else {
-        return Vec::new();
-    };
-    let Some(entries) = doc.get("history").and_then(|h| h.as_array()) else {
-        return Vec::new();
-    };
-    entries
-        .iter()
-        .filter_map(|e| {
-            Some(BenchHistoryPoint {
-                wall_s: e.get("total_wall_s")?.as_f64()?,
-                targets: e.get("targets").and_then(|t| t.as_i64()).unwrap_or(0),
-            })
-        })
-        .collect()
-}
-
 /// Renders the full report page. `runs` come straight from the repro
 /// harness (task order = render order); each run that carries an
 /// attribution report ([`FaultRunResult::attr`]) gains a root-cause
 /// section (stacked loss lanes, the Pareto table, and the conservation
-/// verdict). `bench_history` may be empty.
-pub fn render_report(
-    meta: &ReportMeta,
-    runs: &[FaultRunResult],
-    bench_history: &[BenchHistoryPoint],
-) -> String {
+/// verdict).
+pub fn render_report(meta: &ReportMeta, runs: &[FaultRunResult]) -> String {
     let audits: Vec<RunAudit> = runs.iter().map(audit_run).collect();
     let mut body = format!(
         "<h1>{title}</h1>\n<p class=\"meta\">target {target} · scale {scale} · seed {seed} · \
@@ -94,7 +58,6 @@ pub fn render_report(
 
     body.push_str(&phase2_section(runs));
     body.push_str(&fault_load_section());
-    body.push_str(&bench_section(bench_history));
 
     let cfg = AuditConfig::default();
     body.push_str(&format!(
@@ -406,25 +369,6 @@ fn fault_load_section() -> String {
     s
 }
 
-fn bench_section(history: &[BenchHistoryPoint]) -> String {
-    let mut s = String::from("<h2>Repro harness wall time</h2>\n");
-    if history.is_empty() {
-        s.push_str("<p>No <code>repro -- all --timing</code> history recorded yet.</p>\n");
-        return s;
-    }
-    let walls: Vec<f64> = history.iter().map(|h| h.wall_s).collect();
-    s.push_str(&history_svg(&walls, "s", "repro -- all wall-clock history"));
-    let last = history.last().expect("non-empty");
-    s.push_str(&format!(
-        "<p>{n} recorded sweep{plural}; latest covered {targets} targets in {wall:.1} s.</p>\n",
-        n = history.len(),
-        plural = if history.len() == 1 { "" } else { "s" },
-        targets = last.targets,
-        wall = last.wall_s,
-    ));
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,14 +461,7 @@ mod tests {
     #[test]
     fn report_renders_every_section() {
         let run = synthetic_run();
-        let html = render_report(
-            &meta(),
-            &[run],
-            &[BenchHistoryPoint {
-                wall_s: 475.4,
-                targets: 6,
-            }],
-        );
+        let html = render_report(&meta(), &[run]);
         for needle in [
             "Figure 3: node crash",
             "VIA-PRESS-5 under Node crash",
@@ -532,7 +469,6 @@ mod tests {
             "Response time by stage",
             "Phase-2 projection",
             "Fault load (Table 3",
-            "Repro harness wall time",
             "segmentation audit",
             "<svg",
         ] {
@@ -544,28 +480,14 @@ mod tests {
     #[test]
     fn rendering_is_byte_deterministic() {
         let run = synthetic_run();
-        let a = render_report(&meta(), std::slice::from_ref(&run), &[]);
-        let b = render_report(&meta(), &[run], &[]);
+        let a = render_report(&meta(), std::slice::from_ref(&run));
+        let b = render_report(&meta(), &[run]);
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_run_list_still_produces_a_page() {
-        let html = render_report(&meta(), &[], &[]);
+        let html = render_report(&meta(), &[]);
         assert!(html.contains("0 runs"));
-        assert!(html.contains("No <code>repro -- all --timing</code> history"));
-    }
-
-    #[test]
-    fn bench_history_parses_and_shrugs_off_garbage() {
-        let doc = r#"{"history":[{"jobs":2,"targets":6,"total_wall_s":475.368},
-                      {"targets":6,"total_wall_s":470.0},
-                      {"missing":"fields"}]}"#;
-        let h = parse_bench_history(doc);
-        assert_eq!(h.len(), 2);
-        assert_eq!(h[0].targets, 6);
-        assert!((h[0].wall_s - 475.368).abs() < 1e-9);
-        assert!(parse_bench_history("not json").is_empty());
-        assert!(parse_bench_history("{}").is_empty());
     }
 }

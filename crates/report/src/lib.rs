@@ -7,9 +7,8 @@
 //!   [`experiments::phase1::FaultRunResult`]s into one standalone HTML
 //!   page — inline-SVG throughput timelines with A–G stage bands and
 //!   event annotations, per-stage response-time percentiles, the
-//!   phase-2 AT/AA/P projection, Table 3's fault-load weights, and the
-//!   `repro -- all` wall-time history. No JavaScript, no network: the
-//!   file is the artifact.
+//!   phase-2 AT/AA/P projection and Table 3's fault-load weights. No
+//!   JavaScript, no network: the file is the artifact.
 //! - [`montecarlo::render_mc_report`] is the dashboard's Monte-Carlo
 //!   counterpart: per-replication timelines with one band per
 //!   active-fault interval (stacked into lanes when faults overlap)
@@ -33,5 +32,5 @@ mod svg;
 pub use audit::{
     audit_run, audit_series, AuditConfig, AuditSegment, Finding, FindingKind, RunAudit,
 };
-pub use dashboard::{parse_bench_history, render_report, BenchHistoryPoint, ReportMeta};
+pub use dashboard::{render_report, ReportMeta};
 pub use montecarlo::render_mc_report;

@@ -1,7 +1,7 @@
 //! Inline-SVG rendering for the report: the per-run throughput
 //! timeline (stage bands, event annotations, measured curve, blind-fit
-//! overlay, fault lane), the Monte-Carlo replication and root-cause
-//! timelines, and the bench-history sparkline.
+//! overlay, fault lane) and the Monte-Carlo replication and root-cause
+//! timelines.
 //!
 //! The three timelines draw on one [`Plot`] frame — scales, gridlines,
 //! axis labels, baseline, Tn line, fit and measured curves, legend and
@@ -496,56 +496,6 @@ pub fn attr_svg(timeline: &[[u64; telemetry::NCAUSES]], end: f64, aria_label: &s
     s
 }
 
-/// A small single-series sparkline with first/last value labels — used
-/// for the `repro -- all` wall-time history.
-pub fn history_svg(values: &[f64], unit: &str, aria_label: &str) -> String {
-    const HW: f64 = 420.0;
-    const HH: f64 = 64.0;
-    const HPAD: f64 = 8.0;
-    let mut s = svg_open(HW, HH, aria_label);
-    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    if finite.is_empty() {
-        s.push_str(&format!(
-            "<text x=\"{x}\" y=\"{y}\" style=\"fill:var(--muted)\">no history yet</text>\n",
-            x = c(HPAD),
-            y = c(HH / 2.0),
-        ));
-        s.push_str("</svg>\n");
-        return s;
-    }
-    let max = finite.iter().fold(f64::MIN, |a, &b| a.max(b)).max(1e-9);
-    let span = (finite.len() as f64 - 1.0).max(1.0);
-    let x = |i: usize| HPAD + 56.0 + (i as f64 / span) * (HW - 2.0 * HPAD - 112.0);
-    let y = |v: f64| HPAD + (HH - 2.0 * HPAD) * (1.0 - (v / max).clamp(0.0, 1.0));
-    let pts: Vec<String> = finite
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| format!("{},{}", c(x(i)), c(y(v))))
-        .collect();
-    if pts.len() == 1 {
-        s.push_str(&format!(
-            "<circle cx=\"{cx}\" cy=\"{cy}\" r=\"3\" style=\"fill:var(--series-1)\"/>\n",
-            cx = c(x(0)),
-            cy = c(y(finite[0])),
-        ));
-    } else {
-        polyline(&mut s, &pts);
-    }
-    let first = finite[0];
-    let last = *finite.last().expect("non-empty");
-    s.push_str(&format!(
-        "<text x=\"{fx}\" y=\"{fy}\" text-anchor=\"end\" style=\"fill:var(--muted)\">{first:.1}{unit}</text>\n\
-         <text x=\"{lx}\" y=\"{ly2}\" style=\"fill:var(--text-primary)\">{last:.1}{unit}</text>\n",
-        fx = c(HPAD + 50.0),
-        fy = c(y(first) + 3.5),
-        lx = c(HW - HPAD - 106.0),
-        ly2 = c(y(last) + 3.5),
-        unit = esc(unit),
-    ));
-    s.push_str("</svg>\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,15 +563,6 @@ mod tests {
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>\n"));
         assert!(!svg.contains("NaN"));
-    }
-
-    #[test]
-    fn history_handles_empty_single_and_many() {
-        assert!(history_svg(&[], "s", "hist").contains("no history yet"));
-        assert!(history_svg(&[12.0], "s", "hist").contains("circle"));
-        let multi = history_svg(&[10.0, 12.0, 9.5], "s", "hist");
-        assert!(multi.contains("polyline"));
-        assert!(multi.contains("9.5s"));
     }
 
     #[test]

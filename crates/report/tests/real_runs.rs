@@ -67,8 +67,8 @@ fn report_bytes_are_reproducible() {
         scale: "small".to_string(),
         seed: 11,
     };
-    let a = render_report(&meta, &runs, &[]);
-    let b = render_report(&meta, &runs, &[]);
+    let a = render_report(&meta, &runs);
+    let b = render_report(&meta, &runs);
     assert_eq!(a, b, "rendering must be byte-deterministic");
     assert!(a.contains("VIA-PRESS-5"));
 }

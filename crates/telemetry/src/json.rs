@@ -1,9 +1,8 @@
 //! A minimal JSON value type with a deterministic writer and a strict
 //! parser.
 //!
-//! The repro harness persists `BENCH_repro.json` and the report
-//! generator reads it back for the bench-history sparkline, so both
-//! need the same guarantees the other exporters in this crate give:
+//! The repro harness persists `BENCH_repro.json` with it, so it needs
+//! the same guarantees the other exporters in this crate give:
 //! **byte-reproducible output** (object keys are a [`BTreeMap`], so
 //! they always serialize sorted; floats print via Rust's shortest
 //! round-trip formatting) and **no external dependencies**. This is
@@ -438,8 +437,7 @@ mod tests {
     fn round_trips_the_bench_shape() {
         let text = r#"{
             "scale": "paper", "seed": 2003, "total_wall_s": 475.368,
-            "targets": [{"name": "fig2", "wall_s": 0.000}],
-            "history": []
+            "targets": [{"name": "fig2", "wall_s": 0.000}]
         }"#;
         let v = parse(text).expect("parses");
         assert_eq!(v.get("scale").and_then(JsonValue::as_str), Some("paper"));

@@ -6,13 +6,18 @@
 # The golden checks run small-scale targets with `--jobs 0` (all cores)
 # and again with `--jobs 1`, and diff stdout against the checked-in
 # captures, so they verify both the harness output and the
-# byte-identity of the parallel runner. `--timing` output goes to stderr and
-# to BENCH_repro.json in the working directory, so the timed runs start in
-# a scratch directory and leave the tree's file alone. The timed table1 run
+# byte-identity of the parallel runner. A target `all` also runs is
+# diffed against its section of the `all --small` golden rather than a
+# copy of its own. Paper scale is pinned by one `all` and one `scale`
+# run at `--jobs 0` (about 3 min together on 2 cores). `--timing`
+# output goes to stderr and to BENCH_repro.json in the working
+# directory, so the timed runs start in a scratch directory and leave
+# the tree's file alone. The timed table1 run
 # also gates on events dispatched: the optimized event loop may not
 # dispatch more events than the seed loop that produced the goldens.
 # The HTML report gate renders the fig2, fig3, fig3 --attribution and
-# montecarlo dashboards at two --jobs values and requires byte-identity; the audit gate re-derives every
+# montecarlo dashboards at two --jobs values, from two working
+# directories, and requires byte-identity; the audit gate re-derives every
 # stage segmentation blind from the throughput curve, fails on any
 # disagreement with the run log, and diffs all 55 per-run lines
 # against their golden.
@@ -66,9 +71,19 @@ trap 'rm -rf "$scratch"' EXIT
 tmp_out="$scratch/out"
 tmp_err="$scratch/err"
 
+# `all` prints a line of 62 `=` before each target. golden_section N
+# prints the N-th target's section (1-based, in `all`'s order) of the
+# `all --small` golden. The separator is matched as a literal string:
+# mawk ignores the `={62}` interval.
+all_sep='=============================================================='
+golden_section() {
+    awk -v n="$1" -v sep="$all_sep" '$0 == sep { k++; next } k == n' \
+        scripts/golden_all_small.txt
+}
+
 (cd "$scratch" && "$repro" table1 --small --timing --jobs 0) >"$tmp_out" 2>"$tmp_err"
 cat "$tmp_err" >&2
-diff -u scripts/golden_table1_small.txt "$tmp_out"
+golden_section 1 | diff -u - "$tmp_out"
 
 echo "== stale-timer gate: events dispatched must not grow"
 # The seed event loop dispatched 1,167,954 events producing the
@@ -98,31 +113,32 @@ cargo run --release -q -p bench --bin repro -- all --small --jobs 1 >"$tmp_out" 
 diff -u scripts/golden_all_small.txt "$tmp_out"
 echo "   all identical at --jobs 0 and --jobs 1"
 
-echo "== repro fig3 --small vs golden"
-cargo run --release -q -p bench --bin repro -- fig3 --small --jobs 0 >"$tmp_out" 2>/dev/null
-diff -u scripts/golden_fig3_small.txt "$tmp_out"
+echo "== single targets match their section of the all golden"
+# table1, fig3, fig6 and crossover run alone must print exactly what
+# `all` prints for them, at both --jobs values. Figure 6 weights every
+# phase-1 fault run by its rate, so its section pins the request
+# scoring of all fault classes, application hangs longer than the
+# request timeout included.
+for target in table1:1 fig3:5 fig6:9 crossover:14; do
+    for jobs in 0 1; do
+        cargo run --release -q -p bench --bin repro -- "${target%:*}" --small --jobs "$jobs" \
+            >"$tmp_out" 2>/dev/null
+        golden_section "${target#*:}" | diff -u - "$tmp_out"
+    done
+done
+echo "   table1, fig3, fig6, crossover identical to their sections at --jobs 0 and --jobs 1"
 
-echo "== table1 + fig3 --jobs 1 match the same goldens"
-cargo run --release -q -p bench --bin repro -- table1 --small --jobs 1 >"$tmp_out" 2>/dev/null
-diff -u scripts/golden_table1_small.txt "$tmp_out"
-cargo run --release -q -p bench --bin repro -- fig3 --small --jobs 1 >"$tmp_out" 2>/dev/null
-diff -u scripts/golden_fig3_small.txt "$tmp_out"
-echo "   table1 + fig3 identical at --jobs 1 and --jobs 0"
-
-echo "== repro crossover --small vs golden"
-cargo run --release -q -p bench --bin repro -- crossover --small --jobs 0 >"$tmp_out" 2>/dev/null
-diff -u scripts/golden_crossover_small.txt "$tmp_out"
-cargo run --release -q -p bench --bin repro -- crossover --small --jobs 1 >"$tmp_out" 2>/dev/null
-diff -u scripts/golden_crossover_small.txt "$tmp_out"
-
-echo "== repro fig6 --small vs golden"
-# Figure 6 weights every phase-1 fault run by its rate, so the golden
-# pins the request scoring of all fault classes, application hangs
-# longer than the request timeout included.
-cargo run --release -q -p bench --bin repro -- fig6 --small --jobs 0 >"$tmp_out" 2>/dev/null
-diff -u scripts/golden_fig6_small.txt "$tmp_out"
-cargo run --release -q -p bench --bin repro -- fig6 --small --jobs 1 >"$tmp_out" 2>/dev/null
-diff -u scripts/golden_fig6_small.txt "$tmp_out"
+echo "== repro all and scale (paper scale) vs goldens"
+# One paper-scale run of every target of `all`, and one of the N=64
+# cache-sync sweep, seed 2003: EXPERIMENTS.md quotes both. Their
+# timing goes to stderr; BENCH_repro.json lands in the scratch
+# directory.
+for target in all scale; do
+    (cd "$scratch" && "$repro" "$target" --timing --jobs 0) >"$tmp_out" 2>"$tmp_err"
+    tail -n 3 "$tmp_err" >&2
+    diff -u "scripts/golden_${target}_paper.txt" "$tmp_out"
+done
+echo "   paper-scale all and scale identical"
 
 echo "== repro montecarlo --small vs golden"
 # The Monte-Carlo estimator replays generated multi-fault timelines
@@ -282,12 +298,14 @@ echo "== HTML reports are byte-identical across --jobs"
 tmp_rep1=$(mktemp)
 tmp_rep2=$(mktemp)
 # `fig3 --attribution` is the only report that draws the root-cause
-# chart; the word-split `$run` carries its flag.
+# chart; the word-split `$run` carries its flag. The --jobs 0 render
+# runs from the scratch directory, whose BENCH_repro.json is not the
+# tree's: a report is a function of its runs alone.
 for run in fig2 fig3 "fig3 --attribution" montecarlo; do
     # shellcheck disable=SC2086
     cargo run --release -q -p bench --bin repro -- $run --small --jobs 1 --report "$tmp_rep1" >/dev/null 2>&1
     # shellcheck disable=SC2086
-    cargo run --release -q -p bench --bin repro -- $run --small --jobs 0 --report "$tmp_rep2" >/dev/null 2>&1
+    (cd "$scratch" && "$repro" $run --small --jobs 0 --report "$tmp_rep2") >/dev/null 2>&1
     cmp "$tmp_rep1" "$tmp_rep2"
     echo "   $run report: $(wc -c <"$tmp_rep1") bytes, identical"
 done
