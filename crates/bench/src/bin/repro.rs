@@ -618,11 +618,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_repro.json");
         let path = path.to_str().unwrap();
-        // An older file with a history array: nothing of it survives.
+        // An older file with a history array and the retired sim_threads
+        // knob: nothing of it survives.
         std::fs::write(
             path,
-            r#"{"history":[{"scale":"paper","seed":2003,"jobs":1,
-                "targets":1,"total_wall_s":37.9,"total_events":1000}]}"#,
+            r#"{"sim_threads":4,"history":[{"scale":"paper","seed":2003,"jobs":1,
+                "sim_threads":2,"targets":1,"total_wall_s":37.9,"total_events":1000}]}"#,
         )
         .unwrap();
         let timings = [Timing {
@@ -643,12 +644,17 @@ mod tests {
             Some(341.3)
         );
         assert!(doc.get("history").is_none(), "no carried history");
+        assert!(
+            doc.get("sim_threads").is_none(),
+            "top level no longer records sim_threads"
+        );
         assert_eq!(
             doc.get("total_events").and_then(JsonValue::as_i64),
             Some(1000)
         );
         let targets = doc.get("targets").and_then(JsonValue::as_array).unwrap();
         assert_eq!(targets.len(), 1);
+        assert!(targets[0].get("sim_threads").is_none());
         // Keys are emitted sorted: the document is stable under
         // parse → print.
         let pretty = doc.to_pretty();

@@ -342,21 +342,15 @@ mod tests {
     }
 
     #[test]
-    fn a_one_shot_bad_parameter_with_no_restart_recovers_at_injection() {
-        let kind = FaultKind::BadParamNull;
-        let fault = FaultSpec::bad_param(kind, NodeId(3), at(10.0), MsgClass::FileData, 20);
-        assert_eq!(recovery_time(&logs(&[], &[]), &fault, 90.0), 10.0);
-    }
-
-    /// Known defect (DESIGN.md §5): a one-shot bad parameter's nominal
-    /// recovery is the run's end, so a fail-fast exit and restart inside
-    /// the run is never counted and recovery stays at injection. The
-    /// fix moves the bad-parameter goldens; flip this test with it.
-    #[test]
-    fn a_bad_parameter_restart_inside_the_run_is_not_counted() {
+    fn a_one_shot_bad_parameter_recovers_at_injection() {
         use ProcEvent::{Exit, Restart};
         let kind = FaultKind::BadParamNull;
         let fault = FaultSpec::bad_param(kind, NodeId(3), at(10.0), MsgClass::FileData, 20);
+        assert_eq!(recovery_time(&logs(&[], &[]), &fault, 90.0), 10.0);
+        // Known defect (DESIGN.md §5): a one-shot bad parameter's nominal
+        // recovery is the run's end, so a fail-fast exit and restart inside
+        // the run is never counted and recovery stays at injection. The
+        // fix moves the bad-parameter goldens; flip this assert with it.
         let r = logs(&[], &[(11.0, 3, Exit), (15.0, 3, Restart)]);
         assert_eq!(recovery_time(&r, &fault, 90.0), 10.0);
     }
