@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use simnet::fabric::NodeId;
 use simnet::SimTime;
 use std::hint::black_box;
-use transport::tcp::{TcpConfig, TcpStack};
-use transport::via::{ViaConfig, ViaNic};
+use transport::tcp::TcpStack;
+use transport::via::{ViaMode, ViaNic};
 use transport::{CallParams, CostModel, Effect, MsgClass, Substrate};
 
 /// Ferries frames between two substrates until quiescent.
@@ -36,8 +36,8 @@ fn pump<M: Clone>(
 }
 
 fn tcp_pair() -> (TcpStack<u64>, TcpStack<u64>) {
-    let mut a = TcpStack::new(NodeId(0), TcpConfig::default(), CostModel::tcp());
-    let mut b = TcpStack::new(NodeId(1), TcpConfig::default(), CostModel::tcp());
+    let mut a = TcpStack::new(NodeId(0), CostModel::tcp());
+    let mut b = TcpStack::new(NodeId(1), CostModel::tcp());
     let mut out = Vec::new();
     a.open(SimTime::ZERO, NodeId(1), &mut out);
     pump(SimTime::ZERO, &mut a, &mut b, out);
@@ -45,8 +45,8 @@ fn tcp_pair() -> (TcpStack<u64>, TcpStack<u64>) {
 }
 
 fn via_pair() -> (ViaNic<u64>, ViaNic<u64>) {
-    let mut a = ViaNic::new(NodeId(0), ViaConfig::remote_write(), CostModel::via5());
-    let mut b = ViaNic::new(NodeId(1), ViaConfig::remote_write(), CostModel::via5());
+    let mut a = ViaNic::new(NodeId(0), ViaMode::RemoteWrite, CostModel::via5());
+    let mut b = ViaNic::new(NodeId(1), ViaMode::RemoteWrite, CostModel::via5());
     let mut out = Vec::new();
     a.open(SimTime::ZERO, NodeId(1), &mut out);
     pump(SimTime::ZERO, &mut a, &mut b, out);

@@ -24,8 +24,7 @@ use simnet::{
 };
 use telemetry::{AttrEvent, TraceEvent, TID_CLUSTER};
 use transport::{
-    Effect, Effects, Substrate, SubstrateImpl, TcpConfig, TcpStack, TimerKey, TimerKind, Upcall,
-    ViaConfig, ViaNic, WirePayload,
+    Effect, Effects, Substrate, SubstrateImpl, TcpStack, TimerKey, Upcall, ViaNic, WirePayload,
 };
 use workload::{ClientConfig, ClientEvent, ClientPool};
 
@@ -41,18 +40,14 @@ pub struct ClusterConfig {
     pub press: PressConfig,
     /// Network fabric parameters.
     pub fabric: FabricConfig,
-    /// TCP stack parameters (TCP versions).
-    pub tcp: TcpConfig,
-    /// VIA NIC parameters (VIA versions).
-    pub via: ViaConfig,
     /// Aggregate client request rate (requests/second).
     pub rate: f64,
     /// Pre-populate caches and directories (skip cold-cache warm-up).
     pub prewarm: bool,
-    /// Delay before the Mendosus daemon restarts a dead process.
-    pub restart_delay: SimDuration,
-    /// Structured tracing (off by default; near-free when off).
-    pub trace: telemetry::TraceConfig,
+    /// Structured tracing (off by default; near-free when off). A traced
+    /// run also follows every [`REQUEST_SAMPLE`]-th client request from
+    /// arrival to reply.
+    pub trace: bool,
     /// Always `1`: a simulation runs on one thread. The field stays only
     /// so the frozen `perfbench` workloads, which assign it, still
     /// compile; [`ClusterSim::with_campaign`] rejects any other value.
@@ -68,24 +63,14 @@ impl ClusterConfig {
     /// version's nominal peak so measured throughput is the near-peak
     /// capacity (Table 1's operating point).
     pub fn paper_defaults(version: PressVersion) -> Self {
-        let mut via = match version.via_mode() {
-            Some(transport::ViaMode::RemoteWrite) => ViaConfig::remote_write(),
-            _ => ViaConfig::messaging(),
-        };
-        // VIA-PRESS-5 pins its whole 128 MB cache (32768 pages) plus the
-        // startup communication buffers.
-        via.pinned_page_limit = 40_000;
         let press = PressConfig::paper_testbed();
         ClusterConfig {
             version,
             fabric: FabricConfig::ring(press.nodes),
             press,
-            tcp: TcpConfig::default(),
-            via,
             rate: version.paper_throughput() * 1.06,
             prewarm: true,
-            restart_delay: SimDuration::from_secs(3),
-            trace: telemetry::TraceConfig::OFF,
+            trace: false,
             sim_threads: 1,
             attribution: false,
         }
@@ -107,7 +92,7 @@ impl ClusterConfig {
     pub fn small(version: PressVersion) -> Self {
         let mut c = ClusterConfig::paper_defaults(version);
         c.press.files = 6_000;
-        c.press.cache_bytes = 1_640 * u64::from(c.press.file_bytes);
+        c.press.cache_bytes = 1_640 * u64::from(press::config::FILE_BYTES);
         c.rate = 900.0;
         c
     }
@@ -182,6 +167,15 @@ struct NodeLanes {
 /// charge costs this many times more while the fault is active.
 const GRAY_THROTTLE_FACTOR: u32 = 8;
 
+/// Delay before the Mendosus daemon restarts a dead process.
+const RESTART_DELAY: SimDuration = SimDuration::from_secs(3);
+
+/// A traced run follows every this-many-th client request as a span from
+/// arrival to reply. Sampling keeps paper-scale traces (millions of
+/// requests) at a size Perfetto can open while still showing the
+/// latency texture around a fault.
+pub const REQUEST_SAMPLE: u64 = 128;
+
 /// Connections the kernel accepts for an application that does not
 /// read them (Linux's `SOMAXCONN`). Past it, SYNs are dropped and the
 /// client's connect fails.
@@ -209,18 +203,19 @@ impl Observer {
 ///
 /// TCP's reliability machine (`transport::tcp::reliability`) bumps the
 /// shared per-connection `gen` on every arming, of any timer kind, and
-/// `timer_fired` demands an exact match, so *any* pending timer whose
-/// gen is older than the newest `SetTimer` gen seen for the connection
-/// is a guaranteed no-op — it can be cancelled out of the engine instead
-/// of transiting the heap just to be discarded. The index is only
-/// maintained for TCP versions: VIA only arms rare connection-setup
-/// timers.
+/// `timer_fired` demands an exact match, so a connection has at most one
+/// live timer: any pending one whose gen is older than the newest
+/// `SetTimer` gen seen for the connection is a guaranteed no-op, and is
+/// cancelled out of the engine instead of transiting the heap just to be
+/// discarded. The index is only maintained for TCP versions: VIA stamps
+/// every timer with connection 0 and draws its gens from one NIC-wide
+/// counter, so a newer gen there says nothing about another VI's timer.
 #[derive(Clone, Default)]
 struct ConnTimers {
     /// Gen of the newest `SetTimer` seen for this connection.
     latest_gen: u64,
-    /// Per-kind pending timer: `(gen, engine token)`.
-    pending: [Option<(u64, CancelToken)>; TimerKind::COUNT],
+    /// The pending timer: `(gen, engine token)`.
+    pending: Option<(u64, CancelToken)>,
 }
 
 /// Summary of a finished (or in-progress) run.
@@ -317,7 +312,9 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics if `config.sim_threads != 1` or the campaign is malformed.
+    /// Panics if `config.sim_threads != 1`, if the fabric is sized for
+    /// another node count than the cluster, or if the campaign is
+    /// malformed.
     pub fn with_campaign(config: ClusterConfig, campaign: Campaign, seed: u64) -> Self {
         assert_eq!(
             config.sim_threads, 1,
@@ -330,6 +327,11 @@ impl ClusterSim {
             panic!("invalid fault campaign: {err}");
         }
         let n = config.press.nodes;
+        assert!(
+            config.fabric.nodes == n,
+            "the fabric connects {} nodes but the cluster has {n}",
+            config.fabric.nodes
+        );
         for spec in campaign.faults() {
             // A switch fault names no node.
             let node = (spec.kind != FaultKind::SwitchDown).then_some(spec.node);
@@ -365,24 +367,15 @@ impl ClusterSim {
             rate: config.rate,
             nodes: n,
             files: config.press.files,
-            ..ClientConfig::paper(config.rate)
         };
         let mut clients = ClientPool::new(client_config, rng.fork());
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n {
             let id = NodeId(i);
-            let sub = if config.version.uses_via() {
-                SubstrateImpl::Via(ViaNic::new(
-                    id,
-                    config.via.clone(),
-                    config.version.cost_model(),
-                ))
-            } else {
-                SubstrateImpl::Tcp(TcpStack::new(
-                    id,
-                    config.tcp.clone(),
-                    config.version.cost_model(),
-                ))
+            let cost = config.version.cost_model();
+            let sub = match config.version.via_mode() {
+                Some(mode) => SubstrateImpl::Via(ViaNic::new(id, mode, cost)),
+                None => SubstrateImpl::Tcp(TcpStack::new(id, cost)),
             };
             nodes.push(NodeSlot {
                 press: PressNode::new(id, config.version, config.press.clone()),
@@ -418,11 +411,7 @@ impl ClusterSim {
             slot.sub.set_attr(obs.attr.is_some());
             slot.press.set_attr(obs.attr.is_some());
         }
-        let sample = if obs.sink.enabled() {
-            config.trace.request_sample
-        } else {
-            0
-        };
+        let sample = if config.trace { REQUEST_SAMPLE } else { 0 };
         let timers = if config.version.uses_via() {
             None
         } else {
@@ -741,9 +730,8 @@ impl ClusterSim {
         let Some(entry) = per_node[key.node.0].get_mut(&key.conn) else {
             return false;
         };
-        let slot = &mut entry.pending[key.kind.idx()];
-        if slot.is_some_and(|(g, ..)| g == key.gen) {
-            *slot = None;
+        if entry.pending.is_some_and(|(g, ..)| g == key.gen) {
+            entry.pending = None;
         }
         key.gen < entry.latest_gen
     }
@@ -756,21 +744,14 @@ impl ClusterSim {
             return;
         };
         let entry = per_node[key.node.0].entry(key.conn).or_default();
-        if key.gen > entry.latest_gen {
-            entry.latest_gen = key.gen;
-        }
-        for slot in &mut entry.pending {
-            if let Some((g, token)) = *slot {
-                if g < entry.latest_gen {
-                    *slot = None;
-                    if self.engine.cancel(token) {
-                        self.timers_suppressed += 1;
-                    }
-                }
+        entry.latest_gen = entry.latest_gen.max(key.gen);
+        if let Some((g, token)) = entry.pending {
+            if g < entry.latest_gen && self.engine.cancel(token) {
+                self.timers_suppressed += 1;
             }
         }
         let token = self.engine.schedule_cancellable(at, Ev::Timer(key));
-        entry.pending[key.kind.idx()] = Some((key.gen, token));
+        entry.pending = Some((key.gen, token));
     }
 
     fn apply_fault(&mut self, now: SimTime, action: &FaultAction) {
@@ -813,7 +794,7 @@ impl ClusterSim {
                     if !self.faults.active(FaultKind::NodeHang, node) {
                         self.fabric.set_node_up(node, true);
                     }
-                    self.schedule_restart(now + self.config.restart_delay, i);
+                    self.schedule_restart(now + RESTART_DELAY, i);
                 }
             }
             FaultKind::NodeHang if edge => {
@@ -834,7 +815,7 @@ impl ClusterSim {
                     // frozen could not boot the process (see
                     // Ev::ProcessRestart); resume the boot now.
                     if !crashed && !self.nodes[i].running {
-                        self.schedule_restart(now + self.config.restart_delay, i);
+                        self.schedule_restart(now + RESTART_DELAY, i);
                     }
                 }
             }
@@ -1030,7 +1011,7 @@ impl ClusterSim {
                     self.schedule_stream(i, Stream::Cpu, at, ev);
                 }
                 AppEffect::ProcessExit { reason: _ } => {
-                    self.kill_process(now, i, Some(self.config.restart_delay));
+                    self.kill_process(now, i, Some(RESTART_DELAY));
                 }
             }
         }
@@ -1148,9 +1129,10 @@ mod tests {
 
     #[test]
     fn via_runs_without_a_timer_index() {
-        // VIA gens are not monotone per connection (Vi replacement
-        // resets them), so the index is TCP-only and VIA must simply
-        // never count a suppression.
+        // VIA stamps every timer with connection 0 and one NIC-wide gen
+        // counter, so a per-connection index would let one VI's newer gen
+        // cancel another VI's live connect retry. The index is TCP-only,
+        // and VIA must never count a suppression.
         let mut sim = ClusterSim::new(ClusterConfig::small(PressVersion::Via5), 1);
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.timers_stale_suppressed(), 0);
@@ -1222,6 +1204,14 @@ mod tests {
     fn configs_asking_for_more_sim_threads_are_rejected() {
         let mut config = ClusterConfig::small(PressVersion::Tcp);
         config.sim_threads = 2;
+        let _ = ClusterSim::new(config, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the fabric connects 3 nodes but the cluster has 4")]
+    fn a_fabric_sized_for_another_cluster_is_rejected() {
+        let mut config = ClusterConfig::small(PressVersion::Tcp);
+        config.fabric = FabricConfig::ring(3);
         let _ = ClusterSim::new(config, 1);
     }
 

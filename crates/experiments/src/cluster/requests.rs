@@ -134,14 +134,19 @@ impl RequestLedger {
 mod tests {
     use super::*;
     use simnet::SimRng;
-    use telemetry::{AttrState, TraceConfig, TraceSink};
+    use telemetry::{AttrState, TraceSink};
     use workload::ClientConfig;
 
     /// A ledger that traces every request, with attribution on.
     fn ledger() -> (RequestLedger, Observer) {
-        let pool = ClientPool::new(ClientConfig::paper(100.0), SimRng::seed_from(1));
+        let config = ClientConfig {
+            rate: 100.0,
+            nodes: 4,
+            files: 60_000,
+        };
+        let pool = ClientPool::new(config, SimRng::seed_from(1));
         let obs = Observer {
-            sink: TraceSink::new(TraceConfig::STANDARD),
+            sink: TraceSink::new(true),
             attr: Some(Box::new(AttrState::new(4))),
         };
         (RequestLedger::new(pool, 1), obs)

@@ -301,7 +301,7 @@ pub fn timeline_results(
     let results = run_indexed(jobs, runs, |_i, (v, kind)| {
         let mut config = config_for(v, scale);
         if trace {
-            config.trace = telemetry::TraceConfig::STANDARD;
+            config.trace = true;
         }
         config.attribution = attribution;
         run_fault_experiment(config, scenario_at(kind, scale), seed)

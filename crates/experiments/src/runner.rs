@@ -81,7 +81,7 @@ impl Observed {
     /// node plus the cluster, clients and stages lanes, with the final
     /// metrics snapshot. `None` when tracing was off.
     pub fn trace(&mut self, label: String, extra: Vec<TraceEvent>) -> Option<RunTrace> {
-        if !self.sim.config().trace.enabled {
+        if !self.sim.config().trace {
             return None;
         }
         let lanes = [

@@ -20,7 +20,7 @@
 //! per node (rate ∝ N, files ∝ N), so the per-request cache-miss
 //! profile is the same at every N and control frames *per request* are
 //! directly comparable across cluster sizes: eager grows ∝ (N−1),
-//! digest stays bounded by `fanout / digest_interval` per node
+//! digest stays bounded by `DIGEST_FANOUT / DIGEST_INTERVAL` per node
 //! regardless of load.
 //!
 //! **Fabric.** Points run on a multi-switch fat tree

@@ -93,7 +93,7 @@ fn digest_gossip_run() -> RunObservables {
         Some(MembershipImpl::Gossip),
     );
     config.rate = 8.0 * 64.0;
-    config.trace = telemetry::TraceConfig::STANDARD;
+    config.trace = true;
     let campaign = Campaign::single(FaultSpec::transient(
         FaultKind::NodeCrash,
         NodeId(1),

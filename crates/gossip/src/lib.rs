@@ -136,42 +136,31 @@ pub enum Command {
     },
 }
 
-/// Protocol parameters. All periods are expressed in *ticks* of the
-/// host-scheduled `probe_interval`, so the machine never reads a clock.
-#[derive(Debug, Clone, PartialEq)]
+// Protocol parameters, calibrated so a *single* death is detected in
+// roughly the ring's 15 s threshold at N = 4 (probe pickup ≈ 1–2
+// periods, plus the ping-req escalation, plus the suspicion timeout).
+// The comparison is then apples-to-apples on false-positive robustness,
+// and scaling does the rest: the ring unmasks k simultaneous adjacent
+// deaths one 15 s threshold at a time, while these parameters detect
+// them all in parallel. Periods are counted in *ticks* of
+// `PROBE_INTERVAL`, so the machine never reads a clock.
+
+/// One protocol period (the host schedules a tick at this rate).
+pub const PROBE_INTERVAL: simnet::SimDuration = simnet::SimDuration::from_secs(2);
+/// Proxies asked to ping an unresponsive peer indirectly.
+const PROXIES: usize = 2;
+/// Ticks a suspicion lasts before it becomes a confirm.
+const SUSPECT_TICKS: u32 = 4;
+/// Maximum updates piggybacked per message.
+const PIGGYBACK: usize = 6;
+/// Times each update is retransmitted before it stops spreading.
+const UPDATE_SENDS: u32 = 8;
+
+/// What a run varies about the protocol: only its seed.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SwimConfig {
-    /// One protocol period (the host schedules a tick at this rate).
-    pub probe_interval: simnet::SimDuration,
-    /// Proxies asked to ping an unresponsive peer indirectly.
-    pub proxies: usize,
-    /// Ticks a suspicion lasts before it becomes a confirm.
-    pub suspect_ticks: u32,
-    /// Maximum updates piggybacked per message.
-    pub piggyback: usize,
-    /// Times each update is retransmitted before it stops spreading.
-    pub update_sends: u32,
     /// Run seed; each node's RNG stream is derived from this and its id.
     pub seed: u64,
-}
-
-impl Default for SwimConfig {
-    /// Defaults calibrated so a *single* death is detected in roughly
-    /// the ring's 15 s threshold at N = 4 (probe pickup ≈ 1–2 periods,
-    /// plus the ping-req escalation, plus the suspicion timeout). The
-    /// comparison is then apples-to-apples on false-positive
-    /// robustness, and scaling does the rest: the ring unmasks k
-    /// simultaneous adjacent deaths one 15 s threshold at a time,
-    /// while these parameters detect them all in parallel.
-    fn default() -> Self {
-        SwimConfig {
-            probe_interval: simnet::SimDuration::from_secs(2),
-            proxies: 2,
-            suspect_ticks: 4,
-            piggyback: 6,
-            update_sends: 8,
-            seed: 0,
-        }
-    }
 }
 
 /// Fan-out and detection counters, exported by the host as metrics.
@@ -226,7 +215,6 @@ struct Relay {
 /// The per-member SWIM state machine.
 #[derive(Debug)]
 pub struct Swim {
-    cfg: SwimConfig,
     me: NodeId,
     incarnation: u64,
     peers: BTreeMap<NodeId, Peer>,
@@ -272,7 +260,6 @@ impl Swim {
             })
             .collect();
         Swim {
-            cfg,
             me,
             incarnation: 0,
             peers,
@@ -343,7 +330,7 @@ impl Swim {
     }
 
     /// Runs one protocol period. The host calls this every
-    /// `cfg.probe_interval` of simulated time.
+    /// [`PROBE_INTERVAL`] of simulated time.
     pub fn tick(&mut self, out: &mut Vec<Command>) {
         self.stats.ticks += 1;
         // Expire proxy duties whose target never answered.
@@ -474,7 +461,7 @@ impl Swim {
                         self.outstanding.insert(seq, Pending { phase: 1, ..pend });
                         continue;
                     }
-                    let k = self.cfg.proxies.min(proxies.len());
+                    let k = PROXIES.min(proxies.len());
                     for i in 0..k {
                         let j = i + self.rng.below((proxies.len() - i) as u64) as usize;
                         proxies.swap(i, j);
@@ -554,7 +541,7 @@ impl Swim {
             return;
         }
         p.state = PeerState::Suspect;
-        p.suspect_left = self.cfg.suspect_ticks;
+        p.suspect_left = SUSPECT_TICKS;
         let inc = p.incarnation;
         self.stats.suspects += 1;
         self.queue_update(Update {
@@ -637,7 +624,7 @@ impl Swim {
                     p.incarnation = u.incarnation;
                     if was_alive {
                         p.state = PeerState::Suspect;
-                        p.suspect_left = self.cfg.suspect_ticks;
+                        p.suspect_left = SUSPECT_TICKS;
                         self.stats.suspects += 1;
                         out.push(Command::Suspect { node: u.node });
                     }
@@ -656,19 +643,19 @@ impl Swim {
     }
 
     fn queue_update(&mut self, u: Update) {
-        self.updates.insert(u.node, (u, self.cfg.update_sends));
+        self.updates.insert(u.node, (u, UPDATE_SENDS));
     }
 
-    /// Drains up to `cfg.piggyback` pending updates into a shareable
+    /// Drains up to [`PIGGYBACK`] pending updates into a shareable
     /// slice, charging each one send from its budget.
     fn piggyback(&mut self) -> Arc<[Update]> {
         if self.updates.is_empty() {
             return Arc::from(&[][..]);
         }
-        let mut picked = Vec::with_capacity(self.cfg.piggyback);
+        let mut picked = Vec::with_capacity(PIGGYBACK);
         let mut exhausted = Vec::new();
         for (&n, (u, left)) in self.updates.iter_mut() {
-            if picked.len() >= self.cfg.piggyback {
+            if picked.len() >= PIGGYBACK {
                 break;
             }
             picked.push(*u);
@@ -690,10 +677,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> SwimConfig {
-        SwimConfig {
-            seed: 42,
-            ..SwimConfig::default()
-        }
+        SwimConfig { seed: 42 }
     }
 
     fn swim(me: usize, n: usize) -> Swim {
@@ -767,7 +751,7 @@ mod tests {
         assert_eq!(s.peer_state(target).unwrap().0, PeerState::Suspect);
         // Suspicion expires after suspect_ticks further periods.
         let mut confirmed = false;
-        for _ in 0..cfg().suspect_ticks {
+        for _ in 0..SUSPECT_TICKS {
             out.clear();
             s.tick(&mut out);
             confirmed |= out.contains(&Command::Confirm { node: target });
@@ -969,7 +953,7 @@ mod tests {
             incarnation: 0,
             state: PeerState::Suspect,
         });
-        for _ in 0..cfg().update_sends {
+        for _ in 0..UPDATE_SENDS {
             let pig = s.piggyback();
             assert_eq!(pig.len(), 1);
         }

@@ -27,8 +27,8 @@ pub enum CacheSyncImpl {
     /// main thread (§5.4).
     Eager,
     /// Batched digests: caching deltas coalesce locally and flush as
-    /// one `CacheDigest` frame to `digest_fanout` peers (round-robin)
-    /// every `digest_interval` — at most `fanout / interval` control
+    /// one `CacheDigest` frame to [`DIGEST_FANOUT`] peers (round-robin)
+    /// every [`DIGEST_INTERVAL`] — at most `fanout / interval` control
     /// frames per node per second regardless of the request rate or
     /// cluster size. Directory staleness is bounded by
     /// `ceil((N-1) / fanout) × interval`; a stale entry only costs a
@@ -36,15 +36,49 @@ pub enum CacheSyncImpl {
     Digest,
 }
 
-/// Static server parameters. [`PressConfig::paper_testbed`] reproduces
-/// the paper's setup (§5.1): 4 nodes, 128 MB file cache per node, two
-/// SCSI disks, normalized file sizes, 5 s heartbeats with a 15 s (3
-/// beat) detection threshold.
-///
-/// The four `*_cost` constants are the calibrated per-request HTTP work
-/// (identical across all five versions); their sum (≈541 µs) plus the
-/// substrate costs reproduces Table 1 — see `transport::cost` for the
-/// derivation.
+// The calibrated test-bed (§5.1), fixed for every run: two SCSI disks
+// per node, normalized file sizes and the per-request CPU costs. The
+// four `*_COST` constants are the per-request HTTP work (identical
+// across all five versions); their sum (≈541 µs) plus the substrate
+// costs reproduces Table 1 — see `transport::cost` for the derivation.
+
+/// Every file's size after the trace normalization (§5.1).
+pub const FILE_BYTES: u32 = 8_192;
+/// 4 KB pages needed to pin one file (VIA-PRESS-5 zero-copy).
+pub const PAGES_PER_FILE: u32 = FILE_BYTES.div_ceil(4096);
+/// CPU to accept and parse one client request.
+pub const ACCEPT_PARSE_COST: SimDuration = SimDuration::from_micros(160);
+/// CPU to make the routing decision.
+pub const ROUTE_COST: SimDuration = SimDuration::from_micros(12);
+/// CPU to read a cached file.
+pub const CACHE_READ_COST: SimDuration = SimDuration::from_micros(18);
+/// CPU to send the response to the client (client-network path).
+pub const CLIENT_REPLY_COST: SimDuration = SimDuration::from_micros(344);
+/// Disk service time per read.
+pub const DISK_SERVICE: SimDuration = SimDuration::from_millis(9);
+/// Disks per node (requests load-balance across them).
+pub const DISKS_PER_NODE: usize = 2;
+/// Refuse new client connections when the CPU backlog exceeds this
+/// (listen-queue overflow under overload).
+pub const ADMISSION_BACKLOG: SimDuration = SimDuration::from_millis(1500);
+/// Maximum deferred work items while the main thread is blocked on a
+/// send; beyond this, arrivals are dropped (accept-queue overflow).
+pub const DEFERRED_CAP: usize = 2_000;
+/// Delay between rejoin attempts after a restart.
+pub const REJOIN_RETRY: SimDuration = SimDuration::from_secs(2);
+/// Rejoin attempts before giving up and serving standalone.
+pub const REJOIN_ATTEMPTS: u32 = 3;
+/// Digest flush period ([`CacheSyncImpl::Digest`] only).
+pub const DIGEST_INTERVAL: SimDuration = SimDuration::from_millis(500);
+/// Peers flushed per digest tick, round-robin over the member list
+/// ([`CacheSyncImpl::Digest`] only; clamped to the live peer count).
+pub const DIGEST_FANOUT: usize = 2;
+/// Probe period of the membership-repair extension.
+pub const REPAIR_PROBE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// What experiments vary about the server. [`PressConfig::paper_testbed`]
+/// reproduces the paper's setup (§5.1): 4 nodes, 128 MB file cache per
+/// node, 5 s heartbeats with a 15 s (3 beat) detection threshold.
 #[derive(Debug, Clone)]
 pub struct PressConfig {
     /// Number of cluster nodes.
@@ -52,57 +86,25 @@ pub struct PressConfig {
     /// Distinct files in the (static, fully replicated on disk)
     /// document set.
     pub files: u32,
-    /// Every file's size after the trace normalization (§5.1).
-    pub file_bytes: u32,
     /// Per-node file-cache capacity in bytes (128 MB in the paper).
     pub cache_bytes: u64,
-    /// CPU to accept and parse one client request.
-    pub accept_parse_cost: SimDuration,
-    /// CPU to make the routing decision.
-    pub route_cost: SimDuration,
-    /// CPU to read a cached file.
-    pub cache_read_cost: SimDuration,
-    /// CPU to send the response to the client (client-network path).
-    pub client_reply_cost: SimDuration,
-    /// Disk service time per read.
-    pub disk_service: SimDuration,
-    /// Disks per node (requests load-balance across them).
-    pub disks_per_node: usize,
-    /// Refuse new client connections when the CPU backlog exceeds this
-    /// (listen-queue overflow under overload).
-    pub admission_backlog: SimDuration,
-    /// Maximum deferred work items while the main thread is blocked on a
-    /// send; beyond this, arrivals are dropped (accept-queue overflow).
-    pub deferred_cap: usize,
     /// Heartbeat period (TCP-PRESS-HB).
     pub hb_interval: SimDuration,
     /// Declare the ring predecessor dead after this many missed beats.
     pub hb_misses: u32,
-    /// Delay between rejoin attempts after a restart.
-    pub rejoin_retry: SimDuration,
-    /// Rejoin attempts before giving up and serving standalone.
-    pub rejoin_attempts: u32,
     /// Failure-detection protocol for the membership-running versions.
     /// [`MembershipImpl::Ring`] is the paper's PRESS.
     pub membership: MembershipImpl,
-    /// Parameters for [`MembershipImpl::Gossip`] (ignored under Ring).
+    /// The run seed of [`MembershipImpl::Gossip`] (ignored under Ring).
     pub gossip: gossip::SwimConfig,
     /// How caching actions reach the other members.
     /// [`CacheSyncImpl::Eager`] is the paper's PRESS.
     pub cache_sync: CacheSyncImpl,
-    /// Digest flush period ([`CacheSyncImpl::Digest`] only).
-    pub digest_interval: SimDuration,
-    /// Peers flushed per digest tick, round-robin over the member list
-    /// ([`CacheSyncImpl::Digest`] only; clamped to the live peer
-    /// count).
-    pub digest_fanout: usize,
     /// Enables the membership-repair extension the paper's §6.2 calls
     /// for ("a rigorous membership algorithm"): nodes periodically probe
     /// excluded peers and re-merge splintered sub-clusters without
     /// operator intervention. Off in the paper's PRESS.
     pub membership_repair: bool,
-    /// Probe period for the membership-repair extension.
-    pub repair_probe_interval: SimDuration,
 }
 
 impl PressConfig {
@@ -111,43 +113,19 @@ impl PressConfig {
         PressConfig {
             nodes: 4,
             files: 60_000,
-            file_bytes: 8_192,
             cache_bytes: 128 << 20,
-            accept_parse_cost: SimDuration::from_micros(160),
-            route_cost: SimDuration::from_micros(12),
-            cache_read_cost: SimDuration::from_micros(18),
-            client_reply_cost: SimDuration::from_micros(344),
-            disk_service: SimDuration::from_millis(9),
-            disks_per_node: 2,
-            admission_backlog: SimDuration::from_millis(1500),
-            deferred_cap: 2_000,
             hb_interval: SimDuration::from_secs(5),
             hb_misses: 3,
-            rejoin_retry: SimDuration::from_secs(2),
-            rejoin_attempts: 3,
             membership: MembershipImpl::Ring,
             gossip: gossip::SwimConfig::default(),
             cache_sync: CacheSyncImpl::Eager,
-            digest_interval: SimDuration::from_millis(500),
-            digest_fanout: 2,
             membership_repair: false,
-            repair_probe_interval: SimDuration::from_secs(10),
         }
     }
 
     /// Files that fit in one node's cache.
     pub fn cache_entries(&self) -> usize {
-        (self.cache_bytes / u64::from(self.file_bytes)) as usize
-    }
-
-    /// 4 KB pages needed to pin one file (VIA-PRESS-5 zero-copy).
-    pub fn pages_per_file(&self) -> u32 {
-        self.file_bytes.div_ceil(4096)
-    }
-
-    /// The calibrated per-request base cost (all four components).
-    pub fn base_request_cost(&self) -> SimDuration {
-        self.accept_parse_cost + self.route_cost + self.cache_read_cost + self.client_reply_cost
+        (self.cache_bytes / u64::from(FILE_BYTES)) as usize
     }
 
     /// Heartbeat-loss detection threshold (`hb_misses × hb_interval` —
@@ -179,22 +157,14 @@ mod tests {
         // asymmetry drives the degraded stages.
         assert!(c.cache_entries() * c.nodes >= c.files as usize);
         assert!(c.cache_entries() < c.files as usize);
+        // An 8 KB file pins two 4 KB pages.
+        assert_eq!(PAGES_PER_FILE, 2);
     }
 
     #[test]
     fn base_cost_matches_calibration() {
-        let c = PressConfig::paper_testbed();
-        let us = c.base_request_cost().as_nanos() as f64 / 1000.0;
+        let base = ACCEPT_PARSE_COST + ROUTE_COST + CACHE_READ_COST + CLIENT_REPLY_COST;
+        let us = base.as_nanos() as f64 / 1000.0;
         assert!((530.0..555.0).contains(&us), "base cost = {us}us");
-    }
-
-    #[test]
-    fn pages_per_file_rounds_up() {
-        let mut c = PressConfig::paper_testbed();
-        assert_eq!(c.pages_per_file(), 2);
-        c.file_bytes = 4097;
-        assert_eq!(c.pages_per_file(), 2);
-        c.file_bytes = 4096;
-        assert_eq!(c.pages_per_file(), 1);
     }
 }

@@ -10,7 +10,7 @@ use std::ops::Bound::{Excluded, Unbounded};
 use simnet::fabric::NodeId;
 use simnet::{SimDuration, SimTime};
 
-use crate::config::{MembershipImpl, PressConfig};
+use crate::config::{MembershipImpl, PressConfig, REJOIN_ATTEMPTS};
 
 /// Where one boot of a node stands in joining the cluster (§3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,14 +145,14 @@ impl View {
     }
 
     /// One rejoin tick: whether to ask every other node again. After
-    /// `attempts` unanswered ticks the node gives up and serves
+    /// [`REJOIN_ATTEMPTS`] unanswered ticks the node gives up and serves
     /// standalone (§5.3).
-    pub fn rejoin_tick(&mut self, attempts: u32) -> bool {
+    pub fn rejoin_tick(&mut self) -> bool {
         let Join::Seeking { tries } = &mut self.join else {
             return false;
         };
         *tries += 1;
-        if *tries > attempts {
+        if *tries > REJOIN_ATTEMPTS {
             self.join = Join::Settled;
         }
         self.join != Join::Settled
@@ -410,7 +410,7 @@ mod tests {
         assert_eq!(v.peers(), [NodeId(0), NodeId(2), NodeId(3)]);
         assert!(v.others().eq(v.peers()));
         assert!(v.admits() && !v.announces());
-        assert!(!v.rejoin_tick(config.rejoin_attempts), "nothing to rejoin");
+        assert!(!v.rejoin_tick(), "nothing to rejoin");
         assert!(!v.rejoined(&[NodeId(0)], SimTime::from_secs(1)));
     }
 
@@ -420,14 +420,14 @@ mod tests {
         let mut v = booted(&config, 1, false, 0);
         assert_eq!(v.members, view(&[1]));
         assert!(v.announces() && !v.admits());
-        assert!(v.rejoin_tick(config.rejoin_attempts));
+        assert!(v.rejoin_tick());
         let at = SimTime::from_secs(2);
         assert!(v.rejoined(&[NodeId(0), NodeId(1), NodeId(3)], at));
         assert_eq!(v.members, view(&[0, 1, 3]));
         // Settled: admits others, still announces itself, ticks no more,
         // and a second answer changes nothing.
         assert!(v.admits() && v.announces());
-        assert!(!v.rejoin_tick(config.rejoin_attempts));
+        assert!(!v.rejoin_tick());
         assert!(!v.rejoined(&[NodeId(2)], at));
         assert_eq!(v.members, view(&[0, 1, 3]));
     }
@@ -436,17 +436,17 @@ mod tests {
     fn a_restart_gives_up_after_its_rejoin_attempts() {
         let config = PressConfig::paper_testbed();
         let mut v = booted(&config, 1, false, 0);
-        for _ in 0..config.rejoin_attempts {
-            assert!(v.rejoin_tick(config.rejoin_attempts));
+        for _ in 0..REJOIN_ATTEMPTS {
+            assert!(v.rejoin_tick());
             assert!(!v.admits());
         }
-        assert!(!v.rejoin_tick(config.rejoin_attempts), "gives up");
+        assert!(!v.rejoin_tick(), "gives up");
         assert!(v.admits() && v.announces(), "serves standalone");
         assert_eq!(v.members, view(&[1]));
-        assert!(!v.rejoin_tick(config.rejoin_attempts));
+        assert!(!v.rejoin_tick());
         // A boot resets the count.
         v.boot(&config, true, false, SimTime::from_secs(30));
-        assert!(v.rejoin_tick(config.rejoin_attempts) && !v.admits());
+        assert!(v.rejoin_tick() && !v.admits());
     }
 
     #[test]

@@ -10,6 +10,8 @@ use std::sync::Arc;
 use simnet::fabric::NodeId;
 use simnet::{SimDuration, SimTime};
 
+use crate::config::FILE_BYTES;
+
 /// Identifies a file in the (static) document set.
 pub type FileId = u32;
 
@@ -125,11 +127,11 @@ pub enum MsgBody {
 impl PressMsg {
     /// Wire size of the message payload in bytes, using era-appropriate
     /// encodings (fixed small control records, 4-byte file ids, and the
-    /// configured file size for file data).
-    pub fn wire_bytes(&self, file_bytes: u32) -> u32 {
+    /// normalized [`FILE_BYTES`] for file data).
+    pub fn wire_bytes(&self) -> u32 {
         match &self.body {
             MsgBody::Forward { .. } => 64,
-            MsgBody::FileResp { .. } => file_bytes,
+            MsgBody::FileResp { .. } => FILE_BYTES,
             MsgBody::CacheAdd { .. } | MsgBody::CacheEvict { .. } => 32,
             MsgBody::CacheDigest { adds, evicts } => 32 + 4 * (adds.len() + evicts.len()) as u32,
             MsgBody::Heartbeat { .. } => 32,
@@ -176,7 +178,7 @@ mod tests {
             load: 0,
             body: MsgBody::FileResp { req_id: 1, file: 2 },
         };
-        assert_eq!(m.wire_bytes(8192), 8192);
+        assert_eq!(m.wire_bytes(), 8192);
         assert_eq!(m.class(), transport::MsgClass::FileData);
     }
 
@@ -190,7 +192,7 @@ mod tests {
             MsgBody::RejoinRequest,
         ] {
             let m = PressMsg { load: 0, body };
-            assert!(m.wire_bytes(8192) <= 64);
+            assert!(m.wire_bytes() <= 64);
         }
     }
 
@@ -202,7 +204,7 @@ mod tests {
                 files: (0..1000).collect(),
             },
         };
-        assert_eq!(m.wire_bytes(8192), 32 + 4000);
+        assert_eq!(m.wire_bytes(), 32 + 4000);
         assert_eq!(m.class(), transport::MsgClass::Control);
     }
 }

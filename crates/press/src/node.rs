@@ -42,7 +42,11 @@ use transport::{
 };
 
 use crate::cache::{DigestLog, Directory, LruCache, MAX_NODES};
-use crate::config::{CacheSyncImpl, MembershipImpl, PressConfig};
+use crate::config::{
+    CacheSyncImpl, MembershipImpl, PressConfig, ACCEPT_PARSE_COST, ADMISSION_BACKLOG,
+    CACHE_READ_COST, CLIENT_REPLY_COST, DEFERRED_CAP, DIGEST_FANOUT, DIGEST_INTERVAL,
+    DISKS_PER_NODE, DISK_SERVICE, PAGES_PER_FILE, REJOIN_RETRY, REPAIR_PROBE_INTERVAL, ROUTE_COST,
+};
 use crate::freeze::{Deferred, Freeze, Stalled};
 use crate::membership::{Detector, View};
 use crate::msg::{FileId, MsgBody, PressMsg, Request, REQUEST_TIMEOUT};
@@ -263,29 +267,21 @@ impl PressNode {
     /// # Panics
     ///
     /// Panics if `config.nodes` exceeds [`MAX_NODES`], the most node ids
-    /// the cache directory can store; if a node has no disk; or if a
-    /// protocol the config runs has a zero period, which would re-arm
-    /// its tick at the same instant forever.
+    /// the cache directory can store, or if the node runs the heartbeat
+    /// ring with a zero `hb_interval`, which would re-arm its tick at the
+    /// same instant forever.
     pub fn new(id: NodeId, version: PressVersion, config: PressConfig) -> Self {
         assert!(
             config.nodes <= MAX_NODES,
             "PRESS supports at most {MAX_NODES} nodes (the cache directory stores u16 node ids); got {}",
             config.nodes
         );
-        assert!(config.disks_per_node > 0, "a node needs a disk");
-        let c = &config;
-        let hb = version.heartbeats();
-        let swim = hb && c.membership == MembershipImpl::Gossip;
-        let (digest, repair) = (c.cache_sync == CacheSyncImpl::Digest, c.membership_repair);
-        for (runs, period, name) in [
-            (hb && !swim, c.hb_interval, "hb_interval"),
-            (swim, c.gossip.probe_interval, "gossip.probe_interval"),
-            (digest, c.digest_interval, "digest_interval"),
-            (repair, c.repair_probe_interval, "repair_probe_interval"),
-            (true, c.rejoin_retry, "rejoin_retry"),
-        ] {
-            assert!(!runs || !period.is_zero(), "{name} must be positive");
-        }
+        let ring = version.heartbeats() && config.membership == MembershipImpl::Ring;
+        assert!(
+            !ring || !config.hb_interval.is_zero(),
+            "hb_interval must be positive"
+        );
+        let digest = config.cache_sync == CacheSyncImpl::Digest;
         PressNode {
             id,
             version,
@@ -297,7 +293,7 @@ impl PressNode {
             open_requests: 0,
             pending_remote: BTreeMap::new(),
             disks: Vec::new(),
-            freeze: Freeze::new(config.deferred_cap),
+            freeze: Freeze::new(DEFERRED_CAP),
             stats: NodeStats::default(),
             trace: false,
             attr: false,
@@ -425,7 +421,7 @@ impl PressNode {
         self.cache.clear();
         self.directory = Directory::new(self.config.files);
         self.digest = self.digest.as_ref().map(|_| DigestLog::default());
-        self.disks = vec![ctx.now; self.config.disks_per_node];
+        self.disks = vec![ctx.now; DISKS_PER_NODE];
         for peer in self.view.others() {
             ctx.sub.open(ctx.now, peer, ctx.fx);
         }
@@ -435,17 +431,17 @@ impl PressNode {
                 ctx.schedule_tick(AppEvent::HeartbeatTick, self.config.hb_interval)
             }
             Detector::Gossip { .. } => {
-                ctx.schedule_tick(AppEvent::GossipTick, self.config.gossip.probe_interval)
+                ctx.schedule_tick(AppEvent::GossipTick, gossip::PROBE_INTERVAL)
             }
         }
         if !cold {
-            ctx.schedule_tick(AppEvent::RejoinTick, self.config.rejoin_retry);
+            ctx.schedule_tick(AppEvent::RejoinTick, REJOIN_RETRY);
         }
         if self.config.membership_repair {
-            ctx.schedule_tick(AppEvent::ProbeTick, self.config.repair_probe_interval);
+            ctx.schedule_tick(AppEvent::ProbeTick, REPAIR_PROBE_INTERVAL);
         }
         if self.digest.is_some() {
-            ctx.schedule_tick(AppEvent::DigestTick, self.config.digest_interval);
+            ctx.schedule_tick(AppEvent::DigestTick, DIGEST_INTERVAL);
         }
     }
 
@@ -467,7 +463,7 @@ impl PressNode {
                     // prewarm the ceiling must accommodate the full
                     // cache; failures here would be a config error.
                     ctx.sub
-                        .register_pages(ctx.now, self.config.pages_per_file(), ctx.fx)
+                        .register_pages(ctx.now, PAGES_PER_FILE, ctx.fx)
                         .expect("prewarm must fit under the pinning ceiling");
                 }
             }
@@ -531,7 +527,7 @@ impl PressNode {
         retry: bool,
     ) {
         let class = msg.class();
-        let bytes = msg.wire_bytes(self.config.file_bytes);
+        let bytes = msg.wire_bytes();
         let mut targets = targets.into_iter();
         while let Some(peer) = targets.next() {
             let params = ctx.interposer.mangle(ctx.now, class, CallParams::default());
@@ -561,7 +557,7 @@ impl PressNode {
     ) -> SendStatus {
         let msg = self.make_msg(body);
         let class = msg.class();
-        let bytes = msg.wire_bytes(self.config.file_bytes);
+        let bytes = msg.wire_bytes();
         let params = ctx.interposer.mangle(ctx.now, class, CallParams::default());
         ctx.sub
             .send(ctx.now, peer, class, msg, bytes, params, ctx.fx)
@@ -598,7 +594,7 @@ impl PressNode {
             self.evidence(ctx, AttrEvent::Deferred { req_id: req.id });
             return ClientAccept::Accepted;
         }
-        if ctx.cpu.backlog(ctx.now) > self.config.admission_backlog {
+        if ctx.cpu.backlog(ctx.now) > ADMISSION_BACKLOG {
             self.stats.dropped_admission += 1;
             return ClientAccept::Dropped(DropReason::Admission);
         }
@@ -609,15 +605,15 @@ impl PressNode {
     /// Takes `req` into the server: its accept/parse CPU is queued.
     fn accept<S: ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>, req: Request) {
         self.open_requests += 1;
-        let done = ctx.cpu.charge(ctx.now, self.config.accept_parse_cost);
+        let done = ctx.cpu.charge(ctx.now, ACCEPT_PARSE_COST);
         ctx.schedule(done, AppEvent::Parsed(req), Stream::Cpu);
     }
 
     fn route<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>, req: Request) {
-        ctx.cpu.charge(ctx.now, self.config.route_cost);
+        ctx.cpu.charge(ctx.now, ROUTE_COST);
         if self.cache.touch(req.file) {
             self.stats.served_local += 1;
-            self.reply(ctx, req.id, self.config.cache_read_cost);
+            self.reply(ctx, req.id, CACHE_READ_COST);
             return;
         }
         // Pick the least-loaded live holder.
@@ -649,7 +645,7 @@ impl PressNode {
     /// Replies to client request `req_id` after `work` more CPU (the
     /// cache read of a local serve; none for a remote one).
     fn reply<S: ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>, req_id: u64, work: SimDuration) {
-        let cost = work + self.config.client_reply_cost;
+        let cost = work + CLIENT_REPLY_COST;
         let done = ctx.cpu.charge(ctx.now, cost);
         self.open_requests = self.open_requests.saturating_sub(1);
         ctx.app.push(AppEffect::Reply { req_id, at: done });
@@ -662,7 +658,7 @@ impl PressNode {
             .iter_mut()
             .min()
             .expect("node has at least one disk");
-        *disk = (*disk).max(now) + self.config.disk_service;
+        *disk = (*disk).max(now) + DISK_SERVICE;
         *disk
     }
 
@@ -702,7 +698,7 @@ impl PressNode {
         if self.cache.contains(file) {
             return;
         }
-        let pages = self.config.pages_per_file();
+        let pages = PAGES_PER_FILE;
         if self.version.zero_copy() {
             let mut pinned = ctx.sub.register_pages(ctx.now, pages, ctx.fx).is_ok();
             if !pinned {
@@ -755,7 +751,7 @@ impl PressNode {
             return;
         };
         let peers = self.view.peers();
-        log.flush(&peers, self.config.digest_fanout, |peer, adds, evicts| {
+        log.flush(&peers, DIGEST_FANOUT, |peer, adds, evicts| {
             let (adds, evicts) = (adds.into(), evicts.into());
             let status = self.send_control(ctx, peer, MsgBody::CacheDigest { adds, evicts });
             let accepted = status == SendStatus::Accepted;
@@ -768,7 +764,7 @@ impl PressNode {
             accepted
         });
         self.digest = Some(log);
-        ctx.schedule_tick(AppEvent::DigestTick, self.config.digest_interval);
+        ctx.schedule_tick(AppEvent::DigestTick, DIGEST_INTERVAL);
     }
 
     // ------------------------------------------------------------------
@@ -797,7 +793,7 @@ impl PressNode {
             AppEvent::DiskDone(job) => match job {
                 DiskJob::Local(req) => {
                     self.cache_insert(ctx, req.file);
-                    self.reply(ctx, req.id, self.config.cache_read_cost);
+                    self.reply(ctx, req.id, CACHE_READ_COST);
                 }
                 DiskJob::Remote { req_id, file, from } => {
                     self.cache_insert(ctx, file);
@@ -858,7 +854,7 @@ impl PressNode {
         let mut cmds = Vec::new();
         swim.tick(&mut cmds);
         self.apply_gossip_commands(ctx, cmds);
-        ctx.schedule_tick(AppEvent::GossipTick, self.config.gossip.probe_interval);
+        ctx.schedule_tick(AppEvent::GossipTick, gossip::PROBE_INTERVAL);
     }
 
     /// Executes the detector's commands: sends become wire messages,
@@ -924,13 +920,13 @@ impl PressNode {
     }
 
     fn rejoin_tick<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>) {
-        if !self.view.rejoin_tick(self.config.rejoin_attempts) {
+        if !self.view.rejoin_tick() {
             return;
         }
         for peer in self.view.others() {
             self.send_or_open(ctx, peer, MsgBody::RejoinRequest);
         }
-        ctx.schedule_tick(AppEvent::RejoinTick, self.config.rejoin_retry);
+        ctx.schedule_tick(AppEvent::RejoinTick, REJOIN_RETRY);
     }
 
     /// Membership-repair extension: periodically try to reach every
@@ -945,7 +941,7 @@ impl PressNode {
                 }
             }
         }
-        ctx.schedule_tick(AppEvent::ProbeTick, self.config.repair_probe_interval);
+        ctx.schedule_tick(AppEvent::ProbeTick, REPAIR_PROBE_INTERVAL);
     }
 
     // ------------------------------------------------------------------
@@ -1219,7 +1215,7 @@ impl PressNode {
             MsgBody::Forward { req_id, file } => {
                 if self.cache.contains(file) {
                     self.cache.touch(file);
-                    ctx.cpu.charge(ctx.now, self.config.cache_read_cost);
+                    ctx.cpu.charge(ctx.now, CACHE_READ_COST);
                     self.send_data(ctx, [peer], MsgBody::FileResp { req_id, file });
                 } else {
                     // Stale directory at the initial node: fall back to
@@ -1259,6 +1255,7 @@ impl PressNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DEFERRED_CAP, FILE_BYTES, REJOIN_ATTEMPTS};
     use crate::membership;
     use transport::api::CleanInterposer;
     use transport::PinFailed;
@@ -1399,7 +1396,7 @@ mod tests {
         fn new(version: PressVersion) -> Self {
             let mut config = PressConfig::paper_testbed();
             config.files = 100;
-            config.cache_bytes = 30 * u64::from(config.file_bytes);
+            config.cache_bytes = 30 * u64::from(FILE_BYTES);
             Rig {
                 node: PressNode::new(NodeId(0), version, config),
                 sub: MockSub::new(0),
@@ -1673,9 +1670,6 @@ mod tests {
     #[test]
     fn the_deferred_queue_keeps_its_cap_and_drops_what_clients_gave_up() {
         let mut rig = Rig::new(PressVersion::Tcp);
-        let mut config = rig.node.config.clone();
-        config.deferred_cap = 2;
-        rig.node = PressNode::new(NodeId(0), PressVersion::Tcp, config);
         rig.node.set_attr(true);
         rig.start_cold();
         let assignment: Vec<NodeId> = (0..100).map(|f| NodeId((f % 4) as usize)).collect();
@@ -1684,21 +1678,25 @@ mod tests {
         rig.with(|n, ctx| n.on_app_event(ctx, AppEvent::Parsed(req(4, 1))));
         assert!(rig.node.is_blocked());
         rig.app.clear();
-        // Two fit; the third arrival and a deferred event overflow.
-        let late = Request {
+        // Request 5 and `DEFERRED_CAP - 1` later ones, issued a second
+        // after it, fill the queue; the next arrival and a deferred event
+        // overflow.
+        let late: Vec<u64> = (6..).take(DEFERRED_CAP - 1).collect();
+        let over = 6 + late.len() as u64;
+        let arrivals = late.iter().map(|&id| Request {
             issued: SimTime::from_secs(2),
-            ..req(6, 0)
-        };
-        let accepted: Vec<ClientAccept> = [req(5, 0), late, req(7, 0)]
-            .into_iter()
+            ..req(id, 0)
+        });
+        let accepted: Vec<ClientAccept> = std::iter::once(req(5, 0))
+            .chain(arrivals)
+            .chain([req(over, 0)])
             .map(|r| rig.with(|n, ctx| n.client_request(ctx, r)))
             .collect();
         use ClientAccept::{Accepted, Dropped};
-        assert_eq!(
-            accepted,
-            [Accepted, Accepted, Dropped(DropReason::DeferOverflow)]
-        );
-        rig.with(|n, ctx| n.on_app_event(ctx, AppEvent::Parsed(req(8, 0))));
+        assert_eq!(accepted.len(), DEFERRED_CAP + 1);
+        assert!(accepted[..DEFERRED_CAP].iter().all(|a| *a == Accepted));
+        assert_eq!(accepted[DEFERRED_CAP], Dropped(DropReason::DeferOverflow));
+        rig.with(|n, ctx| n.on_app_event(ctx, AppEvent::Parsed(req(over + 1, 0))));
         assert_eq!(rig.node.stats().dropped_deferred, 2);
         let deferred: Vec<u64> = (rig.fx.iter())
             .filter_map(|e| match e {
@@ -1706,10 +1704,11 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(deferred, [5, 6], "evidence only for what was queued");
+        assert_eq!(deferred[0], 5);
+        assert_eq!(deferred[1..], late, "evidence only for what was queued");
         assert!(rig.scheduled().is_empty(), "nothing runs while frozen");
         // At the thaw, 6 s after it was issued, request 5 has timed out at
-        // its client and is dropped; request 6 is taken in.
+        // its client and is dropped; the later ones are taken in.
         rig.sub.block_to.clear();
         rig.with_at(SimTime::from_secs(7), |n, ctx| {
             n.on_upcall(ctx, Upcall::Writable { peer: NodeId(1) })
@@ -1720,7 +1719,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(parsed, [6]);
+        assert_eq!(parsed, late);
         assert_eq!(rig.node.stats().dropped_deferred, 3);
     }
 
@@ -1931,7 +1930,7 @@ mod tests {
             });
             (asked.count(), rearmed, rig.sub.sent.len())
         };
-        for _ in 0..rig.node.config.rejoin_attempts {
+        for _ in 0..REJOIN_ATTEMPTS {
             assert_eq!(tick(&mut rig), (3, true, 3), "asks every peer again");
             // Still seeking: in no position to admit anyone.
             deliver(&mut rig, 2, MsgBody::RejoinRequest);
@@ -2232,7 +2231,7 @@ mod tests {
         let mut rig = Rig::new(PressVersion::TcpHb);
         let mut config = PressConfig::paper_testbed();
         config.files = 100;
-        config.cache_bytes = 30 * u64::from(config.file_bytes);
+        config.cache_bytes = 30 * u64::from(FILE_BYTES);
         config.membership = MembershipImpl::Gossip;
         config.gossip.seed = 7;
         rig.node = PressNode::new(NodeId(0), PressVersion::TcpHb, config);
@@ -2359,13 +2358,12 @@ mod tests {
         assert!(rig.sub.sent_to(1).is_empty());
     }
 
-    fn digest_rig(fanout: usize) -> Rig {
+    fn digest_rig() -> Rig {
         let mut rig = Rig::new(PressVersion::Tcp);
         let mut config = PressConfig::paper_testbed();
         config.files = 100;
-        config.cache_bytes = 30 * u64::from(config.file_bytes);
+        config.cache_bytes = 30 * u64::from(FILE_BYTES);
         config.cache_sync = CacheSyncImpl::Digest;
-        config.digest_fanout = fanout;
         rig.node = PressNode::new(NodeId(0), PressVersion::Tcp, config);
         rig
     }
@@ -2375,9 +2373,17 @@ mod tests {
         rig.with(|n, ctx| n.on_app_event(ctx, AppEvent::DiskDone(DiskJob::Local(req(id, file)))));
     }
 
+    /// Runs enough digest ticks to bring all three peers up to date:
+    /// `ceil(3 / DIGEST_FANOUT)`.
+    fn flush_all(rig: &mut Rig) {
+        for _ in 0..3usize.div_ceil(DIGEST_FANOUT) {
+            rig.with(|n, ctx| n.on_app_event(ctx, AppEvent::DigestTick));
+        }
+    }
+
     #[test]
     fn digest_mode_defers_caching_broadcasts_to_the_tick() {
-        let mut rig = digest_rig(2);
+        let mut rig = digest_rig();
         rig.start_cold();
         assert!(
             rig.scheduled().is_empty(),
@@ -2395,7 +2401,7 @@ mod tests {
 
     #[test]
     fn digest_tick_flushes_round_robin_until_all_peers_caught_up() {
-        let mut rig = digest_rig(2);
+        let mut rig = digest_rig();
         rig.start_cold();
         disk_serve(&mut rig, 1, 42);
         // First tick: the first two peers (round-robin from n1).
@@ -2423,7 +2429,7 @@ mod tests {
 
     #[test]
     fn digest_coalesces_add_then_evict_into_one_entry() {
-        let mut rig = digest_rig(4);
+        let mut rig = digest_rig();
         rig.start_cold();
         // Fill the 30-entry cache, then one more: file 0 is evicted.
         for f in 0..31 {
@@ -2453,14 +2459,14 @@ mod tests {
     fn eager_announcements_skipped_by_a_freeze_are_never_resent() {
         for (sync, mut rig) in [
             (CacheSyncImpl::Eager, Rig::new(PressVersion::Tcp)),
-            (CacheSyncImpl::Digest, digest_rig(4)),
+            (CacheSyncImpl::Digest, digest_rig()),
         ] {
             rig.start_cold();
             // Fill the 30-entry cache and let every announcement out.
             for f in 0..30 {
                 disk_serve(&mut rig, u64::from(f), f);
             }
-            rig.with(|n, ctx| n.on_app_event(ctx, AppEvent::DigestTick));
+            flush_all(&mut rig);
             // Caching file 30 evicts file 0 while peer 1 would block:
             // the eager node stalls on the CacheEvict, before the add.
             rig.sub.block_to.insert(1);
@@ -2469,7 +2475,7 @@ mod tests {
             rig.sub.block_to.clear();
             rig.with(|n, ctx| n.on_upcall(ctx, Upcall::Writable { peer: NodeId(1) }));
             assert!(!rig.node.is_blocked());
-            rig.with(|n, ctx| n.on_app_event(ctx, AppEvent::DigestTick));
+            flush_all(&mut rig);
             for peer in 1..4 {
                 let sent = rig.sub.sent_to(peer);
                 let evicted = sent.iter().any(|b| match b {
@@ -2525,63 +2531,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a node needs a disk")]
-    fn a_node_without_disks_is_rejected() {
-        build(PressVersion::Tcp, |c| c.disks_per_node = 0);
-    }
-
-    #[test]
     #[should_panic(expected = "hb_interval must be positive")]
     fn a_zero_heartbeat_period_is_rejected() {
         build(PressVersion::TcpHb, |c| c.hb_interval = SimDuration::ZERO);
     }
 
     #[test]
-    #[should_panic(expected = "gossip.probe_interval must be positive")]
-    fn a_zero_gossip_period_is_rejected() {
-        build(PressVersion::TcpHb, |c| {
-            c.membership = MembershipImpl::Gossip;
-            c.gossip.probe_interval = SimDuration::ZERO;
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "digest_interval must be positive")]
-    fn a_zero_digest_period_is_rejected() {
-        build(PressVersion::Via0, |c| {
-            c.cache_sync = CacheSyncImpl::Digest;
-            c.digest_interval = SimDuration::ZERO;
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "repair_probe_interval must be positive")]
-    fn a_zero_repair_period_is_rejected() {
-        build(PressVersion::Tcp, |c| {
-            c.membership_repair = true;
-            c.repair_probe_interval = SimDuration::ZERO;
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "rejoin_retry must be positive")]
-    fn a_zero_rejoin_period_is_rejected() {
-        build(PressVersion::Via5, |c| c.rejoin_retry = SimDuration::ZERO);
-    }
-
-    #[test]
     fn zero_periods_of_protocols_the_config_does_not_run_are_accepted() {
         let zero = SimDuration::ZERO;
-        // No heartbeats in TCP-PRESS; the ring ignores the SWIM period;
-        // eager sync has no digest tick; repair is off by default.
+        // No heartbeats in TCP-PRESS; SWIM does not run the ring.
         build(PressVersion::Tcp, |c| c.hb_interval = zero);
-        build(PressVersion::TcpHb, |c| c.gossip.probe_interval = zero);
         build(PressVersion::TcpHb, |c| {
             c.membership = MembershipImpl::Gossip;
             c.hb_interval = zero;
         });
-        build(PressVersion::Tcp, |c| c.digest_interval = zero);
-        build(PressVersion::Tcp, |c| c.repair_probe_interval = zero);
     }
 
     #[test]

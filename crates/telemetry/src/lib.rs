@@ -44,4 +44,4 @@ pub use attr::{AttrEvent, AttrReport, AttrState, RootCause, RunTotals, CAUSES, N
 pub use event::{Arg, ArgValue, EventKind, TraceEvent, TID_CLIENTS, TID_CLUSTER, TID_STAGES};
 pub use export::{chrome_trace_json, jsonl_log, RunTrace, JSONL_SCHEMA, JSONL_VERSION};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use sink::{TraceConfig, TraceSink};
+pub use sink::TraceSink;

@@ -9,40 +9,6 @@
 
 use crate::event::TraceEvent;
 
-/// Run-level tracing configuration, carried by the cluster config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Master switch. When false no sink exists and no layer emits.
-    pub enabled: bool,
-    /// Trace every `request_sample`-th client request as a lifecycle
-    /// span (arrival → reply). `0` disables request spans entirely.
-    /// Sampling keeps paper-scale traces (millions of requests) at a
-    /// size Perfetto can open while still showing the latency texture
-    /// around a fault.
-    pub request_sample: u64,
-}
-
-impl TraceConfig {
-    /// Tracing off (the default; the fault-free benchmark path).
-    pub const OFF: TraceConfig = TraceConfig {
-        enabled: false,
-        request_sample: 0,
-    };
-
-    /// The standard traced profile used by `repro -- <target> --trace`:
-    /// everything on, request lifecycle sampled 1-in-128.
-    pub const STANDARD: TraceConfig = TraceConfig {
-        enabled: true,
-        request_sample: 128,
-    };
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig::OFF
-    }
-}
-
 /// The per-run event sink.
 #[derive(Debug, Default)]
 pub enum TraceSink {
@@ -55,9 +21,9 @@ pub enum TraceSink {
 }
 
 impl TraceSink {
-    /// A sink matching `config.enabled`.
-    pub fn new(config: TraceConfig) -> Self {
-        if config.enabled {
+    /// An enabled sink, or [`TraceSink::Off`].
+    pub fn new(enabled: bool) -> Self {
+        if enabled {
             TraceSink::On(Box::default())
         } else {
             TraceSink::Off
@@ -118,7 +84,7 @@ mod tests {
 
     #[test]
     fn off_sink_drops_events() {
-        let mut sink = TraceSink::new(TraceConfig::OFF);
+        let mut sink = TraceSink::new(false);
         assert!(!sink.enabled());
         sink.emit(TraceEvent::instant("x", "t", 0, SimTime::ZERO));
         assert!(sink.is_empty());
@@ -127,7 +93,7 @@ mod tests {
 
     #[test]
     fn on_sink_keeps_emission_order() {
-        let mut sink = TraceSink::new(TraceConfig::STANDARD);
+        let mut sink = TraceSink::new(true);
         assert!(sink.enabled());
         sink.emit(TraceEvent::instant("a", "t", 0, SimTime::from_secs(2)));
         sink.emit(TraceEvent::instant("b", "t", 0, SimTime::from_secs(1)));

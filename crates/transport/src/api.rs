@@ -140,21 +140,6 @@ pub enum TimerKind {
     Connect,
 }
 
-impl TimerKind {
-    /// Number of timer kinds, for dense per-connection indexing.
-    pub const COUNT: usize = 3;
-
-    /// Dense index of this kind in `[0, TimerKind::COUNT)`.
-    #[inline]
-    pub fn idx(self) -> usize {
-        match self {
-            TimerKind::Retransmit => 0,
-            TimerKind::AllocRetry => 1,
-            TimerKind::Connect => 2,
-        }
-    }
-}
-
 /// Identifies a scheduled transport timer. Transports never *require*
 /// cancellation — stale firings are detected by comparing `gen` against
 /// the connection's current generation — but a composition layer may use

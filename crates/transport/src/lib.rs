@@ -32,8 +32,8 @@ pub use api::{
 };
 pub use cost::CostModel;
 pub use substrate_impl::SubstrateImpl;
-pub use tcp::{TcpConfig, TcpStack};
-pub use via::{ViaConfig, ViaMode, ViaNic};
+pub use tcp::TcpStack;
+pub use via::{ViaMode, ViaNic};
 
 #[cfg(test)]
 mod ferry;

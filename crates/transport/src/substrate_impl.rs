@@ -150,21 +150,16 @@ impl<M: Clone> Substrate<M> for SubstrateImpl<M> {
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::tcp::TcpConfig;
-    use crate::via::ViaConfig;
+    use crate::via::ViaMode;
 
     fn tcp(node: usize) -> SubstrateImpl<u64> {
-        SubstrateImpl::Tcp(TcpStack::new(
-            NodeId(node),
-            TcpConfig::default(),
-            CostModel::tcp(),
-        ))
+        SubstrateImpl::Tcp(TcpStack::new(NodeId(node), CostModel::tcp()))
     }
 
     fn via(node: usize) -> SubstrateImpl<u64> {
         SubstrateImpl::Via(ViaNic::new(
             NodeId(node),
-            ViaConfig::default(),
+            ViaMode::Messaging,
             CostModel::via0(),
         ))
     }

@@ -8,7 +8,7 @@
 //!   as a framing error and resets the connection.
 //! * **Timeout and retry.** Packet loss is assumed transient: segments
 //!   are retransmitted with exponential backoff and the connection only
-//!   aborts after [`TcpConfig::abort_after`] (~13 minutes), which makes
+//!   aborts after [`ABORT_AFTER`] (~13 minutes), which makes
 //!   TCP fault *detection* far too slow to drive reconfiguration (§5.2).
 //! * **Dynamic kernel memory.** Every packet needs an skbuf; when
 //!   allocation fails, outgoing segments queue in the kernel and
@@ -50,47 +50,28 @@ use reliability::{Reliability, RtxFire};
 pub use segment::{MsgRec, SegKind, TcpSegment};
 use send::SendQueue;
 
-/// Tunable TCP parameters. Defaults approximate a Linux 2.2-era stack on
-/// the paper's test-bed.
-#[derive(Debug, Clone)]
-pub struct TcpConfig {
-    /// Maximum payload bytes per segment.
-    pub mss: u32,
-    /// Wire overhead per segment (IP + TCP headers).
-    pub header_bytes: u32,
-    /// Send-buffer size in bytes; sends beyond this return
-    /// [`SendStatus::WouldBlock`].
-    pub send_buffer: u32,
-    /// Initial retransmission timeout.
-    pub initial_rto: SimDuration,
-    /// Retransmission timeout ceiling.
-    pub max_rto: SimDuration,
-    /// Time a segment may remain unacknowledged before the connection is
-    /// aborted. The paper observes "on the order of 10-15 minutes".
-    pub abort_after: SimDuration,
-    /// Retry interval while kernel memory allocation is failing.
-    pub alloc_retry: SimDuration,
-    /// SYN retransmission interval.
-    pub connect_retry: SimDuration,
-    /// Give up on connection establishment after this long.
-    pub connect_give_up: SimDuration,
-}
+// A Linux 2.2-era stack on the paper's test-bed, fixed for every run.
 
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss: 8192,
-            header_bytes: 40,
-            send_buffer: 32 * 1024,
-            initial_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(64),
-            abort_after: SimDuration::from_secs(780),
-            alloc_retry: SimDuration::from_millis(10),
-            connect_retry: SimDuration::from_secs(1),
-            connect_give_up: SimDuration::from_secs(12),
-        }
-    }
-}
+/// Maximum payload bytes per segment.
+const MSS: u32 = 8192;
+/// Wire overhead per segment (IP + TCP headers).
+const HEADER_BYTES: u32 = 40;
+/// Send-buffer size in bytes; sends beyond this return
+/// [`SendStatus::WouldBlock`].
+const SEND_BUFFER: u64 = 32 * 1024;
+/// Initial retransmission timeout.
+const INITIAL_RTO: SimDuration = SimDuration::from_millis(200);
+/// Retransmission timeout ceiling.
+const MAX_RTO: SimDuration = SimDuration::from_secs(64);
+/// Time a segment may remain unacknowledged before the connection is
+/// aborted. The paper observes "on the order of 10-15 minutes".
+pub const ABORT_AFTER: SimDuration = SimDuration::from_secs(780);
+/// Retry interval while kernel memory allocation is failing.
+const ALLOC_RETRY: SimDuration = SimDuration::from_millis(10);
+/// SYN retransmission interval.
+const CONNECT_RETRY: SimDuration = SimDuration::from_secs(1);
+/// Give up on connection establishment after this long.
+const CONNECT_GIVE_UP: SimDuration = SimDuration::from_secs(12);
 
 #[derive(Debug)]
 struct Conn<M> {
@@ -102,12 +83,12 @@ struct Conn<M> {
 }
 
 impl<M: Clone> Conn<M> {
-    fn new(id: u64, life: Lifecycle, config: &TcpConfig) -> Self {
+    fn new(id: u64, life: Lifecycle) -> Self {
         Conn {
             id,
             life,
-            tx: SendQueue::new(u64::from(config.send_buffer)),
-            rtx: Reliability::new(config.initial_rto),
+            tx: SendQueue::new(SEND_BUFFER),
+            rtx: Reliability::new(),
             rx: Reassembly::new(),
         }
     }
@@ -169,10 +150,10 @@ pub struct TcpStats {
 /// ```
 /// use simnet::fabric::NodeId;
 /// use simnet::SimTime;
-/// use transport::tcp::{TcpConfig, TcpStack};
+/// use transport::tcp::TcpStack;
 /// use transport::{CallParams, CostModel, MsgClass, SendStatus, Substrate};
 ///
-/// let mut a: TcpStack<&str> = TcpStack::new(NodeId(0), TcpConfig::default(), CostModel::tcp());
+/// let mut a: TcpStack<&str> = TcpStack::new(NodeId(0), CostModel::tcp());
 /// let mut out = Vec::new();
 /// a.open(SimTime::ZERO, NodeId(1), &mut out);
 /// // Until the handshake completes the message is queued, not refused:
@@ -183,7 +164,6 @@ pub struct TcpStats {
 #[derive(Debug)]
 pub struct TcpStack<M> {
     node: NodeId,
-    config: TcpConfig,
     cost: CostModel,
     next_conn: u64,
     alloc_fail: bool,
@@ -206,10 +186,9 @@ pub struct TcpStack<M> {
 
 impl<M: Clone> TcpStack<M> {
     /// Creates the endpoint for `node`.
-    pub fn new(node: NodeId, config: TcpConfig, cost: CostModel) -> Self {
+    pub fn new(node: NodeId, cost: CostModel) -> Self {
         TcpStack {
             node,
-            config,
             cost,
             // Connection ids must stay unique across process restarts on
             // this node: start from a node-distinct base.
@@ -247,7 +226,7 @@ impl<M: Clone> TcpStack<M> {
         out.push(Effect::Transmit(Frame {
             src: self.node,
             dst: peer,
-            bytes: seg.len + self.config.header_bytes,
+            bytes: seg.len + HEADER_BYTES,
             payload: WirePayload::Tcp(seg),
         }));
     }
@@ -299,7 +278,7 @@ impl<M: Clone> TcpStack<M> {
     /// Transmits as much buffered stream as windows and kernel memory
     /// allow on connection `conn`.
     fn pump(&mut self, now: SimTime, peer: NodeId, conn: u64, out: &mut Effects<M>) {
-        let mss = u64::from(self.config.mss);
+        let mss = u64::from(MSS);
         loop {
             let Some(c) = self.conns.conn_mut(peer, conn) else {
                 return;
@@ -311,8 +290,7 @@ impl<M: Clone> TcpStack<M> {
             if self.alloc_fail {
                 self.stats.alloc_failures += 1;
                 if c.tx.start_alloc_wait() {
-                    let retry = self.config.alloc_retry;
-                    self.arm_timer(now, peer, conn, TimerKind::AllocRetry, retry, out);
+                    self.arm_timer(now, peer, conn, TimerKind::AllocRetry, ALLOC_RETRY, out);
                 }
                 return;
             }
@@ -387,7 +365,7 @@ impl<M: Clone> TcpStack<M> {
             return;
         };
         if let Some(writable) = c.tx.on_ack(seg.ack, seg.window_open) {
-            let rearm = c.rtx.on_progress(now, c.tx.outstanding(), &self.config);
+            let rearm = c.rtx.on_progress(now, c.tx.outstanding());
             out.push(Effect::ChargeCpu(self.cost.ack_cost));
             if let Some(rto) = rearm {
                 self.arm_timer(now, peer, conn, TimerKind::Retransmit, rto, out);
@@ -447,10 +425,9 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
         let sockets = self.conns.slot(peer);
         sockets.retain(|c| c.life == Lifecycle::Established);
         let life = Lifecycle::SynSent { opened_at: now };
-        sockets.push(Conn::new(id, life, &self.config));
+        sockets.push(Conn::new(id, life));
         self.transmit(peer, TcpSegment::control(SegKind::Syn, id, 0, true), out);
-        let retry = self.config.connect_retry;
-        self.arm_timer(now, peer, id, TimerKind::Connect, retry, out);
+        self.arm_timer(now, peer, id, TimerKind::Connect, CONNECT_RETRY, out);
     }
 
     fn close(&mut self, peer: NodeId) {
@@ -542,7 +519,7 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
                 if self.conns.conn_mut(peer, id).is_none() {
                     // A fresh socket from the peer — it coexists with any
                     // older connections we still hold to that node.
-                    let c = Conn::new(id, Lifecycle::Established, &self.config);
+                    let c = Conn::new(id, Lifecycle::Established);
                     self.conns.slot(peer).push(c);
                     self.connected(now, peer, out);
                 }
@@ -571,7 +548,7 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
             return; // stale
         };
         match key.kind {
-            TimerKind::Retransmit => match c.rtx.on_fire(now, c.tx.outstanding(), &self.config) {
+            TimerKind::Retransmit => match c.rtx.on_fire(now, c.tx.outstanding()) {
                 RtxFire::Idle => {}
                 RtxFire::Wait(wait) => {
                     self.arm_timer(now, peer, conn, TimerKind::Retransmit, wait, out);
@@ -595,8 +572,8 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
                 }
                 RtxFire::Due(_) => {
                     // Go-back-N lite: resend the oldest window segment.
-                    let (seq, end) = c.tx.unacked_range(u64::from(self.config.mss));
-                    let rto = c.rtx.backoff(&self.config);
+                    let (seq, end) = c.tx.unacked_range(u64::from(MSS));
+                    let rto = c.rtx.backoff();
                     let seg = c.segment(seq, end, self.app_receiving);
                     self.stats.data_segments_sent += 1;
                     self.stats.retransmissions += 1;
@@ -616,15 +593,14 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
                 c.tx.end_alloc_wait();
                 self.pump(now, peer, conn, out);
             }
-            TimerKind::Connect => match c.life.on_connect_timer(now, self.config.connect_give_up) {
+            TimerKind::Connect => match c.life.on_connect_timer(now, CONNECT_GIVE_UP) {
                 ConnectStep::Ignore => {}
                 ConnectStep::GiveUp => {
                     self.teardown(now, peer, conn, BreakReason::RetransmitTimeout, out);
                 }
                 ConnectStep::Retry => {
                     self.transmit(peer, TcpSegment::control(SegKind::Syn, conn, 0, true), out);
-                    let retry = self.config.connect_retry;
-                    self.arm_timer(now, peer, conn, TimerKind::Connect, retry, out);
+                    self.arm_timer(now, peer, conn, TimerKind::Connect, CONNECT_RETRY, out);
                 }
             },
         }

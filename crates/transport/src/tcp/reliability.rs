@@ -6,7 +6,7 @@
 
 use simnet::{SimDuration, SimTime};
 
-use super::TcpConfig;
+use super::{ABORT_AFTER, INITIAL_RTO, MAX_RTO};
 use crate::api::TimerKind;
 
 #[derive(Debug)]
@@ -34,9 +34,9 @@ pub(super) enum RtxFire {
 }
 
 impl Reliability {
-    pub(super) fn new(rto: SimDuration) -> Self {
+    pub(super) fn new() -> Self {
         Reliability {
-            rto,
+            rto: INITIAL_RTO,
             gen: 0,
             rtx_at: None,
             first_unacked_at: None,
@@ -74,27 +74,22 @@ impl Reliability {
     /// If the armed timer sits beyond a fresh RTO with data still
     /// `outstanding`, returns the RTO to re-arm it with, so recovery
     /// after a long stall drains at full speed.
-    pub(super) fn on_progress(
-        &mut self,
-        now: SimTime,
-        outstanding: bool,
-        cfg: &TcpConfig,
-    ) -> Option<SimDuration> {
-        self.rto = cfg.initial_rto;
+    pub(super) fn on_progress(&mut self, now: SimTime, outstanding: bool) -> Option<SimDuration> {
+        self.rto = INITIAL_RTO;
         self.first_unacked_at = outstanding.then_some(now);
         let late = self.rtx_at.is_some_and(|at| at > now + self.rto);
         (outstanding && late).then_some(self.rto)
     }
 
     /// The newest retransmit timer fired at `now`; disarms it.
-    pub(super) fn on_fire(&mut self, now: SimTime, outstanding: bool, cfg: &TcpConfig) -> RtxFire {
+    pub(super) fn on_fire(&mut self, now: SimTime, outstanding: bool) -> RtxFire {
         if self.rtx_at.take().is_none() || !outstanding {
             return RtxFire::Idle;
         }
         let waited = now.saturating_since(self.first_unacked_at.unwrap_or(now));
         if waited < self.rto {
             RtxFire::Wait(self.rto - waited)
-        } else if waited >= cfg.abort_after {
+        } else if waited >= ABORT_AFTER {
             RtxFire::Abort(waited)
         } else {
             RtxFire::Due(self.rto)
@@ -102,8 +97,8 @@ impl Reliability {
     }
 
     /// Doubles the timeout, up to the ceiling, for a retransmission.
-    pub(super) fn backoff(&mut self, cfg: &TcpConfig) -> SimDuration {
-        self.rto = (self.rto * 2).min(cfg.max_rto);
+    pub(super) fn backoff(&mut self) -> SimDuration {
+        self.rto = (self.rto * 2).min(MAX_RTO);
         self.rto
     }
 }
@@ -122,7 +117,7 @@ mod tests {
 
     #[test]
     fn every_arming_supersedes_every_older_timer() {
-        let mut r = Reliability::new(ms(200));
+        let mut r = Reliability::new();
         let g1 = r.arm(at(0), TimerKind::Connect, ms(1000));
         let g2 = r.arm(at(5), TimerKind::Retransmit, ms(200));
         assert!(g2 > g1 && r.is_current(g2) && !r.is_current(g1));
@@ -132,7 +127,7 @@ mod tests {
 
     #[test]
     fn first_transmission_arms_and_later_ones_do_not() {
-        let mut r = Reliability::new(ms(200));
+        let mut r = Reliability::new();
         assert_eq!(r.on_transmit(at(0)), Some(ms(200)));
         r.arm(at(0), TimerKind::Retransmit, ms(200));
         assert_eq!(r.on_transmit(at(50)), None);
@@ -140,51 +135,41 @@ mod tests {
 
     #[test]
     fn a_timer_fired_early_by_progress_waits_out_the_rest() {
-        let cfg = TcpConfig::default();
-        let mut r = Reliability::new(cfg.initial_rto);
+        let mut r = Reliability::new();
         r.on_transmit(at(0));
         r.arm(at(0), TimerKind::Retransmit, ms(200));
         // An ACK at 150 ms restarts the stall clock; data is still out.
-        assert_eq!(r.on_progress(at(150), true, &cfg), None);
-        assert_eq!(r.on_fire(at(200), true, &cfg), RtxFire::Wait(ms(150)));
+        assert_eq!(r.on_progress(at(150), true), None);
+        assert_eq!(r.on_fire(at(200), true), RtxFire::Wait(ms(150)));
         // A disarmed timer is idle, and so is one with nothing to resend.
-        assert_eq!(r.on_fire(at(350), true, &cfg), RtxFire::Idle);
+        assert_eq!(r.on_fire(at(350), true), RtxFire::Idle);
         r.arm(at(350), TimerKind::Retransmit, ms(150));
-        assert_eq!(r.on_fire(at(500), false, &cfg), RtxFire::Idle);
+        assert_eq!(r.on_fire(at(500), false), RtxFire::Idle);
     }
 
     #[test]
     fn backoff_doubles_to_the_ceiling_and_progress_resets_it() {
-        let cfg = TcpConfig::default();
-        let mut r = Reliability::new(cfg.initial_rto);
-        let mut rto = cfg.initial_rto;
+        let mut r = Reliability::new();
+        let mut rto = INITIAL_RTO;
         for _ in 0..20 {
-            rto = r.backoff(&cfg);
+            rto = r.backoff();
         }
-        assert_eq!(rto, cfg.max_rto);
+        assert_eq!(rto, MAX_RTO);
         // The armed timer now sits a full max RTO out: progress pulls it
         // back to the fresh initial RTO.
         r.arm(at(0), TimerKind::Retransmit, rto);
-        assert_eq!(r.on_progress(at(10), true, &cfg), Some(cfg.initial_rto));
-        assert_eq!(
-            r.on_progress(at(10), false, &cfg),
-            None,
-            "nothing outstanding"
-        );
+        assert_eq!(r.on_progress(at(10), true), Some(INITIAL_RTO));
+        assert_eq!(r.on_progress(at(10), false), None, "nothing outstanding");
     }
 
     #[test]
     fn a_stall_past_the_abort_deadline_aborts() {
-        let cfg = TcpConfig::default();
-        let mut r = Reliability::new(cfg.initial_rto);
+        let mut r = Reliability::new();
         r.on_transmit(at(0));
-        r.arm(at(0), TimerKind::Retransmit, cfg.initial_rto);
-        assert_eq!(
-            r.on_fire(at(200), true, &cfg),
-            RtxFire::Due(cfg.initial_rto)
-        );
-        let late = SimTime::ZERO + cfg.abort_after;
-        r.arm(at(200), TimerKind::Retransmit, cfg.abort_after);
-        assert_eq!(r.on_fire(late, true, &cfg), RtxFire::Abort(cfg.abort_after));
+        r.arm(at(0), TimerKind::Retransmit, INITIAL_RTO);
+        assert_eq!(r.on_fire(at(200), true), RtxFire::Due(INITIAL_RTO));
+        let late = SimTime::ZERO + ABORT_AFTER;
+        r.arm(at(200), TimerKind::Retransmit, ABORT_AFTER);
+        assert_eq!(r.on_fire(late, true), RtxFire::Abort(ABORT_AFTER));
     }
 }

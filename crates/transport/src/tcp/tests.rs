@@ -5,8 +5,8 @@ use crate::ferry::exchange;
 type Stack = TcpStack<&'static str>;
 
 fn pair() -> (Stack, Stack) {
-    let a = TcpStack::new(NodeId(0), TcpConfig::default(), CostModel::tcp());
-    let b = TcpStack::new(NodeId(1), TcpConfig::default(), CostModel::tcp());
+    let a = TcpStack::new(NodeId(0), CostModel::tcp());
+    let b = TcpStack::new(NodeId(1), CostModel::tcp());
     (a, b)
 }
 
@@ -331,7 +331,6 @@ fn superseded_connect_timer_is_inert() {
 
 #[test]
 fn rto_backs_off_exponentially_and_aborts_eventually() {
-    let cfg = TcpConfig::default();
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
     let mut out = Vec::new();
@@ -360,7 +359,7 @@ fn rto_backs_off_exponentially_and_aborts_eventually() {
             )
         }) {
             broke = true;
-            assert!(timer.0.saturating_since(SimTime::ZERO) >= cfg.abort_after);
+            assert!(timer.0.saturating_since(SimTime::ZERO) >= ABORT_AFTER);
             break;
         }
         timer = first_timer(&out, TimerKind::Retransmit).expect("re-armed");
@@ -368,7 +367,7 @@ fn rto_backs_off_exponentially_and_aborts_eventually() {
     assert!(broke, "connection must abort after ~13 minutes of loss");
     assert_eq!(a.stats().aborts, 1);
     // The abort interval must be within the paper's 10..15-minute window.
-    let secs = cfg.abort_after.as_secs_f64();
+    let secs = ABORT_AFTER.as_secs_f64();
     assert!((600.0..=900.0).contains(&secs));
     drop(b);
 }

@@ -45,62 +45,27 @@ pub enum ViaMode {
     RemoteWrite,
 }
 
-/// Tunable VIA parameters.
-#[derive(Debug, Clone)]
-pub struct ViaConfig {
-    /// Data movement / completion style.
-    pub mode: ViaMode,
-    /// Wire overhead per packet.
-    pub header_bytes: u32,
-    /// Pre-posted receive descriptors (= send credits) per VI.
-    pub credits_per_vi: u32,
-    /// Return credits to the sender after consuming this many messages.
-    pub credit_return_batch: u32,
-    /// Application-side queue bound while out of credits; beyond this,
-    /// sends report [`SendStatus::WouldBlock`].
-    pub max_pending_sends: usize,
-    /// Connection-request retransmission interval.
-    pub connect_retry: SimDuration,
-    /// Give up on connection establishment after this long.
-    pub connect_give_up: SimDuration,
-    /// Pages pinned at start-up for descriptors and communication
-    /// buffers (pre-allocation).
-    pub startup_pinned_pages: u32,
-    /// Normal pinning ceiling (Linux 2.2 limits pinning to half of
-    /// physical memory; 206 MB nodes → ~25k pinnable 4 KB pages).
-    pub pinned_page_limit: u32,
-}
+// The cLAN NIC on the paper's test-bed, fixed for every run.
 
-impl Default for ViaConfig {
-    fn default() -> Self {
-        ViaConfig {
-            mode: ViaMode::Messaging,
-            header_bytes: 16,
-            credits_per_vi: 32,
-            credit_return_batch: 8,
-            max_pending_sends: 64,
-            connect_retry: SimDuration::from_millis(500),
-            connect_give_up: SimDuration::from_secs(10),
-            startup_pinned_pages: 2_048, // 8 MB of comm buffers
-            pinned_page_limit: 25_000,
-        }
-    }
-}
-
-impl ViaConfig {
-    /// Configuration for VIA-PRESS-0.
-    pub fn messaging() -> Self {
-        ViaConfig::default()
-    }
-
-    /// Configuration for VIA-PRESS-3/5.
-    pub fn remote_write() -> Self {
-        ViaConfig {
-            mode: ViaMode::RemoteWrite,
-            ..ViaConfig::default()
-        }
-    }
-}
+/// Wire overhead per packet.
+const HEADER_BYTES: u32 = 16;
+/// Pre-posted receive descriptors (= send credits) per VI.
+const CREDITS_PER_VI: u32 = 32;
+/// Return credits to the sender after consuming this many messages.
+const CREDIT_RETURN_BATCH: u32 = 8;
+/// Application-side queue bound while out of credits; beyond this,
+/// sends report [`SendStatus::WouldBlock`].
+const MAX_PENDING_SENDS: usize = 64;
+/// Connection-request retransmission interval.
+const CONNECT_RETRY: SimDuration = SimDuration::from_millis(500);
+/// Give up on connection establishment after this long.
+const CONNECT_GIVE_UP: SimDuration = SimDuration::from_secs(10);
+/// Pages pinned at start-up for descriptors and communication buffers
+/// (8 MB, pre-allocated).
+const STARTUP_PINNED_PAGES: u32 = 2_048;
+/// Pinned-page ceiling: VIA-PRESS-5 pins its whole 128 MB cache (32,768
+/// 4 KB pages) plus the start-up buffers.
+const PINNED_PAGE_LIMIT: u32 = 40_000;
 
 /// Why a descriptor completed with error status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,10 +225,10 @@ pub struct ViaStats {
 /// ```
 /// use simnet::fabric::NodeId;
 /// use simnet::SimTime;
-/// use transport::via::{ViaConfig, ViaNic};
+/// use transport::via::{ViaMode, ViaNic};
 /// use transport::{CostModel, Substrate};
 ///
-/// let mut nic: ViaNic<&str> = ViaNic::new(NodeId(0), ViaConfig::remote_write(), CostModel::via5());
+/// let mut nic: ViaNic<&str> = ViaNic::new(NodeId(0), ViaMode::RemoteWrite, CostModel::via5());
 /// let mut out = Vec::new();
 /// nic.open(SimTime::ZERO, NodeId(1), &mut out);
 /// assert!(!nic.is_connected(NodeId(1))); // until the ConnAck returns
@@ -271,7 +236,8 @@ pub struct ViaStats {
 #[derive(Debug)]
 pub struct ViaNic<M> {
     node: NodeId,
-    config: ViaConfig,
+    /// Data movement / completion style.
+    mode: ViaMode,
     cost: CostModel,
     incarnation: u64,
     pin_fail: bool,
@@ -297,15 +263,14 @@ pub struct ViaNic<M> {
 impl<M: Clone> ViaNic<M> {
     /// Creates the endpoint for `node`, pre-registering the start-up
     /// communication buffers.
-    pub fn new(node: NodeId, config: ViaConfig, cost: CostModel) -> Self {
-        let pinned = config.startup_pinned_pages;
+    pub fn new(node: NodeId, mode: ViaMode, cost: CostModel) -> Self {
         ViaNic {
             node,
-            config,
+            mode,
             cost,
             incarnation: 1,
             pin_fail: false,
-            pinned_pages: pinned,
+            pinned_pages: STARTUP_PINNED_PAGES,
             app_receiving: true,
             vis: PeerSlots::default(),
             parked: Vec::new(),
@@ -349,7 +314,7 @@ impl<M: Clone> ViaNic<M> {
         let limit = if self.pin_fail {
             self.pinned_pages // nothing more can be pinned
         } else {
-            self.config.pinned_page_limit
+            PINNED_PAGE_LIMIT
         };
         if self.pinned_pages + pages > limit {
             self.stats.pin_failures += 1;
@@ -374,7 +339,7 @@ impl<M: Clone> ViaNic<M> {
         out.push(Effect::Transmit(Frame {
             src: self.node,
             dst: peer,
-            bytes: bytes + self.config.header_bytes,
+            bytes: bytes + HEADER_BYTES,
             payload: WirePayload::Via(pkt),
         }));
     }
@@ -439,7 +404,7 @@ impl<M: Clone> ViaNic<M> {
         // Re-post the receive descriptor; batch credit returns.
         if let Some(vi) = self.vis.vi_mut(peer) {
             vi.consumed_since_credit += 1;
-            if vi.consumed_since_credit >= self.config.credit_return_batch {
+            if vi.consumed_since_credit >= CREDIT_RETURN_BATCH {
                 let n = std::mem::take(&mut vi.consumed_since_credit);
                 let incarnation = self.incarnation;
                 out.push(Effect::ChargeCpu(self.cost.credit_cost));
@@ -460,7 +425,7 @@ impl<M: Clone> ViaNic<M> {
         poison: Option<RemotePoison>,
         out: &mut Effects<M>,
     ) {
-        let rdma = self.config.mode == ViaMode::RemoteWrite;
+        let rdma = self.mode == ViaMode::RemoteWrite;
         self.stats.messages_sent += 1;
         if self.trace {
             // Every credit-stalled descriptor is worth a span (the wait
@@ -508,7 +473,7 @@ impl<M: Clone> ViaNic<M> {
             self.transmit_data(now, posted, peer, class, msg, bytes, poison, out);
         }
         if let Some(vi) = self.vis.vi_mut(peer) {
-            if vi.blocked && vi.pending.len() <= self.config.max_pending_sends / 2 {
+            if vi.blocked && vi.pending.len() <= MAX_PENDING_SENDS / 2 {
                 vi.blocked = false;
                 out.push(Effect::Upcall(Upcall::Writable { peer }));
             }
@@ -522,7 +487,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
     }
 
     fn open(&mut self, now: SimTime, peer: NodeId, out: &mut Effects<M>) {
-        let credits = self.config.credits_per_vi;
+        let credits = CREDITS_PER_VI;
         let vi = self
             .vis
             .slot(peer)
@@ -539,7 +504,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
         let incarnation = self.incarnation;
         self.transmit(peer, 0, ViaPacket::ConnReq { incarnation }, out);
         out.push(Effect::SetTimer {
-            at: now + self.config.connect_retry,
+            at: now + CONNECT_RETRY,
             key,
         });
     }
@@ -611,7 +576,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
         if let Some(p) = poison {
             self.stats.completion_errors += 1;
             self.trace_completion_error(now, peer, "local", p, out);
-            if p == RemotePoison::OffBySize && self.config.mode == ViaMode::Messaging {
+            if p == RemotePoison::OffBySize && self.mode == ViaMode::Messaging {
                 // A wrong length passes the local checks ("valid" bad
                 // parameters) and fails only where the data lands.
                 let vi = self.vis.vi_mut(peer).expect("checked");
@@ -636,7 +601,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
                 site: ErrorSite::Local,
                 cause: p.cause(),
             }));
-            if self.config.mode == ViaMode::RemoteWrite {
+            if self.mode == ViaMode::RemoteWrite {
                 self.transmit_data(now, now, peer, class, msg, bytes, Some(p), out);
             }
             return SendStatus::Accepted;
@@ -645,7 +610,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
         let vi = self.vis.vi_mut(peer).expect("checked");
         if vi.credits == 0 || !vi.pending.is_empty() {
             self.stats.credit_stalls += 1;
-            if vi.pending.len() >= self.config.max_pending_sends {
+            if vi.pending.len() >= MAX_PENDING_SENDS {
                 vi.blocked = true;
                 return SendStatus::WouldBlock;
             }
@@ -672,7 +637,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
                     if self.is_connected(peer) {
                         self.teardown(now, peer, BreakReason::PeerReset, out);
                     }
-                    let credits = self.config.credits_per_vi;
+                    let credits = CREDITS_PER_VI;
                     *self.vis.slot(peer) =
                         Some(Vi::new(now, ViState::Established, incarnation, credits));
                     self.connected(now, peer, out);
@@ -730,7 +695,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
                 }
                 out.push(Effect::ChargeCpu(self.cost.credit_cost));
                 let vi = self.vis.vi_mut(peer).expect("checked");
-                vi.credits = (vi.credits + n).min(self.config.credits_per_vi);
+                vi.credits = (vi.credits + n).min(CREDITS_PER_VI);
                 self.drain_pending(now, peer, out);
             }
         }
@@ -760,14 +725,14 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
         if key.gen != vi.timer_gen || vi.state != ViState::ReqSent {
             return;
         }
-        if now.saturating_since(vi.opened_at) >= self.config.connect_give_up {
+        if now.saturating_since(vi.opened_at) >= CONNECT_GIVE_UP {
             self.teardown(now, peer, BreakReason::RetransmitTimeout, out);
             return;
         }
         let incarnation = self.incarnation;
         self.transmit(peer, 0, ViaPacket::ConnReq { incarnation }, out);
         out.push(Effect::SetTimer {
-            at: now + self.config.connect_retry,
+            at: now + CONNECT_RETRY,
             key,
         });
     }
@@ -782,7 +747,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
         self.incarnation += 1;
         self.pin_fail = false;
         self.app_receiving = true;
-        self.pinned_pages = self.config.startup_pinned_pages;
+        self.pinned_pages = STARTUP_PINNED_PAGES;
     }
 
     fn set_trace(&mut self, enabled: bool) {
@@ -816,17 +781,13 @@ mod tests {
     type Nic = ViaNic<&'static str>;
 
     fn pair(mode: ViaMode) -> (Nic, Nic) {
-        let cfg = match mode {
-            ViaMode::Messaging => ViaConfig::messaging(),
-            ViaMode::RemoteWrite => ViaConfig::remote_write(),
-        };
         let cost = match mode {
             ViaMode::Messaging => CostModel::via0(),
             ViaMode::RemoteWrite => CostModel::via3(),
         };
         (
-            ViaNic::new(NodeId(0), cfg.clone(), cost.clone()),
-            ViaNic::new(NodeId(1), cfg, cost),
+            ViaNic::new(NodeId(0), mode, cost.clone()),
+            ViaNic::new(NodeId(1), mode, cost),
         )
     }
 
@@ -1111,24 +1072,23 @@ mod tests {
 
     #[test]
     fn pinning_respects_the_ceiling_and_the_fault() {
-        let mut cfg = ViaConfig::remote_write();
-        cfg.startup_pinned_pages = 100;
-        cfg.pinned_page_limit = 150;
-        let mut nic: Nic = ViaNic::new(NodeId(0), cfg, CostModel::via5());
+        let mut nic: Nic = ViaNic::new(NodeId(0), ViaMode::RemoteWrite, CostModel::via5());
         let mut out = Vec::new();
-        assert!(nic.register_pages(SimTime::ZERO, 40, &mut out).is_ok());
-        assert_eq!(nic.pinned_pages(), 140);
+        // Fill all but 10 pages of the room above the start-up buffers.
+        let big = PINNED_PAGE_LIMIT - STARTUP_PINNED_PAGES - 10;
+        assert!(nic.register_pages(SimTime::ZERO, big, &mut out).is_ok());
+        assert_eq!(nic.pinned_pages(), PINNED_PAGE_LIMIT - 10);
         // Above the ceiling: rejected.
         let err = nic
             .register_pages(SimTime::ZERO, 20, &mut out)
             .expect_err("over limit");
-        assert_eq!(err.limit, 150);
+        assert_eq!(err.limit, PINNED_PAGE_LIMIT);
         // Pin fault: nothing new can be pinned, but existing pins stay.
         nic.set_pin_fail(true);
         assert!(nic.register_pages(SimTime::ZERO, 1, &mut out).is_err());
-        assert_eq!(nic.pinned_pages(), 140);
+        assert_eq!(nic.pinned_pages(), PINNED_PAGE_LIMIT - 10);
         // Releasing memory and clearing the fault recovers.
-        nic.deregister_pages(SimTime::ZERO, 40, &mut out);
+        nic.deregister_pages(SimTime::ZERO, big, &mut out);
         nic.set_pin_fail(false);
         assert!(nic.register_pages(SimTime::ZERO, 20, &mut out).is_ok());
         assert_eq!(nic.stats().pin_failures, 2);
@@ -1203,7 +1163,7 @@ mod tests {
     #[test]
     fn reopened_vi_ignores_its_predecessors_retry_timer() {
         let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
-        let mut nic: Nic = ViaNic::new(NodeId(0), ViaConfig::remote_write(), CostModel::via5());
+        let mut nic: Nic = ViaNic::new(NodeId(0), ViaMode::RemoteWrite, CostModel::via5());
         let mut out = Vec::new();
         nic.open(at(0), NodeId(1), &mut out);
         let first = armed(&out);
@@ -1228,12 +1188,11 @@ mod tests {
 
     #[test]
     fn restart_restores_startup_pin_baseline() {
-        let mut cfg = ViaConfig::remote_write();
-        cfg.startup_pinned_pages = 64;
-        let mut nic: Nic = ViaNic::new(NodeId(0), cfg, CostModel::via5());
+        let mut nic: Nic = ViaNic::new(NodeId(0), ViaMode::RemoteWrite, CostModel::via5());
         let mut out = Vec::new();
         nic.register_pages(SimTime::ZERO, 500, &mut out).unwrap();
+        assert_eq!(nic.pinned_pages(), STARTUP_PINNED_PAGES + 500);
         nic.restart(SimTime::ZERO);
-        assert_eq!(nic.pinned_pages(), 64);
+        assert_eq!(nic.pinned_pages(), STARTUP_PINNED_PAGES);
     }
 }

@@ -10,7 +10,13 @@ use simnet::{
 
 use crate::zipf::Zipf;
 
-/// Client-side parameters (§5.1).
+/// Zipf popularity exponent of the paper's client traces (§5.1).
+const ZIPF_ALPHA: f64 = 0.8;
+
+/// Throughput-series bucket width.
+const BUCKET: SimDuration = SimDuration::from_secs(1);
+
+/// What the cluster tells its clients.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Aggregate request rate over all clients, requests per second.
@@ -19,23 +25,6 @@ pub struct ClientConfig {
     pub nodes: usize,
     /// Distinct files.
     pub files: u32,
-    /// Zipf popularity exponent.
-    pub zipf_alpha: f64,
-    /// Throughput-series bucket width.
-    pub bucket: SimDuration,
-}
-
-impl ClientConfig {
-    /// The paper's client setup, at the given aggregate rate.
-    pub fn paper(rate: f64) -> Self {
-        ClientConfig {
-            rate,
-            nodes: 4,
-            files: 60_000,
-            zipf_alpha: 0.8,
-            bucket: SimDuration::from_secs(1),
-        }
-    }
 }
 
 /// Events the composition layer schedules for the pool.
@@ -79,8 +68,8 @@ pub struct ClientPool {
 impl ClientPool {
     /// Creates the pool with its own random stream.
     pub fn new(config: ClientConfig, rng: SimRng) -> Self {
-        let zipf = Zipf::shared(config.files, config.zipf_alpha);
-        let recorder = ThroughputRecorder::new(config.bucket);
+        let zipf = Zipf::shared(config.files, ZIPF_ALPHA);
+        let recorder = ThroughputRecorder::new(BUCKET);
         ClientPool {
             config,
             zipf,
@@ -159,7 +148,7 @@ impl ClientPool {
                 self.recorder.record(at);
                 let secs = at.saturating_since(issued).as_secs_f64();
                 self.latency.record(secs);
-                let idx = (at.as_nanos() / self.config.bucket.as_nanos()) as usize;
+                let idx = (at.as_nanos() / BUCKET.as_nanos()) as usize;
                 if idx >= self.latency_buckets.len() {
                     self.latency_buckets
                         .resize_with(idx + 1, LatencyHistogram::new);
@@ -203,7 +192,7 @@ impl ClientPool {
     /// completed). Like [`ClientPool::throughput`], the partial bucket
     /// containing `end` is dropped.
     pub fn latency_timeline(&self, end: SimTime) -> Vec<LatencyHistogram> {
-        let n = (end.as_nanos() / self.config.bucket.as_nanos()) as usize;
+        let n = (end.as_nanos() / BUCKET.as_nanos()) as usize;
         (0..n)
             .map(|i| self.latency_buckets.get(i).cloned().unwrap_or_default())
             .collect()
@@ -244,7 +233,12 @@ mod tests {
     use super::*;
 
     fn pool(rate: f64) -> ClientPool {
-        ClientPool::new(ClientConfig::paper(rate), SimRng::seed_from(3))
+        let config = ClientConfig {
+            rate,
+            nodes: 4,
+            files: 60_000,
+        };
+        ClientPool::new(config, SimRng::seed_from(3))
     }
 
     #[test]

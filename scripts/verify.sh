@@ -51,7 +51,20 @@ cargo test -q --workspace
 echo "== perfbench tests"
 # perfbench is a package of its own, outside the root workspace: its
 # sliced-vs-unsliced digest test and smoke run need their own manifest.
+# Building it must not rewrite its lockfile: the benchmark builds from
+# the committed one, so a crate edit that changes its dependency graph
+# has to show up as a lockfile change in review, not at run time.
+lock_copy=$(mktemp)
+cp perfbench/Cargo.lock "$lock_copy"
 cargo test -q --manifest-path perfbench/Cargo.toml
+if ! cmp -s "$lock_copy" perfbench/Cargo.lock; then
+    diff -u "$lock_copy" perfbench/Cargo.lock >&2 || true
+    cp "$lock_copy" perfbench/Cargo.lock
+    rm -f "$lock_copy"
+    echo "perfbench gate: building the benchmark rewrote perfbench/Cargo.lock" >&2
+    exit 1
+fi
+rm -f "$lock_copy"
 
 echo "== allocation budgets"
 # The check the cluster bench starts with, run as a test: a warm engine

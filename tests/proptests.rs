@@ -8,7 +8,7 @@ use cluster_performability::performability::model::{
 use cluster_performability::performability::stages::{SevenStage, Stage};
 use cluster_performability::press::cache::LruCache;
 use cluster_performability::simnet::{Engine, SimDuration, SimRng, SimTime, ThroughputRecorder};
-use cluster_performability::transport::tcp::{TcpConfig, TcpStack};
+use cluster_performability::transport::tcp::TcpStack;
 use cluster_performability::transport::{
     CallParams, CostModel, Effect, MsgClass, SendStatus, Substrate, Upcall,
 };
@@ -203,8 +203,8 @@ proptest! {
         dup in prop::collection::vec(prop::bool::ANY, 0..12),
         shuffle in prop::collection::vec(any::<u64>(), 0..16),
     ) {
-        let mut a: TcpStack<u32> = TcpStack::new(NodeId(0), TcpConfig::default(), CostModel::tcp());
-        let mut b: TcpStack<u32> = TcpStack::new(NodeId(1), TcpConfig::default(), CostModel::tcp());
+        let mut a: TcpStack<u32> = TcpStack::new(NodeId(0), CostModel::tcp());
+        let mut b: TcpStack<u32> = TcpStack::new(NodeId(1), CostModel::tcp());
 
         // Drive a tiny event loop by hand: effects -> frames/timers.
         let mut now = SimTime::ZERO;
