@@ -1,12 +1,12 @@
 //! Benchmarks of PRESS's cooperative-caching data structures and the
-//! workload generator.
+//! workload generator and client pool.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use press::cache::{Directory, LruCache};
 use simnet::fabric::NodeId;
-use simnet::SimRng;
+use simnet::{SimRng, SimTime};
 use std::hint::black_box;
-use workload::Zipf;
+use workload::{ClientConfig, ClientPool, Zipf};
 
 fn lru_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("lru");
@@ -140,5 +140,47 @@ fn zipf_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, lru_ops, directory_ops, zipf_sampling);
+/// Request `id` is accepted at `id` ms; a request in every ten is left
+/// to its deadline, `REQUEST_TIMEOUT` (6 s) later.
+fn client_request(pool: &mut ClientPool, id: u64) -> usize {
+    const MS: u64 = 1_000_000;
+    const LATENCY: u64 = 50;
+    const TIMEOUT: u64 = 6_000;
+    let now = SimTime::from_nanos(id * MS);
+    pool.accepted(now, id);
+    if id > LATENCY && !(id - LATENCY).is_multiple_of(10) {
+        pool.complete(now, id - LATENCY);
+    }
+    if id > TIMEOUT {
+        pool.deadline(id - TIMEOUT);
+    }
+    pool.outstanding()
+}
+
+fn client_pool(c: &mut Criterion) {
+    let mut group = c.benchmark_group("client_pool");
+    group.throughput(Throughput::Elements(1));
+    // The accept, reply and deadline every accepted request goes
+    // through, with 6 s of open requests in the pool.
+    group.bench_function("accept_complete_deadline_6s", |b| {
+        let config = ClientConfig {
+            rate: 1_000.0,
+            nodes: 4,
+            files: 60_000,
+        };
+        let mut pool = ClientPool::new(config, SimRng::seed_from(1));
+        let mut id = 0;
+        while id < 6_000 {
+            id += 1;
+            client_request(&mut pool, id);
+        }
+        b.iter(|| {
+            id += 1;
+            black_box(client_request(&mut pool, id))
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, lru_ops, directory_ops, zipf_sampling, client_pool);
 criterion_main!(benches);

@@ -197,14 +197,16 @@ pub fn check_frame_slab() {
 ///
 /// The loop machinery (work queue, fx/app scratch, `Effects` pool,
 /// batch buffer, engine lanes, frame slab) is allocation-free; what
-/// remains is transport-internal bookkeeping — TCP's retained-stream
-/// B-tree node churn and the per-data-segment payload `Vec` — so the
-/// bound is a calibrated residual, not zero. Before the scratch-reuse
-/// rework the loop alone cost 3+ allocations per event. VIA's bound is
-/// tighter: no retained-stream churn — the same kernel-overhead
-/// asymmetry the paper measures.
+/// remains in TCP is one `Vec` per data segment, the message records
+/// `SendQueue::records` copies into it (1,260 allocations in 5,152
+/// events, 0.2446 per event, at `ClusterConfig::small`), so the bound
+/// is a calibrated residual, not zero. Before the scratch-reuse rework
+/// the loop alone cost 3+ allocations per event. VIA's bound is
+/// tighter: it sends whole messages, with no segment records to copy
+/// (it measures zero) — the same kernel-overhead asymmetry the paper
+/// measures.
 pub fn check_cluster() {
-    for (version, bound) in [(PressVersion::Tcp, 0.5), (PressVersion::Via5, 0.1)] {
+    for (version, bound) in [(PressVersion::Tcp, 0.3), (PressVersion::Via5, 0.1)] {
         let mut sim = ClusterSim::new(ClusterConfig::small(version), 1);
         sim.run_until(SimTime::from_secs(3));
         let (a0, e0) = (allocations(), sim.events_dispatched());

@@ -385,10 +385,9 @@ impl<M: Clone> TcpStack<M> {
         let Some(c) = self.conns.conn_mut(peer, conn) else {
             return;
         };
-        c.rx.accept(seg.seq, seg.len, seg.msgs);
         // Deliver completed messages in stream order.
         let mut ready = std::mem::take(&mut self.delivery);
-        let corrupted = c.rx.release(&mut ready);
+        let corrupted = c.rx.receive(seg.seq, seg.len, seg.msgs, &mut ready);
         let ack = c.rx.rcv_next();
         for rec in ready.drain(..) {
             if self.app_receiving {

@@ -1,6 +1,6 @@
 //! The open-loop Poisson client pool.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use simnet::fabric::NodeId;
 use simnet::{
@@ -15,6 +15,9 @@ const ZIPF_ALPHA: f64 = 0.8;
 
 /// Throughput-series bucket width.
 const BUCKET: SimDuration = SimDuration::from_secs(1);
+
+/// The accept-time slot of a request that is no longer open.
+const CLOSED: SimTime = SimTime::MAX;
 
 /// What the cluster tells its clients.
 #[derive(Debug, Clone)]
@@ -44,10 +47,16 @@ pub enum ClientEvent {
 /// 1. Schedule the time returned by [`ClientPool::first_arrival`].
 /// 2. On [`ClientEvent::Arrival`], call [`ClientPool::arrive`]; hand the
 ///    request to the chosen node and report the outcome with
-///    [`ClientPool::accepted`] / [`ClientPool::connect_failed`];
-///    schedule the returned next arrival and (on accept) the deadline.
-/// 3. When the server replies, call [`ClientPool::complete`].
-/// 4. On [`ClientEvent::Deadline`], call [`ClientPool::deadline`].
+///    [`ClientPool::accepted`] / [`ClientPool::connect_failed`] /
+///    [`ClientPool::refused`]; schedule the returned next arrival and
+///    (on accept) the deadline.
+/// 3. Accept in issue order: every id passed to
+///    [`ClientPool::accepted`] must be above every id accepted before
+///    it, which holds when each request's fate is settled before the
+///    next arrives. A repeated or late accept panics; it would score a
+///    request twice.
+/// 4. When the server replies, call [`ClientPool::complete`].
+/// 5. On [`ClientEvent::Deadline`], call [`ClientPool::deadline`].
 #[derive(Debug)]
 pub struct ClientPool {
     config: ClientConfig,
@@ -55,7 +64,16 @@ pub struct ClientPool {
     rng: SimRng,
     next_id: u64,
     next_node: usize,
-    outstanding: HashMap<u64, (SimTime, SimTime)>,
+    /// Accept times of the requests from id `base` to the newest
+    /// accepted, [`CLOSED`] where a request was scored or never
+    /// accepted; closed slots leave from the front. Every open request
+    /// closes by its deadline, so this spans at most
+    /// [`press::REQUEST_TIMEOUT`] of arrivals.
+    accepts: VecDeque<SimTime>,
+    /// The id of `accepts[0]`.
+    base: u64,
+    /// Open slots in `accepts`.
+    open: usize,
     counter: AvailabilityCounter,
     recorder: ThroughputRecorder,
     latency: LatencyHistogram,
@@ -76,7 +94,9 @@ impl ClientPool {
             rng,
             next_id: 0,
             next_node: 0,
-            outstanding: HashMap::new(),
+            accepts: VecDeque::new(),
+            base: 0,
+            open: 0,
             counter: AvailabilityCounter::new(),
             recorder,
             latency: LatencyHistogram::new(),
@@ -111,10 +131,46 @@ impl ClientPool {
     /// The server accepted `req`; returns the completion deadline, `now +`
     /// [`press::REQUEST_TIMEOUT`], the composition layer must schedule as
     /// [`ClientEvent::Deadline`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `req_id` is above every id accepted so far (step 3
+    /// of the protocol).
     pub fn accepted(&mut self, now: SimTime, req_id: u64) -> SimTime {
-        let deadline = now + press::REQUEST_TIMEOUT;
-        self.outstanding.insert(req_id, (deadline, now));
-        deadline
+        let next = self.base + self.accepts.len() as u64;
+        assert!(
+            req_id >= next,
+            "request {req_id} accepted out of order: ids below {next} were already settled"
+        );
+        if self.accepts.is_empty() {
+            self.base = req_id;
+        } else {
+            // Ids in between were refused or failed: closed from the start.
+            let gap = (req_id - next) as usize;
+            self.accepts.extend(std::iter::repeat_n(CLOSED, gap));
+        }
+        self.accepts.push_back(now);
+        self.open += 1;
+        now + press::REQUEST_TIMEOUT
+    }
+
+    /// The slot of `req_id` if the request is open.
+    fn open_slot(&self, req_id: u64) -> Option<usize> {
+        let i = usize::try_from(req_id.checked_sub(self.base)?).ok()?;
+        self.accepts
+            .get(i)
+            .is_some_and(|&t| t != CLOSED)
+            .then_some(i)
+    }
+
+    /// Scores slot `i` closed and drops the closed slots at the front.
+    fn close(&mut self, i: usize) {
+        self.accepts[i] = CLOSED;
+        self.open -= 1;
+        while self.accepts.front() == Some(&CLOSED) {
+            self.accepts.pop_front();
+            self.base += 1;
+        }
     }
 
     /// The connection attempt failed (node down or accept queue
@@ -141,9 +197,10 @@ impl ClientPool {
     /// cancelling them would change the dispatched-event count that
     /// every golden file and recorded benchmark digest includes.
     pub fn complete(&mut self, at: SimTime, req_id: u64) -> bool {
-        if let Some((deadline, issued)) = self.outstanding.get(&req_id).copied() {
-            if at <= deadline {
-                self.outstanding.remove(&req_id);
+        if let Some(i) = self.open_slot(req_id) {
+            let issued = self.accepts[i];
+            if at <= issued + press::REQUEST_TIMEOUT {
+                self.close(i);
                 self.counter.successes += 1;
                 self.recorder.record(at);
                 let secs = at.saturating_since(issued).as_secs_f64();
@@ -165,16 +222,17 @@ impl ClientPool {
     /// A deadline fired; scores a timeout if the request is still open.
     /// Returns `true` when the request was scored (closed).
     pub fn deadline(&mut self, req_id: u64) -> bool {
-        let open = self.outstanding.remove(&req_id).is_some();
-        if open {
-            self.counter.request_timeouts += 1;
-        }
-        open
+        let Some(i) = self.open_slot(req_id) else {
+            return false;
+        };
+        self.close(i);
+        self.counter.request_timeouts += 1;
+        true
     }
 
     /// Requests currently awaiting a response.
     pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
+        self.open
     }
 
     /// Outcome tallies so far.
@@ -348,6 +406,147 @@ mod tests {
         ] {
             assert!(reg.gauge(g).is_some(), "missing {g}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "accepted out of order")]
+    fn accepting_an_id_twice_panics() {
+        let mut p = pool(100.0);
+        let (req, _, _) = p.arrive(SimTime::ZERO);
+        p.accepted(SimTime::ZERO, req.id);
+        p.complete(SimTime::ZERO, req.id);
+        // Closed and gone from the ring, yet still not acceptable again.
+        p.accepted(SimTime::ZERO, req.id);
+    }
+
+    #[test]
+    #[should_panic(expected = "accepted out of order")]
+    fn accepting_an_older_id_panics() {
+        let mut p = pool(100.0);
+        let (first, _, _) = p.arrive(SimTime::ZERO);
+        let (second, _, _) = p.arrive(SimTime::ZERO);
+        p.accepted(SimTime::ZERO, second.id);
+        p.accepted(SimTime::ZERO, first.id);
+    }
+
+    /// The earlier pool bookkeeping, kept as the reference: open
+    /// requests in a hash map of `(deadline, issued)`.
+    #[derive(Default)]
+    struct Model {
+        open: std::collections::HashMap<u64, (SimTime, SimTime)>,
+        successes: u64,
+        timeouts: u64,
+        latency: LatencyHistogram,
+    }
+
+    impl Model {
+        fn accepted(&mut self, now: SimTime, id: u64) -> SimTime {
+            let deadline = now + press::REQUEST_TIMEOUT;
+            self.open.insert(id, (deadline, now));
+            deadline
+        }
+
+        fn complete(&mut self, at: SimTime, id: u64) -> bool {
+            match self.open.get(&id).copied() {
+                Some((deadline, issued)) if at <= deadline => {
+                    self.open.remove(&id);
+                    self.successes += 1;
+                    self.latency
+                        .record(at.saturating_since(issued).as_secs_f64());
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn deadline(&mut self, id: u64) -> bool {
+            let open = self.open.remove(&id).is_some();
+            self.timeouts += u64::from(open);
+            open
+        }
+    }
+
+    #[test]
+    fn the_ring_matches_the_map_model() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum Ev {
+            Complete(u64),
+            Deadline(u64),
+        }
+
+        let mut rng = SimRng::seed_from(2003);
+        let mut peak = 0;
+        for case in 0..200 {
+            let mut p = pool(100.0);
+            let mut m = Model::default();
+            // Pending completions and deadlines by (time, order queued).
+            let mut queue = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut push = |queue: &mut BinaryHeap<_>, at: SimTime, ev: Ev| {
+                seq += 1;
+                queue.push(Reverse((at, seq, ev)));
+            };
+            let mut t = SimTime::ZERO;
+            for _ in 0..rng.between(1, 600) {
+                t += SimDuration::from_millis(rng.between(0, 40));
+                // Everything due by now happens first.
+                while let Some(&Reverse((at, _, ev))) = queue.peek() {
+                    if at > t {
+                        break;
+                    }
+                    queue.pop();
+                    let (got, want) = match ev {
+                        Ev::Complete(id) => (p.complete(at, id), m.complete(at, id)),
+                        Ev::Deadline(id) => (p.deadline(id), m.deadline(id)),
+                    };
+                    assert_eq!(got, want, "case {case}");
+                    assert_eq!(p.outstanding(), m.open.len(), "case {case}");
+                }
+                let (req, _, _) = p.arrive(t);
+                if rng.chance(0.25) {
+                    // Refused or failed: never accepted, and a stray
+                    // reply for it finds nothing open.
+                    p.refused();
+                    let at = t + SimDuration::from_millis(rng.between(0, 100));
+                    push(&mut queue, at, Ev::Complete(req.id));
+                    continue;
+                }
+                let deadline = p.accepted(t, req.id);
+                assert_eq!(deadline, m.accepted(t, req.id));
+                // Replies before, at and after the deadline, sometimes
+                // twice, sometimes none. Queued first, a reply at the
+                // deadline is handled before the deadline event.
+                for _ in 0..rng.between(0, 2) {
+                    let at = if rng.chance(0.1) {
+                        deadline
+                    } else {
+                        t + SimDuration::from_millis(rng.between(0, 8_000))
+                    };
+                    push(&mut queue, at, Ev::Complete(req.id));
+                }
+                push(&mut queue, deadline, Ev::Deadline(req.id));
+                peak = peak.max(p.accepts.len());
+            }
+            while let Some(Reverse((at, _, ev))) = queue.pop() {
+                let (got, want) = match ev {
+                    Ev::Complete(id) => (p.complete(at, id), m.complete(at, id)),
+                    Ev::Deadline(id) => (p.deadline(id), m.deadline(id)),
+                };
+                assert_eq!(got, want, "case {case}");
+            }
+            let c = p.counter();
+            assert_eq!((c.successes, c.request_timeouts), (m.successes, m.timeouts));
+            assert_eq!(p.latency(), &m.latency, "case {case}");
+            assert_eq!((p.outstanding(), m.open.len()), (0, 0));
+            assert!(p.accepts.is_empty(), "case {case}: every deadline passed");
+        }
+        assert!(
+            peak > 100,
+            "the ring never held a window of requests: {peak}"
+        );
     }
 
     #[test]
