@@ -2,10 +2,8 @@
 //! segments arriving out of order or twice, and releases its messages
 //! in order up to the first whose framing a bad parameter garbled.
 //!
-//! Nearly every segment arrives in order, so its messages are complete
-//! on arrival and go straight to the caller. Only a message that cannot
-//! be released yet — its last byte lies past a gap, or an earlier
-//! message still waits — is staged.
+//! Messages are staged in stream order and released from the front.
+//! Nearly every segment arrives in order, so staging one is an append.
 
 use std::collections::VecDeque;
 
@@ -19,7 +17,7 @@ pub(super) struct Reassembly<M> {
     delivered_up_to: u64,
     /// Byte ranges received past a gap, unordered.
     ooo: Vec<(u64, u64)>,
-    /// Messages received but not releasable yet, sorted by end offset
+    /// Messages received but not released yet, sorted by end offset
     /// (one per offset): released from the front.
     staged: VecDeque<MsgRec<M>>,
 }
@@ -55,31 +53,21 @@ impl<M> Reassembly<M> {
         while let Some(i) = self.ooo.iter().position(|&(s, _)| s <= self.rcv_next) {
             self.rcv_next = self.rcv_next.max(self.ooo.swap_remove(i).1);
         }
-        let mut corrupted = false;
         for rec in msgs {
-            if rec.end <= self.delivered_up_to {
-                // Released already: a duplicate.
-            } else if !corrupted && self.staged.is_empty() && rec.end <= self.rcv_next {
-                corrupted = self.release(rec, ready);
-            } else {
+            // A message that ends at or before the last one released is
+            // a duplicate.
+            if rec.end > self.delivered_up_to {
                 self.stage(rec);
             }
         }
-        while !corrupted && self.staged.front().is_some_and(|r| r.end <= self.rcv_next) {
+        while self.staged.front().is_some_and(|r| r.end <= self.rcv_next) {
             let rec = self.staged.pop_front().expect("front checked");
-            corrupted = self.release(rec, ready);
+            self.delivered_up_to = rec.end;
+            if rec.poisoned {
+                return true;
+            }
+            ready.push(rec);
         }
-        corrupted
-    }
-
-    /// Hands `rec` over, the next message in stream order; `true` if its
-    /// framing is garbled.
-    fn release(&mut self, rec: MsgRec<M>, ready: &mut Vec<MsgRec<M>>) -> bool {
-        self.delivered_up_to = rec.end;
-        if rec.poisoned {
-            return true;
-        }
-        ready.push(rec);
         false
     }
 
@@ -146,16 +134,6 @@ mod tests {
         assert_eq!(receive(&mut r, 0, 64, vec![]), (vec![], false));
         let got = receive(&mut r, 64, 36, vec![rec(1, 0, 100, false)]);
         assert_eq!(got, (vec![1], false));
-    }
-
-    #[test]
-    fn in_order_data_is_never_staged() {
-        let mut r = Reassembly::new();
-        let msgs = vec![rec(1, 0, 10, false), rec(2, 10, 30, false)];
-        assert_eq!(receive(&mut r, 0, 40, msgs), (vec![1, 2], false));
-        let got = receive(&mut r, 40, 20, vec![rec(3, 30, 60, false)]);
-        assert_eq!(got, (vec![3], false));
-        assert!(r.staged.is_empty());
     }
 
     #[test]
