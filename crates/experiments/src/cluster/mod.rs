@@ -199,17 +199,13 @@ impl Observer {
     }
 }
 
-/// Cancellation bookkeeping for one TCP connection's timers.
-///
-/// TCP's reliability machine (`transport::tcp::reliability`) bumps the
-/// shared per-connection `gen` on every arming, of any timer kind, and
-/// `timer_fired` demands an exact match, so a connection has at most one
-/// live timer: any pending one whose gen is older than the newest
-/// `SetTimer` gen seen for the connection is a guaranteed no-op, and is
-/// cancelled out of the engine instead of transiting the heap just to be
-/// discarded. The index is only maintained for TCP versions: VIA stamps
-/// every timer with connection 0 and draws its gens from one NIC-wide
-/// counter, so a newer gen there says nothing about another VI's timer.
+/// Cancellation bookkeeping for one connection's timers, under the
+/// contract [`TimerKey`] states: a `SetTimer` supersedes any pending
+/// timer of the same `(node, conn)` with a lower `gen`. Such a timer is
+/// a guaranteed no-op, so it is cancelled out of the engine instead of
+/// transiting the heap just to be discarded. TCP bumps a connection's
+/// gen on every arming; VIA stamps every timer gen 0 and so never
+/// supersedes one.
 #[derive(Clone, Default)]
 struct ConnTimers {
     /// Gen of the newest `SetTimer` seen for this connection.
@@ -289,10 +285,10 @@ pub struct ClusterSim {
     app_scratch: Vec<AppEffect>,
     /// Same-instant event burst buffer reused across `run_until` steps.
     batch: Vec<Ev>,
-    /// Per-node `conn → ConnTimers` cancellation index (TCP versions
-    /// only; `None` for VIA — see [`ConnTimers`]).
-    timers: Option<Vec<BTreeMap<u64, ConnTimers>>>,
-    /// Superseded timers cancelled before ever being dispatched.
+    /// Per-node `conn → ConnTimers` cancellation index.
+    timers: Vec<BTreeMap<u64, ConnTimers>>,
+    /// Superseded timers kept from the transport: cancelled out of the
+    /// engine, or dropped at dispatch (see `timers_stale_suppressed`).
     timers_suppressed: u64,
 }
 
@@ -412,11 +408,6 @@ impl ClusterSim {
             slot.press.set_attr(obs.attr.is_some());
         }
         let sample = if config.trace { REQUEST_SAMPLE } else { 0 };
-        let timers = if config.version.uses_via() {
-            None
-        } else {
-            Some(vec![BTreeMap::new(); n])
-        };
         let mut sim = ClusterSim {
             last_members: vec![0; n],
             config,
@@ -436,7 +427,7 @@ impl ClusterSim {
             fx: Effects::new(),
             app_scratch: Vec::new(),
             batch: Vec::new(),
-            timers,
+            timers: vec![BTreeMap::new(); n],
             timers_suppressed: 0,
         };
         // Cold-boot every node.
@@ -558,9 +549,12 @@ impl ClusterSim {
             .mean_throughput(self.engine.now(), t0, t1)
     }
 
-    /// Superseded transport timers cancelled out of the engine before
-    /// they were ever dispatched (also exported as the
-    /// `transport.timers_stale_suppressed` metric).
+    /// Superseded transport timers that never reached the transport
+    /// (also exported as the `transport.timers_stale_suppressed`
+    /// metric). Most are cancelled out of the engine when the timer
+    /// that supersedes them is armed; the rest are dropped at dispatch,
+    /// because a same-instant batch popped them before that timer was
+    /// armed.
     pub fn timers_stale_suppressed(&self) -> u64 {
         self.timers_suppressed
     }
@@ -720,14 +714,12 @@ impl ClusterSim {
     /// Records delivery of a timer event and reports whether it is
     /// *certainly* stale (superseded by a later gen for its connection)
     /// and need not reach the transport. Cancellation at arm time
-    /// already removes such timers from the engine, so this is a cheap
-    /// defensive check; delivering a maybe-stale timer is always safe
-    /// (the transport re-checks the gen).
+    /// removes most such timers from the engine; this catches those a
+    /// same-instant batch popped before the superseding timer was
+    /// armed. Delivering a maybe-stale timer is always safe (the
+    /// transport re-checks the stamp).
     fn note_timer_dispatched(&mut self, key: &TimerKey) -> bool {
-        let Some(per_node) = &mut self.timers else {
-            return false;
-        };
-        let Some(entry) = per_node[key.node.0].get_mut(&key.conn) else {
+        let Some(entry) = self.timers[key.node.0].get_mut(&key.conn) else {
             return false;
         };
         if entry.pending.is_some_and(|(g, ..)| g == key.gen) {
@@ -739,11 +731,14 @@ impl ClusterSim {
     /// Schedules a transport timer, cancelling any pending timer of the
     /// same connection that the new gen supersedes (see [`ConnTimers`]).
     fn schedule_timer(&mut self, at: SimTime, key: TimerKey) {
-        let Some(per_node) = &mut self.timers else {
-            self.engine.schedule_at(at, Ev::Timer(key));
-            return;
-        };
-        let entry = per_node[key.node.0].entry(key.conn).or_default();
+        let entry = self.timers[key.node.0].entry(key.conn).or_default();
+        // One pending slot per connection suffices because no two live
+        // timers share a stamp: TCP's gens only grow, and a VI re-arms
+        // only from its own timer's firing.
+        debug_assert!(
+            entry.pending.is_none_or(|(g, _)| g != key.gen),
+            "two live timers stamped {key:?}"
+        );
         entry.latest_gen = entry.latest_gen.max(key.gen);
         if let Some((g, token)) = entry.pending {
             if g < entry.latest_gen && self.engine.cancel(token) {
@@ -1128,14 +1123,28 @@ mod tests {
     }
 
     #[test]
-    fn via_runs_without_a_timer_index() {
-        // VIA stamps every timer with connection 0 and one NIC-wide gen
-        // counter, so a per-connection index would let one VI's newer gen
-        // cancel another VI's live connect retry. The index is TCP-only,
-        // and VIA must never count a suppression.
-        let mut sim = ClusterSim::new(ClusterConfig::small(PressVersion::Via5), 1);
-        sim.run_until(SimTime::from_secs(5));
-        assert_eq!(sim.timers_stale_suppressed(), 0);
+    fn via_reopens_never_supersede_a_timer() {
+        // Node 2 crashes the instant node 1's process restarts, so node
+        // 1's new VI to it breaks at once, and rejoin opens another
+        // while the first one's connect timer is pending. Each VI stamps
+        // its own connection id, so the two timers never share a stamp
+        // (see `schedule_timer`) and VIA supersedes nothing.
+        use mendosus::FaultSpec;
+        let crash = |node, at: SimTime, secs| {
+            let down = SimDuration::from_secs(secs);
+            FaultSpec::transient(FaultKind::NodeCrash, NodeId(node), at, down)
+        };
+        let restart = SimTime::from_secs(4) + RESTART_DELAY;
+        let campaign = Campaign::new([crash(1, SimTime::from_secs(2), 2), crash(2, restart, 3)]);
+        for version in [PressVersion::Via0, PressVersion::Via5] {
+            let config = ClusterConfig::small(version);
+            let mut sim = ClusterSim::with_campaign(config, campaign.clone(), 3);
+            sim.run_until(SimTime::from_secs(30));
+            let breaks = sim.metrics_snapshot().counter("via.conn_breaks");
+            assert!(breaks > 0, "{version}: no VI broke");
+            assert!(sim.report().fully_recovered(4), "{version}: no recovery");
+            assert_eq!(sim.timers_stale_suppressed(), 0, "{version}");
+        }
     }
 
     /// Runs the small TCP scenario stepped in `chunk_ms` increments and

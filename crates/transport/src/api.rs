@@ -140,23 +140,27 @@ pub enum TimerKind {
     Connect,
 }
 
-/// Identifies a scheduled transport timer. Transports never *require*
-/// cancellation — stale firings are detected by comparing `gen` against
-/// the connection's current generation — but a composition layer may use
-/// the `gen` stamps to cancel superseded timers before they transit the
-/// event queue (see `Engine::schedule_cancellable`).
+/// Identifies a scheduled transport timer.
+///
+/// Both transports keep one contract: an [`Effect::SetTimer`] supersedes
+/// any pending timer of the same `(node, conn)` that has a lower `gen`,
+/// and a superseded timer does nothing when it fires. Transports never
+/// *require* cancellation, but a composition layer may cancel superseded
+/// timers before they transit the event queue (see
+/// `Engine::schedule_cancellable`). A transport that never supersedes a
+/// timer may use the same `gen` for every timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerKey {
     /// The node whose transport armed the timer.
     pub node: NodeId,
     /// The peer the timer concerns.
     pub peer: NodeId,
-    /// The connection the timer concerns (0 for transports with one
-    /// connection per peer).
+    /// The connection the timer concerns: a TCP socket or a VIA VI. No
+    /// id is used twice on one node, restarts included.
     pub conn: u64,
     /// What the timer is for.
     pub kind: TimerKind,
-    /// Generation stamp for staleness detection.
+    /// Generation stamp: see the supersede rule above.
     pub gen: u64,
 }
 

@@ -21,6 +21,7 @@
 
 pub mod api;
 pub mod cost;
+mod lifecycle;
 mod peers;
 pub mod substrate_impl;
 pub mod tcp;
@@ -35,5 +36,7 @@ pub use substrate_impl::SubstrateImpl;
 pub use tcp::TcpStack;
 pub use via::{ViaMode, ViaNic};
 
+#[cfg(test)]
+mod conformance;
 #[cfg(test)]
 mod ferry;

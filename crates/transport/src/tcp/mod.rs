@@ -26,10 +26,10 @@
 //!
 //! [`TcpStack`] alone sees [`Effects`]: it holds each peer's sockets,
 //! the node-wide skbuf and receive state and the counters, and turns
-//! into effects what four pure per-socket machines decide: `lifecycle`,
-//! `send`, `reliability` and `reassembly`. `segment` is the wire format.
+//! into effects what four pure per-socket machines decide: the
+//! crate's shared `lifecycle`, and `send`, `reliability` and
+//! `reassembly`. `segment` is the wire format.
 
-mod lifecycle;
 mod reassembly;
 mod reliability;
 mod segment;
@@ -43,8 +43,8 @@ use crate::api::{
     Substrate, TimerKey, TimerKind, Upcall, WirePayload,
 };
 use crate::cost::CostModel;
+use crate::lifecycle::{ConnectStep, Lifecycle};
 use crate::peers::PeerSlots;
-use lifecycle::{ConnectStep, Lifecycle};
 use reassembly::Reassembly;
 use reliability::{Reliability, RtxFire};
 pub use segment::{MsgRec, SegKind, TcpSegment};
@@ -423,7 +423,7 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
         self.next_conn += 1;
         let sockets = self.conns.slot(peer);
         sockets.retain(|c| c.life == Lifecycle::Established);
-        let life = Lifecycle::SynSent { opened_at: now };
+        let life = Lifecycle::Opening { opened_at: now };
         sockets.push(Conn::new(id, life));
         self.transmit(peer, TcpSegment::control(SegKind::Syn, id, 0, true), out);
         self.arm_timer(now, peer, id, TimerKind::Connect, CONNECT_RETRY, out);
@@ -529,8 +529,7 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
                 let Some(c) = self.conns.conn_mut(peer, id) else {
                     return;
                 };
-                if c.life.on_syn_ack() {
-                    c.rtx.supersede(); // cancel connect retries
+                if c.life.on_accepted() {
                     self.connected(now, peer, out);
                     self.pump(now, peer, id, out);
                 }

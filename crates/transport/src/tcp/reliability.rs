@@ -58,11 +58,6 @@ impl Reliability {
         self.gen
     }
 
-    /// Supersedes every pending timer without arming one.
-    pub(super) fn supersede(&mut self) {
-        self.gen += 1;
-    }
-
     /// Data went out at `now`: starts the stall clock; returns the delay
     /// to arm the retransmit timer with if it is not armed.
     pub(super) fn on_transmit(&mut self, now: SimTime) -> Option<SimDuration> {
@@ -121,8 +116,6 @@ mod tests {
         let g1 = r.arm(at(0), TimerKind::Connect, ms(1000));
         let g2 = r.arm(at(5), TimerKind::Retransmit, ms(200));
         assert!(g2 > g1 && r.is_current(g2) && !r.is_current(g1));
-        r.supersede();
-        assert!(!r.is_current(g2));
     }
 
     #[test]

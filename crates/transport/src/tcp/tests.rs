@@ -26,12 +26,6 @@ fn first_timer(out: &[Effect<&'static str>], kind: TimerKind) -> Option<(SimTime
 }
 
 #[test]
-fn handshake_establishes_both_ends() {
-    let (mut a, mut b) = pair();
-    connect(&mut a, &mut b);
-}
-
-#[test]
 fn small_message_round_trip() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
@@ -313,23 +307,6 @@ fn superseded_retransmit_timer_is_inert() {
 }
 
 #[test]
-fn superseded_connect_timer_is_inert() {
-    let (mut a, _b) = pair();
-    let mut out = Vec::new();
-    a.open(SimTime::ZERO, NodeId(1), &mut out);
-    let old = first_timer(&out, TimerKind::Connect).expect("connect retry armed");
-    // The SYN goes nowhere; the retry fires and re-arms.
-    let mut out = Vec::new();
-    a.timer_fired(old.0, old.1, &mut out);
-    let new = first_timer(&out, TimerKind::Connect).expect("retry re-armed");
-    assert!(new.1.gen > old.1.gen);
-    // Firing the superseded key again must be a pure no-op.
-    let mut out = Vec::new();
-    a.timer_fired(new.0, old.1, &mut out);
-    assert!(out.is_empty(), "stale timer produced effects: {out:?}");
-}
-
-#[test]
 fn rto_backs_off_exponentially_and_aborts_eventually() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
@@ -370,108 +347,6 @@ fn rto_backs_off_exponentially_and_aborts_eventually() {
     let secs = ABORT_AFTER.as_secs_f64();
     assert!((600.0..=900.0).contains(&secs));
     drop(b);
-}
-
-#[test]
-fn alloc_failure_queues_sends_and_drops_arrivals() {
-    let (mut a, mut b) = pair();
-    connect(&mut a, &mut b);
-    b.set_alloc_fail(true);
-    // a -> b: frame arrives but b's kernel drops it.
-    let mut out = Vec::new();
-    a.send(
-        SimTime::ZERO,
-        NodeId(1),
-        MsgClass::Forward,
-        "m",
-        64,
-        CallParams::default(),
-        &mut out,
-    );
-    let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-    assert!(ups.iter().all(|u| !matches!(u, Upcall::Deliver { .. })));
-    assert!(b.stats().alloc_failures > 0);
-    assert_eq!(b.stats().messages_delivered, 0);
-
-    // b -> a: b cannot even transmit; the segment waits for memory.
-    let mut out = Vec::new();
-    let st = b.send(
-        SimTime::ZERO,
-        NodeId(0),
-        MsgClass::Forward,
-        "r",
-        64,
-        CallParams::default(),
-        &mut out,
-    );
-    assert_eq!(st, SendStatus::Accepted);
-    assert!(out.iter().all(|e| !matches!(e, Effect::Transmit(_))));
-    // Memory comes back; the alloc-retry timer flushes the queue.
-    b.set_alloc_fail(false);
-    let timer = first_timer(&out, TimerKind::AllocRetry).expect("alloc retry armed");
-    let mut out = Vec::new();
-    b.timer_fired(timer.0, timer.1, &mut out);
-    let ups = exchange(timer.0, &mut [&mut a, &mut b], out);
-    assert!(ups
-        .iter()
-        .any(|u| matches!(u, Upcall::Deliver { msg: "r", .. })));
-}
-
-#[test]
-fn zero_window_parks_delivery_until_resume() {
-    let (mut a, mut b) = pair();
-    connect(&mut a, &mut b);
-    // Hang b's application.
-    let mut out = Vec::new();
-    b.set_app_receiving(SimTime::ZERO, false, &mut out);
-    exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-    let mut out = Vec::new();
-    a.send(
-        SimTime::ZERO,
-        NodeId(1),
-        MsgClass::Forward,
-        "held",
-        64,
-        CallParams::default(),
-        &mut out,
-    );
-    let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-    assert!(ups.iter().all(|u| !matches!(u, Upcall::Deliver { .. })));
-    // SIGCONT: the parked message is delivered.
-    let mut out = Vec::new();
-    b.set_app_receiving(SimTime::ZERO, true, &mut out);
-    let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-    assert!(ups
-        .iter()
-        .any(|u| matches!(u, Upcall::Deliver { msg: "held", .. })));
-}
-
-#[test]
-fn peer_restart_is_discovered_via_reset() {
-    let (mut a, mut b) = pair();
-    connect(&mut a, &mut b);
-    b.restart(SimTime::ZERO);
-    assert!(!b.is_connected(NodeId(0)));
-    // a still believes in the connection; its next send elicits a RST.
-    let mut out = Vec::new();
-    a.send(
-        SimTime::ZERO,
-        NodeId(1),
-        MsgClass::Forward,
-        "m",
-        64,
-        CallParams::default(),
-        &mut out,
-    );
-    let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-    assert!(ups.iter().any(|u| matches!(
-        u,
-        Upcall::ConnBroken {
-            reason: BreakReason::PeerReset,
-            ..
-        }
-    )));
-    assert!(!a.is_connected(NodeId(1)));
 }
 
 /// The paper's §5.3 rejoin race: a restarted node's new socket
@@ -599,7 +474,8 @@ fn a_lost_window_update_stalls_the_sender_until_peer_data_arrives() {
             "the ACK is built unless skbufs fail"
         );
         // Whatever B sent is lost on the fabric. A stays stalled: the
-        // only timer it ever armed is superseded.
+        // only timer it ever armed is a connect timer, inert once the
+        // handshake is done.
         drop(out);
         let later = SimTime::ZERO + SimDuration::from_secs(60);
         let mut out = Vec::new();

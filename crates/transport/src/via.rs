@@ -32,6 +32,7 @@ use crate::api::{
     SendStatus, Substrate, TimerKey, TimerKind, Upcall, WirePayload,
 };
 use crate::cost::CostModel;
+use crate::lifecycle::{ConnectStep, Lifecycle};
 use crate::peers::PeerSlots;
 
 /// How data moves on the VI.
@@ -150,37 +151,16 @@ impl std::fmt::Display for PinError {
 
 impl std::error::Error for PinError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ViState {
-    ReqSent,
-    Established,
-}
-
 #[derive(Debug)]
 struct Vi<M> {
-    state: ViState,
+    /// This VI's connection id, the `conn` of its timers.
+    id: u64,
+    life: Lifecycle,
     peer_inc: u64,
-    opened_at: SimTime,
     credits: u32,
     pending: VecDeque<(MsgClass, M, u32, Option<RemotePoison>, SimTime)>,
     blocked: bool,
     consumed_since_credit: u32,
-    timer_gen: u64,
-}
-
-impl<M> Vi<M> {
-    fn new(now: SimTime, state: ViState, peer_inc: u64, credits: u32) -> Self {
-        Vi {
-            state,
-            peer_inc,
-            opened_at: now,
-            credits,
-            pending: VecDeque::new(),
-            blocked: false,
-            consumed_since_credit: 0,
-            timer_gen: 0,
-        }
-    }
 }
 
 impl<M> PeerSlots<Option<Vi<M>>> {
@@ -196,7 +176,7 @@ impl<M> PeerSlots<Option<Vi<M>>> {
     /// incarnation `inc`.
     fn live(&self, peer: NodeId, inc: u64) -> Option<&Vi<M>> {
         self.vi(peer)
-            .filter(|vi| vi.state == ViState::Established && vi.peer_inc == inc)
+            .filter(|vi| vi.life == Lifecycle::Established && vi.peer_inc == inc)
     }
 }
 
@@ -254,10 +234,10 @@ pub struct ViaNic<M> {
     /// Data-descriptor counter used to sample `via.descriptor` events
     /// while tracing (unstalled descriptors are emitted 1-in-64).
     trace_seq: u64,
-    /// Last connect-timer generation stamped. NIC-wide and kept across
-    /// `restart`, so a re-opened VI's timer never matches the one its
-    /// predecessor left pending.
-    timer_gen: u64,
+    /// The next VI's connection id. Kept across `restart`, so a VI
+    /// opened again never answers the timer its predecessor left
+    /// pending.
+    next_conn: u64,
 }
 
 impl<M: Clone> ViaNic<M> {
@@ -278,7 +258,7 @@ impl<M: Clone> ViaNic<M> {
             trace: false,
             attr: false,
             trace_seq: 0,
-            timer_gen: 0,
+            next_conn: 1,
         }
     }
 
@@ -342,6 +322,23 @@ impl<M: Clone> ViaNic<M> {
             bytes: bytes + HEADER_BYTES,
             payload: WirePayload::Via(pkt),
         }));
+    }
+
+    /// Puts a new VI to `peer`, under the next connection id, in place
+    /// of any old one; returns the id.
+    fn new_vi(&mut self, peer: NodeId, life: Lifecycle, peer_inc: u64) -> u64 {
+        let id = self.next_conn;
+        self.next_conn += 1;
+        *self.vis.slot(peer) = Some(Vi {
+            id,
+            life,
+            peer_inc,
+            credits: CREDITS_PER_VI,
+            pending: VecDeque::new(),
+            blocked: false,
+            consumed_since_credit: 0,
+        });
+        id
     }
 
     fn teardown(&mut self, now: SimTime, peer: NodeId, reason: BreakReason, out: &mut Effects<M>) {
@@ -487,19 +484,15 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
     }
 
     fn open(&mut self, now: SimTime, peer: NodeId, out: &mut Effects<M>) {
-        let credits = CREDITS_PER_VI;
-        let vi = self
-            .vis
-            .slot(peer)
-            .insert(Vi::new(now, ViState::ReqSent, 0, credits));
-        self.timer_gen += 1;
-        vi.timer_gen = self.timer_gen;
+        let conn = self.new_vi(peer, Lifecycle::Opening { opened_at: now }, 0);
+        // A VI's one timer re-arms only from its own firing, so it
+        // supersedes nothing and every stamp can carry gen 0.
         let key = TimerKey {
             node: self.node,
             peer,
-            conn: 0,
+            conn,
             kind: TimerKind::Connect,
-            gen: vi.timer_gen,
+            gen: 0,
         };
         let incarnation = self.incarnation;
         self.transmit(peer, 0, ViaPacket::ConnReq { incarnation }, out);
@@ -517,7 +510,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
     fn is_connected(&self, peer: NodeId) -> bool {
         self.vis
             .vi(peer)
-            .is_some_and(|vi| vi.state == ViState::Established)
+            .is_some_and(|vi| vi.life == Lifecycle::Established)
     }
 
     /// Pauses or resumes application-level consumption (process hang).
@@ -637,9 +630,7 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
                     if self.is_connected(peer) {
                         self.teardown(now, peer, BreakReason::PeerReset, out);
                     }
-                    let credits = CREDITS_PER_VI;
-                    *self.vis.slot(peer) =
-                        Some(Vi::new(now, ViState::Established, incarnation, credits));
+                    self.new_vi(peer, Lifecycle::Established, incarnation);
                     self.connected(now, peer, out);
                 }
                 let incarnation = self.incarnation;
@@ -649,11 +640,8 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
                 let Some(vi) = self.vis.vi_mut(peer) else {
                     return;
                 };
-                if vi.state == ViState::ReqSent {
-                    vi.state = ViState::Established;
+                if vi.life.on_accepted() {
                     vi.peer_inc = incarnation;
-                    self.timer_gen += 1;
-                    vi.timer_gen = self.timer_gen;
                     self.connected(now, peer, out);
                     self.drain_pending(now, peer, out);
                 }
@@ -715,26 +703,22 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
     }
 
     fn timer_fired(&mut self, now: SimTime, key: TimerKey, out: &mut Effects<M>) {
-        if key.kind != TimerKind::Connect {
-            return;
-        }
         let peer = key.peer;
-        let Some(vi) = self.vis.vi_mut(peer) else {
-            return;
+        let Some(vi) = self.vis.vi(peer).filter(|vi| vi.id == key.conn) else {
+            return; // the VI that armed it is gone
         };
-        if key.gen != vi.timer_gen || vi.state != ViState::ReqSent {
-            return;
+        match vi.life.on_connect_timer(now, CONNECT_GIVE_UP) {
+            ConnectStep::Ignore => {}
+            ConnectStep::GiveUp => self.teardown(now, peer, BreakReason::RetransmitTimeout, out),
+            ConnectStep::Retry => {
+                let incarnation = self.incarnation;
+                self.transmit(peer, 0, ViaPacket::ConnReq { incarnation }, out);
+                out.push(Effect::SetTimer {
+                    at: now + CONNECT_RETRY,
+                    key,
+                });
+            }
         }
-        if now.saturating_since(vi.opened_at) >= CONNECT_GIVE_UP {
-            self.teardown(now, peer, BreakReason::RetransmitTimeout, out);
-            return;
-        }
-        let incarnation = self.incarnation;
-        self.transmit(peer, 0, ViaPacket::ConnReq { incarnation }, out);
-        out.push(Effect::SetTimer {
-            at: now + CONNECT_RETRY,
-            key,
-        });
     }
 
     fn set_pin_fail(&mut self, failing: bool) {
@@ -799,28 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn handshake_and_round_trip() {
-        let (mut a, mut b) = pair(ViaMode::Messaging);
-        connect(&mut a, &mut b);
-        let mut out = Vec::new();
-        let st = a.send(
-            SimTime::ZERO,
-            NodeId(1),
-            MsgClass::Forward,
-            "ping",
-            64,
-            CallParams::default(),
-            &mut out,
-        );
-        assert_eq!(st, SendStatus::Accepted);
-        let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-        assert!(ups
-            .iter()
-            .any(|u| matches!(u, Upcall::Deliver { msg: "ping", .. })));
-        assert_eq!(b.stats().messages_delivered, 1);
-    }
-
-    #[test]
     fn credits_deplete_and_return_in_batches() {
         let (mut a, mut b) = pair(ViaMode::Messaging);
         connect(&mut a, &mut b);
@@ -847,39 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn credit_exhaustion_blocks_sender_when_peer_stops_consuming() {
-        let (mut a, mut b) = pair(ViaMode::Messaging);
-        connect(&mut a, &mut b);
-        // Hang b's application: credits never return.
-        let mut out = Vec::new();
-        b.set_app_receiving(SimTime::ZERO, false, &mut out);
-        let mut blocked = false;
-        for _ in 0..200 {
-            let mut out = Vec::new();
-            let st = a.send(
-                SimTime::ZERO,
-                NodeId(1),
-                MsgClass::Forward,
-                "m",
-                64,
-                CallParams::default(),
-                &mut out,
-            );
-            exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-            if st == SendStatus::WouldBlock {
-                blocked = true;
-                break;
-            }
-        }
-        assert!(blocked, "sender must block once credits and queue are full");
-        // Resume: parked deliveries flow and credits return.
-        let mut out = Vec::new();
-        b.set_app_receiving(SimTime::ZERO, true, &mut out);
-        let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-        assert!(ups.iter().any(|u| matches!(u, Upcall::Deliver { .. })));
-    }
-
-    #[test]
     fn any_transmission_fault_breaks_the_connection() {
         let (mut a, mut b) = pair(ViaMode::RemoteWrite);
         connect(&mut a, &mut b);
@@ -894,142 +823,6 @@ mod tests {
         ));
         assert!(!a.is_connected(NodeId(1)));
         assert_eq!(a.stats().conn_breaks, 1);
-    }
-
-    #[test]
-    fn null_pointer_messaging_errors_locally_only() {
-        let (mut a, mut b) = pair(ViaMode::Messaging);
-        connect(&mut a, &mut b);
-        let mut out = Vec::new();
-        a.send(
-            SimTime::ZERO,
-            NodeId(1),
-            MsgClass::FileData,
-            "x",
-            8192,
-            CallParams {
-                ptr: PtrParam::Null,
-                size_delta: 0,
-            },
-            &mut out,
-        );
-        let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-        let locals = ups
-            .iter()
-            .filter(|u| {
-                matches!(
-                    u,
-                    Upcall::CompletionError {
-                        site: ErrorSite::Local,
-                        ..
-                    }
-                )
-            })
-            .count();
-        let remotes = ups
-            .iter()
-            .filter(|u| {
-                matches!(
-                    u,
-                    Upcall::CompletionError {
-                        site: ErrorSite::Remote,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!((locals, remotes), (1, 0));
-        assert_eq!(b.stats().messages_delivered, 0);
-    }
-
-    #[test]
-    fn null_pointer_remote_write_errors_at_both_ends() {
-        let (mut a, mut b) = pair(ViaMode::RemoteWrite);
-        connect(&mut a, &mut b);
-        let mut out = Vec::new();
-        a.send(
-            SimTime::ZERO,
-            NodeId(1),
-            MsgClass::FileData,
-            "x",
-            8192,
-            CallParams {
-                ptr: PtrParam::Null,
-                size_delta: 0,
-            },
-            &mut out,
-        );
-        let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-        let locals = ups
-            .iter()
-            .filter(|u| {
-                matches!(
-                    u,
-                    Upcall::CompletionError {
-                        site: ErrorSite::Local,
-                        ..
-                    }
-                )
-            })
-            .count();
-        let remotes = ups
-            .iter()
-            .filter(|u| {
-                matches!(
-                    u,
-                    Upcall::CompletionError {
-                        site: ErrorSite::Remote,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!((locals, remotes), (1, 1), "RDMA faults report at both ends");
-    }
-
-    #[test]
-    fn off_by_size_messaging_errors_at_receiver_only() {
-        let (mut a, mut b) = pair(ViaMode::Messaging);
-        connect(&mut a, &mut b);
-        let mut out = Vec::new();
-        a.send(
-            SimTime::ZERO,
-            NodeId(1),
-            MsgClass::FileData,
-            "x",
-            8192,
-            CallParams {
-                ptr: PtrParam::Valid,
-                size_delta: 40,
-            },
-            &mut out,
-        );
-        let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-        let remotes = ups
-            .iter()
-            .filter(|u| {
-                matches!(
-                    u,
-                    Upcall::CompletionError {
-                        site: ErrorSite::Remote,
-                        ..
-                    }
-                )
-            })
-            .count();
-        let locals = ups
-            .iter()
-            .filter(|u| {
-                matches!(
-                    u,
-                    Upcall::CompletionError {
-                        site: ErrorSite::Local,
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!((locals, remotes), (0, 1));
     }
 
     #[test]
@@ -1092,98 +885,6 @@ mod tests {
         nic.set_pin_fail(false);
         assert!(nic.register_pages(SimTime::ZERO, 20, &mut out).is_ok());
         assert_eq!(nic.stats().pin_failures, 2);
-    }
-
-    #[test]
-    fn alloc_fault_is_a_no_op_for_via() {
-        // Pre-allocation immunity (§5.4).
-        let (mut a, mut b) = pair(ViaMode::Messaging);
-        connect(&mut a, &mut b);
-        a.set_alloc_fail(true);
-        b.set_alloc_fail(true);
-        let mut out = Vec::new();
-        a.send(
-            SimTime::ZERO,
-            NodeId(1),
-            MsgClass::Forward,
-            "still works",
-            64,
-            CallParams::default(),
-            &mut out,
-        );
-        let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-        assert!(ups.iter().any(|u| matches!(
-            u,
-            Upcall::Deliver {
-                msg: "still works",
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn peer_restart_discovered_by_disconnect() {
-        let (mut a, mut b) = pair(ViaMode::Messaging);
-        connect(&mut a, &mut b);
-        b.restart(SimTime::ZERO);
-        let mut out = Vec::new();
-        a.send(
-            SimTime::ZERO,
-            NodeId(1),
-            MsgClass::Forward,
-            "m",
-            64,
-            CallParams::default(),
-            &mut out,
-        );
-        let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
-        assert!(ups.iter().any(|u| matches!(
-            u,
-            Upcall::ConnBroken {
-                reason: BreakReason::PeerReset,
-                ..
-            }
-        )));
-        assert!(!a.is_connected(NodeId(1)));
-    }
-
-    /// The connect-retry timer `out` arms.
-    fn armed(out: &Effects<&'static str>) -> TimerKey {
-        out.iter()
-            .find_map(|e| match e {
-                Effect::SetTimer { key, .. } => Some(*key),
-                _ => None,
-            })
-            .expect("a connect-retry timer")
-    }
-
-    /// A VI opened again after a teardown or a restart must not answer
-    /// the retry timer its predecessor left pending: that would run two
-    /// ConnReq retry chains for one VI.
-    #[test]
-    fn reopened_vi_ignores_its_predecessors_retry_timer() {
-        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
-        let mut nic: Nic = ViaNic::new(NodeId(0), ViaMode::RemoteWrite, CostModel::via5());
-        let mut out = Vec::new();
-        nic.open(at(0), NodeId(1), &mut out);
-        let first = armed(&out);
-        out.clear();
-        nic.transmit_failed(at(0), NodeId(1), LossReason::DstNodeDown, &mut out);
-        out.clear();
-        nic.open(at(100), NodeId(1), &mut out);
-        let second = armed(&out);
-        out.clear();
-        nic.timer_fired(at(500), first, &mut out);
-        assert!(out.is_empty(), "the torn-down VI's timer acted: {out:?}");
-        nic.timer_fired(at(600), second, &mut out);
-        assert_eq!(armed(&out), second, "the live VI still retries");
-
-        out.clear();
-        nic.restart(at(700));
-        nic.open(at(700), NodeId(1), &mut out);
-        out.clear();
-        nic.timer_fired(at(1100), second, &mut out);
-        assert!(out.is_empty(), "a pre-restart timer acted: {out:?}");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 # output goes to stderr and to BENCH_repro.json in the working
 # directory, so the timed runs start in a scratch directory and leave
 # the tree's file alone. The timed table1 run
-# also gates on events dispatched: the optimized event loop may not
-# dispatch more events than the seed loop that produced the goldens.
+# also gates on events dispatched: the event loop must dispatch exactly
+# the pinned count that perfbench's digests also fix.
 # The HTML report gate renders the fig2, fig3, fig3 --attribution and
 # montecarlo dashboards at two --jobs values, from two working
 # directories, and requires byte-identity; the audit gate re-derives every
@@ -98,22 +98,22 @@ golden_section() {
 cat "$tmp_err" >&2
 golden_section 1 | diff -u - "$tmp_out"
 
-echo "== stale-timer gate: events dispatched must not grow"
-# The seed event loop dispatched 1,167,954 events producing the
-# committed small table1 golden. True timer cancellation may only
-# REMOVE no-op dispatches (superseded retransmit timers) — if the
-# count ever rises above the seed's, something is scheduling events
-# the old loop never saw, and the "bit-identical goldens" claim is
-# luck rather than equivalence.
-seed_events=1167954
+echo "== stale-timer gate: events dispatched are pinned"
+# The committed small table1 golden comes from a loop that dispatches
+# exactly 1,167,942 events (the seed loop dispatched 1,167,954; timer
+# cancellation removed superseded no-op dispatches). perfbench's
+# digests pin the event count too. Any other count means a change
+# scheduled or dropped events, and the "bit-identical goldens" claim
+# would be luck rather than equivalence.
+pinned_events=1167942
 events=$(awk '$1 == "table1" { print $4; exit }' "$tmp_err")
 if [ -z "$events" ]; then
     echo "stale-timer gate: could not parse events from --timing output" >&2
     exit 1
 fi
-echo "   table1 --small dispatched $events events (seed: $seed_events)"
-if [ "$events" -gt "$seed_events" ]; then
-    echo "stale-timer gate: $events events dispatched > seed $seed_events" >&2
+echo "   table1 --small dispatched $events events (pinned: $pinned_events)"
+if [ "$events" -ne "$pinned_events" ]; then
+    echo "stale-timer gate: $events events dispatched != pinned $pinned_events" >&2
     exit 1
 fi
 
