@@ -64,35 +64,62 @@ fn engine_pop_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 48-byte event, the size of the cluster's queued event type.
+#[derive(Debug, Clone, Copy)]
+struct WideEvent([u64; 6]);
+
+/// A 16-byte payload, the size of the cluster's compact timeout.
+#[derive(Debug, Clone, Copy)]
+struct Timeout(u64, u64);
+
+impl From<Timeout> for WideEvent {
+    fn from(t: Timeout) -> Self {
+        WideEvent([t.0, t.1, 0, 0, 0, 0])
+    }
+}
+
+/// Where the timeout-stream benchmark queues its timeouts.
+#[derive(Clone, Copy)]
+enum TimeoutQueue {
+    Heap,
+    Lane,
+    Compact,
+}
+
 fn engine_timeout_stream(c: &mut Criterion) {
     // A constant-offset timeout stream (request deadlines, forward
     // watchdogs: always `now + T`) in steady state — the workload the
-    // monotone lanes exist for, benched against the general heap.
+    // monotone lanes exist for, benched against the general heap. The
+    // events are 48 bytes like the cluster's; the compact lane parks
+    // each one as a 16-byte payload.
     let mut group = c.benchmark_group("engine");
     let n = 100_000u64;
     group.throughput(Throughput::Elements(n));
-    for (name, use_lane) in [
-        ("timeout_stream_heap", false),
-        ("timeout_stream_lane", true),
+    for (name, queue) in [
+        ("timeout_stream_heap", TimeoutQueue::Heap),
+        ("timeout_stream_lane", TimeoutQueue::Lane),
+        ("timeout_stream_compact", TimeoutQueue::Compact),
     ] {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
-                    let mut engine = Engine::with_capacity(2048);
-                    let lane = engine.add_lane();
+                    let mut engine: Engine<WideEvent, Timeout> = Engine::with_compact_lanes(2048);
+                    let lanes = (engine.add_lane(), engine.add_compact_lane());
                     for i in 0..1_000u64 {
-                        engine.schedule_at(SimTime::from_nanos(i * 1_000), i);
+                        engine.schedule_at(SimTime::from_nanos(i * 1_000), WideEvent([i; 6]));
                     }
-                    (engine, lane)
+                    (engine, lanes)
                 },
-                |(mut engine, lane)| {
+                |(mut engine, (lane, compact))| {
                     for _ in 0..n {
                         let (t, v) = engine.pop().expect("steady state");
                         let at = t + SimDuration::from_secs(6);
-                        if use_lane {
-                            engine.schedule_lane(lane, at, v);
-                        } else {
-                            engine.schedule_at(at, v);
+                        match queue {
+                            TimeoutQueue::Heap => engine.schedule_at(at, v),
+                            TimeoutQueue::Lane => engine.schedule_lane(lane, at, v),
+                            TimeoutQueue::Compact => {
+                                engine.schedule_compact(compact, at, Timeout(v.0[0], v.0[1]))
+                            }
                         }
                     }
                 },

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use experiments::{ClusterConfig, ClusterSim};
 use press::PressVersion;
-use simnet::{Engine, Frame, Lane, NodeId, SimDuration, SimTime, Slab};
+use simnet::{CompactLane, Engine, Frame, Lane, NodeId, SimDuration, SimTime, Slab};
 
 /// A pass-through allocator over [`System`] that counts allocations and
 /// the bytes they ask for.
@@ -107,21 +107,24 @@ pub fn check_setup() {
 
 /// One step of the engine workload: re-queues the popped event `v` on
 /// the heap, as a cancellable timer (with a superseded twin cancelled
-/// at once), on one of three fixed-offset timeout lanes, or on a
-/// busy-server completion lane.
+/// at once), on one of three fixed-offset timeout lanes (two full, one
+/// compact), or on a busy-server completion lane.
 fn engine_step(
-    engine: &mut Engine<u64>,
-    lanes: &[Lane; 4],
+    engine: &mut Engine<u64, u32>,
+    lanes: &[Lane; 3],
+    compact: CompactLane,
     busy: &mut SimTime,
     t: SimTime,
     v: u64,
 ) {
     match v % 4 {
-        0 => engine.schedule_lane(
-            lanes[(v / 4 % 3) as usize],
-            t + SimDuration::from_secs(6),
-            v,
-        ),
+        0 => {
+            let at = t + SimDuration::from_secs(6);
+            match v / 4 % 3 {
+                2 => engine.schedule_compact(compact, at, u32::try_from(v).expect("small payload")),
+                k => engine.schedule_lane(lanes[k as usize], at, v),
+            }
+        }
         1 => engine.schedule_at(t + SimDuration::from_millis(1), v),
         2 => {
             engine.schedule_cancellable(t + SimDuration::from_millis(2), v);
@@ -130,24 +133,25 @@ fn engine_step(
         }
         _ => {
             *busy = (*busy).max(t) + SimDuration::from_micros(300);
-            engine.schedule_lane(lanes[3], *busy, v);
+            engine.schedule_lane(lanes[2], *busy, v);
         }
     }
 }
 
-/// A warm engine with four lanes, the heap and cancellation performs no
-/// allocation over 100k pop + push pairs.
+/// A warm engine with three full lanes, a compact lane, the heap and
+/// cancellation performs no allocation over 100k pop + push pairs.
 pub fn check_engine() {
-    let mut engine = Engine::with_capacity(4096);
-    let lanes = [(); 4].map(|_| engine.add_lane());
+    let mut engine = Engine::with_compact_lanes(4096);
+    let lanes = [(); 3].map(|_| engine.add_lane());
+    let compact = engine.add_compact_lane();
     let mut busy = SimTime::ZERO;
     for i in 0..1_024u64 {
         engine.schedule_at(SimTime::from_nanos(i * 1_000), i);
     }
-    let mut run = |engine: &mut Engine<u64>| {
+    let mut run = |engine: &mut Engine<u64, u32>| {
         for _ in 0..OPS {
             let (t, v) = engine.pop().expect("steady state");
-            engine_step(engine, &lanes, &mut busy, t, v);
+            engine_step(engine, &lanes, compact, &mut busy, t, v);
         }
     };
     // Warm the heap, every lane and the slab and slot free lists.
@@ -160,7 +164,9 @@ pub fn check_engine() {
         "warm engine allocated {n} times over {OPS} pop+push pairs"
     );
     assert_eq!(engine.pending(), 1_024);
-    println!("alloc-counter: engine with 4 lanes: 0 allocations / {OPS} pop+push");
+    println!(
+        "alloc-counter: engine with 3 lanes and 1 compact lane: 0 allocations / {OPS} pop+push"
+    );
 }
 
 /// A warm frame slab re-parks frames without allocating.

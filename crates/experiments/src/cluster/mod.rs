@@ -19,8 +19,8 @@ use press::{
 };
 use simnet::fabric::{Fabric, FabricConfig, Frame, LossReason, NodeId};
 use simnet::{
-    AvailabilityCounter, CancelToken, CpuMeter, Engine, Lane, LatencyHistogram, SimDuration,
-    SimRng, SimTime, Slab, TimeSeries,
+    AvailabilityCounter, CancelToken, CompactLane, CpuMeter, Engine, Lane, LatencyHistogram,
+    SimDuration, SimRng, SimTime, Slab, TimeSeries,
 };
 use telemetry::{AttrEvent, TraceEvent, TID_CLUSTER};
 use transport::{
@@ -114,12 +114,46 @@ pub enum ProcEvent {
 enum Ev {
     Frame(u32),
     Timer(TimerKey),
-    App { node: usize, gen: u64, ev: AppEvent },
-    Reply { node: usize, gen: u64, req_id: u64 },
+    App { node: usize, gen: u32, ev: AppEvent },
+    Reply { node: usize, gen: u32, req_id: u64 },
     Client(ClientEvent),
     Fault(usize),
-    ProcessRestart { node: usize, gen: u64 },
+    ProcessRestart { node: usize, gen: u32 },
 }
+
+/// A fixed-horizon timeout, parked on the engine's compact timeout lane
+/// until it fires and then delivered as the [`Ev`] it names. Both kinds
+/// are stamped `now +` [`press::REQUEST_TIMEOUT`], so tens of thousands
+/// wait at once under load; at 16 bytes each one takes a 32-byte lane
+/// entry where an `Ev` takes 64.
+#[derive(Debug, Clone, Copy)]
+enum Timeout {
+    /// A client's request deadline: `Ev::Client(ClientEvent::Deadline)`.
+    Deadline(u64),
+    /// A PRESS forward watchdog: `Ev::App` carrying
+    /// `AppEvent::PendingTimeout`.
+    Watchdog { node: u16, gen: u32, req_id: u64 },
+}
+
+impl From<Timeout> for Ev {
+    fn from(t: Timeout) -> Ev {
+        match t {
+            Timeout::Deadline(req_id) => Ev::Client(ClientEvent::Deadline(req_id)),
+            Timeout::Watchdog { node, gen, req_id } => Ev::App {
+                node: usize::from(node),
+                gen,
+                ev: AppEvent::PendingTimeout(req_id),
+            },
+        }
+    }
+}
+
+// Every queued event is stored at one of these sizes: an `Ev` in the
+// engine's slab or inline in a full lane (a frame inline made it 88
+// bytes), a `Timeout` inline in the compact lane. A field that grows
+// either one fails the build instead of silently widening the queue.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 48);
+const _: () = assert!(std::mem::size_of::<Timeout>() == 16);
 
 /// Internal work items processed synchronously within one event.
 enum Work {
@@ -149,7 +183,9 @@ struct NodeSlot {
     running: bool,
     hung: bool,
     frozen: bool,
-    gen: u64,
+    /// Process generation, bumped on every kill; an event stamped with
+    /// an older one is for a dead process and is dropped.
+    gen: u32,
     freezer: Vec<Work>,
     /// `Work::Parked` requests not yet handed to PRESS: the connections
     /// waiting in the listen queue.
@@ -259,10 +295,10 @@ pub fn events_dispatched_total() -> u64 {
 /// The simulated cluster.
 pub struct ClusterSim {
     config: ClusterConfig,
-    engine: Engine<Ev>,
-    /// Shared engine lane of fixed-horizon timeouts: client deadlines
-    /// and PRESS forward watchdogs, both stamped `now + 6 s`.
-    timeout_lane: Lane,
+    engine: Engine<Ev, Timeout>,
+    /// Shared compact engine lane of fixed-horizon timeouts: client
+    /// deadlines and PRESS forward watchdogs, both stamped `now + 6 s`.
+    timeout_lane: CompactLane,
     /// Per-node CPU and disk completion lanes, indexed by node.
     node_lanes: Vec<NodeLanes>,
     /// Frames between transmit and delivery, named by `Ev::Frame`.
@@ -348,10 +384,10 @@ impl ClusterSim {
         let mut rng = SimRng::seed_from(seed);
         // A booted 4-node cluster keeps a few hundred events in flight;
         // pre-sizing skips the early heap growth.
-        let mut engine = Engine::with_capacity(512);
-        // 2N+1 lanes: the shared timeout lane, then each node's CPU and
-        // disk completion streams.
-        let timeout_lane = engine.add_lane();
+        let mut engine = Engine::with_compact_lanes(512);
+        // 2N+1 lanes: the shared compact timeout lane, then each node's
+        // CPU and disk completion streams.
+        let timeout_lane = engine.add_compact_lane();
         let node_lanes: Vec<NodeLanes> = (0..n)
             .map(|_| NodeLanes {
                 cpu: engine.add_lane(),
@@ -676,26 +712,38 @@ impl ClusterSim {
         self.drain_work(now);
     }
 
-    /// Queues a node's event on the engine lane its stream names, or on
-    /// the heap for [`Stream::Unordered`]. A lane only speeds up the
-    /// queue: delivery follows the same `(time, seq)` order either way.
-    fn schedule_stream(&mut self, node: usize, stream: Stream, at: SimTime, ev: Ev) {
+    /// Queues a node's application event on the engine lane its stream
+    /// names, or on the heap for [`Stream::Unordered`]. A lane only
+    /// speeds up the queue: delivery follows the same `(time, seq)`
+    /// order either way.
+    fn schedule_app(&mut self, node: usize, stream: Stream, at: SimTime, ev: AppEvent) {
+        let gen = self.nodes[node].gen;
         let lane = match stream {
-            Stream::Unordered => return self.engine.schedule_at(at, ev),
             Stream::Cpu => self.node_lanes[node].cpu,
             Stream::Disk => self.node_lanes[node].disk,
-            Stream::Timeout => self.timeout_lane,
+            Stream::Timeout => {
+                // The stream's only event is the forward watchdog;
+                // anything else keeps its order on the heap.
+                let AppEvent::PendingTimeout(req_id) = ev else {
+                    return self.engine.schedule_at(at, Ev::App { node, gen, ev });
+                };
+                let node = u16::try_from(node).expect("node id exceeds a watchdog's u16");
+                let t = Timeout::Watchdog { node, gen, req_id };
+                return self.engine.schedule_compact(self.timeout_lane, at, t);
+            }
+            Stream::Unordered => return self.engine.schedule_at(at, Ev::App { node, gen, ev }),
         };
-        self.engine.schedule_lane(lane, at, ev);
+        self.engine
+            .schedule_lane(lane, at, Ev::App { node, gen, ev });
     }
 
     /// Scores a request accepted on `node` and queues its deadline.
     /// Deadlines are always `now +` [`press::REQUEST_TIMEOUT`], like the
-    /// PRESS forward watchdogs, so they share the timeout lane.
+    /// PRESS forward watchdogs, so they share the compact timeout lane.
     fn accept(&mut self, now: SimTime, node: usize, req_id: u64) {
         let at = self.requests.accepted(&mut self.obs, now, node, req_id);
-        let ev = Ev::Client(ClientEvent::Deadline(req_id));
-        self.engine.schedule_lane(self.timeout_lane, at, ev);
+        let t = Timeout::Deadline(req_id);
+        self.engine.schedule_compact(self.timeout_lane, at, t);
     }
 
     /// Queues a restart of `node`'s current process generation at `at`.
@@ -874,7 +922,10 @@ impl ClusterSim {
         }
         slot.running = false;
         slot.hung = false;
-        slot.gen += 1;
+        slot.gen = slot
+            .gen
+            .checked_add(1)
+            .expect("process generations exhausted");
         slot.cpu.reset_backlog(now);
         slot.freezer.clear();
         slot.parked = 0;
@@ -993,8 +1044,7 @@ impl ClusterSim {
         for a in app.drain(..) {
             match a {
                 AppEffect::Schedule { at, ev, stream } => {
-                    let gen = self.nodes[i].gen;
-                    self.schedule_stream(i, stream, at, Ev::App { node: i, gen, ev });
+                    self.schedule_app(i, stream, at, ev);
                 }
                 AppEffect::Reply { req_id, at } => {
                     let gen = self.nodes[i].gen;
@@ -1003,7 +1053,7 @@ impl ClusterSim {
                         gen,
                         req_id,
                     };
-                    self.schedule_stream(i, Stream::Cpu, at, ev);
+                    self.engine.schedule_lane(self.node_lanes[i].cpu, at, ev);
                 }
                 AppEffect::ProcessExit { reason: _ } => {
                     self.kill_process(now, i, Some(RESTART_DELAY));
@@ -1028,17 +1078,6 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn queued_events_stay_compact() {
-        // Every queued event is stored at this size, in the engine's
-        // slab or inline in a lane; a frame inline made each one 88 bytes.
-        assert!(
-            std::mem::size_of::<Ev>() <= 48,
-            "Ev is {} bytes",
-            std::mem::size_of::<Ev>()
-        );
-    }
 
     #[test]
     fn frames_are_parked_until_their_event_is_handled() {

@@ -110,6 +110,9 @@ pub enum Stream {
     Disk,
     /// Fixed-horizon watchdogs ([`AppEvent::PendingTimeout`]), stamped
     /// `now +` [`REQUEST_TIMEOUT`] like the clients' request deadlines.
+    /// This stream carries no other event, so the composition layer can
+    /// park each watchdog as a small `(node, gen, req_id)` record beside
+    /// the deadlines, rather than as a full event.
     Timeout,
 }
 

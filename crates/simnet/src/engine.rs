@@ -34,6 +34,14 @@
 //!   which costs a cache miss per event when the backlog outgrows the
 //!   cache.
 //!
+//!   A lane comes in two kinds that differ only in what an entry
+//!   carries. A full lane stores the event type `E`. A **compact lane**
+//!   ([`Engine::add_compact_lane`], [`Engine::schedule_compact`]) stores
+//!   a second, smaller payload type `T` that converts into `E` when it
+//!   is delivered. A stream with a long horizon and a small payload (a
+//!   timeout that names one request) then parks in entries sized for
+//!   its payload rather than for the largest event.
+//!
 //! Around that core:
 //!
 //! - heap, lanes, slab and free lists all recycle their storage, so the
@@ -57,9 +65,13 @@ use crate::time::{SimDuration, SimTime};
 /// Sentinel slot id for ordinary (non-cancellable) events.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Slot id marking a heap key as the head of a lane; the key's `idx`
-/// then names the lane rather than a slab cell.
+/// Slot id marking a heap key as the head of a full lane; the key's
+/// `idx` then names the lane rather than a slab cell.
 const LANE_HEAD: u32 = u32::MAX - 1;
+
+/// Slot id marking a heap key as the head of a compact lane. Every slot
+/// id from here up is a non-cancellable key.
+const COMPACT_HEAD: u32 = u32::MAX - 2;
 
 /// Slot value meaning "no live entry": cancelled or already delivered.
 const SLOT_DEAD: u64 = u64::MAX;
@@ -79,7 +91,15 @@ pub struct CancelToken {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lane(u32);
 
+/// Handle to a compact monotone lane registered with
+/// [`Engine::add_compact_lane`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompactLane(u32);
+
 /// A deterministic discrete-event queue over events of type `E`.
+///
+/// Compact lanes carry payloads of type `T`, delivered as `t.into()`;
+/// an engine without compact lanes leaves `T` at its default, `E`.
 ///
 /// The engine tracks the current simulated time: popping an event advances
 /// the clock to that event's timestamp. Scheduling an event in the past is
@@ -100,19 +120,16 @@ pub struct Lane(u32);
 /// assert!(engine.pop().is_none());
 /// ```
 #[derive(Debug)]
-pub struct Engine<E> {
+pub struct Engine<E, T = E> {
     now: SimTime,
     seq: u64,
     /// 4-ary min-heap of keys: ordinary events, cancellable events and
-    /// one head key per non-empty lane.
-    heap: Vec<HeapEntry>,
-    /// Monotone lanes, each sorted by `(time, seq)` by construction,
-    /// payloads inline. A non-empty lane's front is also its head key
-    /// in `heap`.
-    lanes: Vec<VecDeque<LaneEntry<E>>>,
-    /// Lane entries behind their lane's head, i.e. queued events that
-    /// have no key in `heap`.
-    lane_backlog: usize,
+    /// one head key per non-empty lane of either kind.
+    heap: KeyHeap,
+    /// Full lanes, payloads of type `E`.
+    lanes: Lanes<E>,
+    /// Compact lanes, payloads of type `T`.
+    compact: Lanes<T>,
     /// Payloads of heap-resident events, named by `HeapEntry::idx`.
     slab: Slab<E>,
     dispatched: u64,
@@ -133,19 +150,12 @@ pub struct Engine<E> {
 struct HeapEntry {
     at: SimTime,
     seq: u64,
-    /// [`NO_SLOT`] for ordinary events, [`LANE_HEAD`] for a lane's head,
-    /// otherwise the cancellation slot this entry is registered under.
+    /// [`NO_SLOT`] for ordinary events, [`LANE_HEAD`] or
+    /// [`COMPACT_HEAD`] for a lane's head, otherwise the cancellation
+    /// slot this entry is registered under.
     slot: u32,
     /// Slab cell holding the payload, or the lane for a lane head.
     idx: u32,
-}
-
-/// One lane-resident event, payload inline.
-#[derive(Debug)]
-struct LaneEntry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
 }
 
 impl HeapEntry {
@@ -161,6 +171,227 @@ impl HeapEntry {
     fn key(&self) -> u128 {
         (u128::from(self.at.as_nanos()) << 64) | u128::from(self.seq)
     }
+
+    /// Whether the key is still deliverable: lane heads and ordinary
+    /// events always are, a cancellable event while its slot holds its
+    /// seq.
+    #[inline(always)]
+    fn is_live(&self, slots: &[u64]) -> bool {
+        self.slot >= COMPACT_HEAD || slots[self.slot as usize] == self.seq
+    }
+}
+
+/// The 4-ary min-heap of [`HeapEntry`] keys.
+#[derive(Debug)]
+struct KeyHeap {
+    keys: Vec<HeapEntry>,
+}
+
+impl KeyHeap {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    #[inline(always)]
+    fn first(&self) -> Option<&HeapEntry> {
+        self.keys.first()
+    }
+
+    /// Inserts `entry`, restoring the heap property.
+    #[inline]
+    fn push(&mut self, entry: HeapEntry) {
+        self.keys.push(entry);
+        self.sift_up(self.keys.len() - 1);
+    }
+
+    /// Removes the minimum element, restoring the heap property.
+    #[inline]
+    fn pop_root(&mut self) -> Option<HeapEntry> {
+        if self.keys.is_empty() {
+            return None;
+        }
+        let root = self.keys.swap_remove(0);
+        if self.keys.len() > 1 {
+            self.sift_down(0);
+        }
+        Some(root)
+    }
+
+    /// Gives the root the key `(at, seq)`, which must be no earlier than
+    /// its current one, and sifts it down once.
+    #[inline]
+    fn rekey_root(&mut self, at: SimTime, seq: u64) {
+        let root = &mut self.keys[0];
+        debug_assert!((at, seq) > (root.at, root.seq));
+        root.at = at;
+        root.seq = seq;
+        self.sift_down(0);
+    }
+
+    /// Restores the heap property over arbitrary contents, bottom-up.
+    fn heapify(&mut self) {
+        if self.keys.len() > 1 {
+            for i in (0..=(self.keys.len() - 2) / 4).rev() {
+                self.sift_down(i);
+            }
+        }
+    }
+
+    /// Moves `keys[idx]` towards the root until its parent is no later.
+    /// Hole technique: parents shift down into the hole and the entry is
+    /// written once at its final position.
+    #[inline]
+    fn sift_up(&mut self, mut idx: usize) {
+        let entry = self.keys[idx];
+        while idx > 0 {
+            let parent = (idx - 1) / 4;
+            if entry.before(&self.keys[parent]) {
+                self.keys[idx] = self.keys[parent];
+                idx = parent;
+            } else {
+                break;
+            }
+        }
+        self.keys[idx] = entry;
+    }
+
+    /// Moves `keys[idx]` towards the leaves until no child is earlier.
+    /// 4-ary: half the depth of a binary heap, and the up-to-four child
+    /// keys scanned per level sit adjacent in memory.
+    #[inline]
+    fn sift_down(&mut self, mut idx: usize) {
+        let len = self.keys.len();
+        let entry = self.keys[idx];
+        loop {
+            let first = 4 * idx + 1;
+            if first >= len {
+                break;
+            }
+            let best = if first + 4 <= len {
+                // All four children: a two-round tournament, which the
+                // branch-free key compares turn into conditional moves.
+                let h = &self.keys[first..first + 4];
+                let l = usize::from(h[1].before(&h[0]));
+                let r = 2 + usize::from(h[3].before(&h[2]));
+                first + if h[r].before(&h[l]) { r } else { l }
+            } else {
+                let mut best = first;
+                for c in first + 1..len {
+                    if self.keys[c].before(&self.keys[best]) {
+                        best = c;
+                    }
+                }
+                best
+            };
+            if self.keys[best].before(&entry) {
+                self.keys[idx] = self.keys[best];
+                idx = best;
+            } else {
+                break;
+            }
+        }
+        self.keys[idx] = entry;
+    }
+}
+
+/// One lane-resident event, payload inline.
+#[derive(Debug)]
+struct LaneEntry<P> {
+    at: SimTime,
+    seq: u64,
+    payload: P,
+}
+
+/// Every lane of one kind: full lanes (`P = E`) or compact lanes
+/// (`P = T`). Both kinds keep their heads in the one [`KeyHeap`], told
+/// apart by `head_slot`.
+#[derive(Debug)]
+struct Lanes<P> {
+    /// Each lane sorted by `(time, seq)` by construction. A non-empty
+    /// lane's front is also its head key in the heap.
+    queues: Vec<VecDeque<LaneEntry<P>>>,
+    /// Entries behind their lane's head, i.e. queued events that have
+    /// no key in the heap.
+    backlog: usize,
+    /// [`LANE_HEAD`] or [`COMPACT_HEAD`]: the slot value of this kind's
+    /// head keys.
+    head_slot: u32,
+}
+
+impl<P> Lanes<P> {
+    fn new(head_slot: u32) -> Self {
+        Lanes {
+            queues: Vec::new(),
+            backlog: 0,
+            head_slot,
+        }
+    }
+
+    /// Registers a new, empty lane and returns its id.
+    fn add(&mut self) -> u32 {
+        let id = u32::try_from(self.queues.len()).expect("lane ids exhausted");
+        self.queues.push(VecDeque::new());
+        id
+    }
+
+    /// Whether an event at `at` keeps `lane` sorted: the lane is empty or
+    /// `at` is no earlier than its tail.
+    #[inline]
+    fn fits(&self, lane: u32, at: SimTime) -> bool {
+        self.queues[lane as usize]
+            .back()
+            .is_none_or(|tail| at >= tail.at)
+    }
+
+    /// Appends an entry that [`Lanes::fits`]. If it becomes the lane's
+    /// head, its key goes into `heap`; otherwise it joins the backlog.
+    #[inline]
+    fn push(&mut self, heap: &mut KeyHeap, lane: u32, at: SimTime, seq: u64, payload: P) {
+        let queue = &mut self.queues[lane as usize];
+        queue.push_back(LaneEntry { at, seq, payload });
+        if queue.len() == 1 {
+            heap.push(HeapEntry {
+                at,
+                seq,
+                slot: self.head_slot,
+                idx: lane,
+            });
+        } else {
+            self.backlog += 1;
+        }
+    }
+
+    /// Takes the front of the lane whose head key is the heap root. If
+    /// the lane has more entries, the root is re-keyed from the next one
+    /// (no earlier than the key it replaces, so one sift-down restores
+    /// the heap); otherwise the root is popped.
+    #[inline]
+    fn take_head(&mut self, heap: &mut KeyHeap) -> P {
+        let root = heap.keys[0];
+        debug_assert_eq!(root.slot, self.head_slot);
+        let queue = &mut self.queues[root.idx as usize];
+        let head = queue.pop_front().expect("lane head queued");
+        debug_assert_eq!(head.seq, root.seq);
+        match queue.front() {
+            Some(next) => {
+                heap.rekey_root(next.at, next.seq);
+                self.backlog -= 1;
+            }
+            None => {
+                heap.pop_root();
+            }
+        }
+        head.payload
+    }
+
+    /// Empties every lane, keeping them registered and their storage.
+    fn clear(&mut self) {
+        for queue in &mut self.queues {
+            queue.clear();
+        }
+        self.backlog = 0;
+    }
 }
 
 impl<E> Engine<E> {
@@ -172,12 +403,44 @@ impl<E> Engine<E> {
     /// Creates an empty engine with pre-allocated queue storage, so the
     /// first burst of scheduling does not reallocate.
     pub fn with_capacity(capacity: usize) -> Self {
+        Engine::with_compact_lanes(capacity)
+    }
+}
+
+impl<E, T: Into<E>> Engine<E, T> {
+    /// Creates an empty engine like [`Engine::with_capacity`] whose
+    /// compact lanes carry `T` rather than `E`.
+    ///
+    /// ```
+    /// use simnet::{Engine, SimTime};
+    ///
+    /// #[derive(Debug, PartialEq)]
+    /// enum Ev {
+    ///     Tick(u8),
+    ///     Bulk([u64; 8]),
+    /// }
+    /// impl From<u8> for Ev {
+    ///     fn from(k: u8) -> Ev {
+    ///         Ev::Tick(k)
+    ///     }
+    /// }
+    ///
+    /// let mut engine: Engine<Ev, u8> = Engine::with_compact_lanes(16);
+    /// let lane = engine.add_compact_lane();
+    /// engine.schedule_at(SimTime::from_secs(2), Ev::Bulk([0; 8]));
+    /// engine.schedule_compact(lane, SimTime::from_secs(1), 7);
+    /// assert_eq!(engine.pop(), Some((SimTime::from_secs(1), Ev::Tick(7))));
+    /// assert_eq!(engine.pop(), Some((SimTime::from_secs(2), Ev::Bulk([0; 8]))));
+    /// ```
+    pub fn with_compact_lanes(capacity: usize) -> Self {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            heap: Vec::with_capacity(capacity),
-            lanes: Vec::new(),
-            lane_backlog: 0,
+            heap: KeyHeap {
+                keys: Vec::with_capacity(capacity),
+            },
+            lanes: Lanes::new(LANE_HEAD),
+            compact: Lanes::new(COMPACT_HEAD),
             slab: Slab::with_capacity(capacity),
             dispatched: 0,
             slots: Vec::new(),
@@ -196,7 +459,7 @@ impl<E> Engine<E> {
     /// events are not counted, even while their heap entry lingers).
     #[inline]
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.dead_pending + self.lane_backlog
+        self.heap.len() - self.dead_pending + self.lanes.backlog + self.compact.backlog
     }
 
     /// Total events delivered so far.
@@ -205,21 +468,21 @@ impl<E> Engine<E> {
         self.dispatched
     }
 
-    /// Consumes the next sequence number.
+    /// Consumes the next sequence number for an event at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time.
     #[inline]
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    #[inline]
-    fn assert_not_past(&self, at: SimTime) {
+    fn next_seq(&mut self, at: SimTime) -> u64 {
         assert!(
             at >= self.now,
             "scheduled event at {at} before current time {}",
             self.now
         );
+        let s = self.seq;
+        self.seq += 1;
+        s
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -235,9 +498,7 @@ impl<E> Engine<E> {
     /// [`Engine::schedule_lane`]. Lanes live as long as the engine;
     /// [`Engine::clear`] empties them but keeps them registered.
     pub fn add_lane(&mut self) -> Lane {
-        let id = u32::try_from(self.lanes.len()).expect("lane ids exhausted");
-        self.lanes.push(VecDeque::new());
-        Lane(id)
+        Lane(self.lanes.add())
     }
 
     /// Schedules `event` at `at` on `lane`: an alternative to
@@ -272,28 +533,37 @@ impl<E> Engine<E> {
     /// Panics if `at` is earlier than the current time, or if `lane`
     /// was not registered with this engine.
     pub fn schedule_lane(&mut self, lane: Lane, at: SimTime, event: E) {
-        if self.lanes[lane.0 as usize]
-            .back()
-            .is_some_and(|tail| at < tail.at)
-        {
-            self.push_entry(at, NO_SLOT, event);
-            return;
+        if !self.lanes.fits(lane.0, at) {
+            return self.push_entry(at, NO_SLOT, event);
         }
-        self.assert_not_past(at);
-        let seq = self.next_seq();
-        let queue = &mut self.lanes[lane.0 as usize];
-        queue.push_back(LaneEntry { at, seq, event });
-        if queue.len() == 1 {
-            self.heap.push(HeapEntry {
-                at,
-                seq,
-                slot: LANE_HEAD,
-                idx: lane.0,
-            });
-            self.sift_up(self.heap.len() - 1);
-        } else {
-            self.lane_backlog += 1;
+        let seq = self.next_seq(at);
+        self.lanes.push(&mut self.heap, lane.0, at, seq, event);
+    }
+
+    /// Registers a new, empty compact lane for
+    /// [`Engine::schedule_compact`]. Like full lanes, compact lanes live
+    /// as long as the engine.
+    pub fn add_compact_lane(&mut self) -> CompactLane {
+        CompactLane(self.compact.add())
+    }
+
+    /// Schedules `t` at `at` on the compact `lane`, to be delivered as
+    /// `t.into()`. Everything [`Engine::schedule_lane`] says holds here
+    /// too: the push consumes one seq, delivery follows the global
+    /// `(time, seq)` order, and a push earlier than the lane's tail goes
+    /// to the heap (as `t.into()`). The difference is the parked entry,
+    /// which holds a `T` instead of an `E`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time, or if `lane`
+    /// was not registered with this engine.
+    pub fn schedule_compact(&mut self, lane: CompactLane, at: SimTime, t: T) {
+        if !self.compact.fits(lane.0, at) {
+            return self.push_entry(at, NO_SLOT, t.into());
         }
+        let seq = self.next_seq(at);
+        self.compact.push(&mut self.heap, lane.0, at, seq, t);
     }
 
     /// Schedules `event` at `at` like [`Engine::schedule_at`], returning
@@ -309,7 +579,7 @@ impl<E> Engine<E> {
             Some(s) => s,
             None => {
                 assert!(
-                    self.slots.len() < LANE_HEAD as usize,
+                    self.slots.len() < COMPACT_HEAD as usize,
                     "cancellable slots exhausted"
                 );
                 self.slots.push(SLOT_DEAD);
@@ -335,11 +605,12 @@ impl<E> Engine<E> {
         if live {
             self.release_slot(token.slot);
             self.dead_pending += 1;
-            // Keep the heap at most half tombstones: workloads that
-            // cancel nearly everything they schedule (request deadlines
-            // superseded by completions milliseconds later) would
-            // otherwise drag a mostly-dead heap around for the full
-            // timer horizon, paying deep sifts on every live pop.
+            // Keep the heap at most half tombstones: a workload that
+            // cancels most of what it schedules (a retransmit timer
+            // superseded by each re-arm of its connection, well before
+            // it would fire) would otherwise drag a mostly-dead heap
+            // around for the full timer horizon, paying deep sifts on
+            // every live pop.
             if self.dead_pending * 2 > self.heap.len() && self.heap.len() >= 64 {
                 self.compact();
             }
@@ -348,35 +619,29 @@ impl<E> Engine<E> {
     }
 
     /// Drops every tombstoned entry and restores the heap property over
-    /// the survivors (lane heads are never tombstoned). O(len),
-    /// amortized O(1) per cancellation by the half-dead trigger in
-    /// [`Engine::cancel`]. Pop order is a total order on `(time, seq)`,
-    /// so rebuilding cannot reorder deliveries.
+    /// the survivors (lane heads of either kind are never tombstoned).
+    /// O(len), amortized O(1) per cancellation by the half-dead trigger
+    /// in [`Engine::cancel`]. Pop order is a total order on
+    /// `(time, seq)`, so rebuilding cannot reorder deliveries.
     fn compact(&mut self) {
         let Engine {
             heap, slab, slots, ..
         } = self;
-        heap.retain(|s| {
-            let live = s.slot >= LANE_HEAD || slots[s.slot as usize] == s.seq;
+        heap.keys.retain(|s| {
+            let live = s.is_live(slots);
             if !live {
                 drop(slab.take(s.idx));
             }
             live
         });
         self.dead_pending = 0;
-        if self.heap.len() > 1 {
-            for i in (0..=(self.heap.len() - 2) / 4).rev() {
-                self.sift_down(i);
-            }
-        }
+        self.heap.heapify();
     }
 
     fn push_entry(&mut self, at: SimTime, slot: u32, event: E) {
-        self.assert_not_past(at);
-        let seq = self.next_seq();
+        let seq = self.next_seq(at);
         let idx = self.slab.insert(event);
         self.heap.push(HeapEntry { at, seq, slot, idx });
-        self.sift_up(self.heap.len() - 1);
     }
 
     /// Marks `slot` free for reuse (on cancellation or delivery).
@@ -386,21 +651,15 @@ impl<E> Engine<E> {
         self.free_slots.push(slot);
     }
 
-    /// Whether a heap entry is still deliverable.
-    #[inline(always)]
-    fn is_live(&self, s: &HeapEntry) -> bool {
-        s.slot >= LANE_HEAD || self.slots[s.slot as usize] == s.seq
-    }
-
     /// Discards cancelled entries sitting at the heap root, so the root
     /// (if any) is a deliverable event.
     #[inline]
     fn prune_dead_roots(&mut self) {
         while let Some(s) = self.heap.first() {
-            if self.is_live(s) {
+            if s.is_live(&self.slots) {
                 break;
             }
-            let s = self.pop_root().expect("peeked root exists");
+            let s = self.heap.pop_root().expect("peeked root exists");
             drop(self.slab.take(s.idx));
             self.dead_pending -= 1;
         }
@@ -424,35 +683,19 @@ impl<E> Engine<E> {
     /// called [`Engine::next_key`], so the root exists and is live.
     #[inline]
     fn take_next(&mut self) -> E {
-        let root = self.heap[0];
-        debug_assert!(self.is_live(&root));
-        if root.slot == LANE_HEAD {
-            let queue = &mut self.lanes[root.idx as usize];
-            let head = queue.pop_front().expect("lane head queued");
-            debug_assert_eq!(head.seq, root.seq);
-            match queue.front() {
-                Some(next) => {
-                    // The lane's next head is no earlier than the key it
-                    // replaces: one sift-down restores the heap.
-                    self.heap[0] = HeapEntry {
-                        at: next.at,
-                        seq: next.seq,
-                        ..root
-                    };
-                    self.lane_backlog -= 1;
-                    self.sift_down(0);
+        let root = self.heap.keys[0];
+        debug_assert!(root.is_live(&self.slots));
+        match root.slot {
+            LANE_HEAD => self.lanes.take_head(&mut self.heap),
+            COMPACT_HEAD => self.compact.take_head(&mut self.heap).into(),
+            slot => {
+                self.heap.pop_root();
+                if slot != NO_SLOT {
+                    self.release_slot(slot);
                 }
-                None => {
-                    self.pop_root();
-                }
+                self.slab.take(root.idx)
             }
-            return head.event;
         }
-        self.pop_root();
-        if root.slot != NO_SLOT {
-            self.release_slot(root.slot);
-        }
-        self.slab.take(root.idx)
     }
 
     /// Removes and returns the next event, advancing the clock to its
@@ -530,88 +773,17 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Discards all queued events without delivering them. Lanes stay
-    /// registered, and the backing allocations are retained for reuse.
+    /// Discards all queued events without delivering them. Lanes of
+    /// both kinds stay registered, and the backing allocations are
+    /// retained for reuse.
     pub fn clear(&mut self) {
-        self.heap.clear();
-        for queue in &mut self.lanes {
-            queue.clear();
-        }
-        self.lane_backlog = 0;
+        self.heap.keys.clear();
+        self.lanes.clear();
+        self.compact.clear();
         self.slab.clear();
         self.slots.clear();
         self.free_slots.clear();
         self.dead_pending = 0;
-    }
-
-    /// Removes the minimum element, restoring the heap property.
-    #[inline]
-    fn pop_root(&mut self) -> Option<HeapEntry> {
-        let len = self.heap.len();
-        if len == 0 {
-            return None;
-        }
-        let root = self.heap.swap_remove(0);
-        if self.heap.len() > 1 {
-            self.sift_down(0);
-        }
-        Some(root)
-    }
-
-    /// Moves `heap[idx]` towards the root until its parent is no later.
-    /// Hole technique: parents shift down into the hole and the entry is
-    /// written once at its final position.
-    #[inline]
-    fn sift_up(&mut self, mut idx: usize) {
-        let entry = self.heap[idx];
-        while idx > 0 {
-            let parent = (idx - 1) / 4;
-            if entry.before(&self.heap[parent]) {
-                self.heap[idx] = self.heap[parent];
-                idx = parent;
-            } else {
-                break;
-            }
-        }
-        self.heap[idx] = entry;
-    }
-
-    /// Moves `heap[idx]` towards the leaves until no child is earlier.
-    /// 4-ary: half the depth of a binary heap, and the up-to-four child
-    /// keys scanned per level sit adjacent in memory.
-    #[inline]
-    fn sift_down(&mut self, mut idx: usize) {
-        let len = self.heap.len();
-        let entry = self.heap[idx];
-        loop {
-            let first = 4 * idx + 1;
-            if first >= len {
-                break;
-            }
-            let best = if first + 4 <= len {
-                // All four children: a two-round tournament, which the
-                // branch-free key compares turn into conditional moves.
-                let h = &self.heap[first..first + 4];
-                let l = usize::from(h[1].before(&h[0]));
-                let r = 2 + usize::from(h[3].before(&h[2]));
-                first + if h[r].before(&h[l]) { r } else { l }
-            } else {
-                let mut best = first;
-                for c in first + 1..len {
-                    if self.heap[c].before(&self.heap[best]) {
-                        best = c;
-                    }
-                }
-                best
-            };
-            if self.heap[best].before(&entry) {
-                self.heap[idx] = self.heap[best];
-                idx = best;
-            } else {
-                break;
-            }
-        }
-        self.heap[idx] = entry;
     }
 }
 
@@ -844,10 +1016,10 @@ mod tests {
         for i in 0..40 {
             e.schedule_at(SimTime::from_secs(i), i);
         }
-        let cap = e.heap.capacity();
+        let cap = e.heap.keys.capacity();
         e.clear();
         assert_eq!(e.pending(), 0);
-        assert!(e.heap.capacity() >= cap);
+        assert!(e.heap.keys.capacity() >= cap);
     }
 
     #[test]
@@ -877,7 +1049,7 @@ mod tests {
         let lane = e.add_lane();
         e.schedule_lane(lane, SimTime::from_secs(10), "late");
         e.schedule_lane(lane, SimTime::from_secs(5), "early");
-        assert_eq!(e.lanes[0].len(), 1);
+        assert_eq!(e.lanes.queues[0].len(), 1);
         assert_eq!(e.pending(), 2);
         assert_eq!(e.pop(), Some((SimTime::from_secs(5), "early")));
         assert_eq!(e.pop(), Some((SimTime::from_secs(10), "late")));
@@ -921,8 +1093,8 @@ mod tests {
             assert!(e.heap.len() <= 5);
         }
         assert_eq!(n, 401);
-        assert!(e.heap.is_empty());
-        assert_eq!(e.lane_backlog, 0);
+        assert_eq!(e.heap.len(), 0);
+        assert_eq!(e.lanes.backlog, 0);
     }
 
     #[test]
@@ -979,151 +1151,63 @@ mod tests {
         assert_eq!(e.pop(), Some((SimTime::from_secs(3), 4)));
     }
 
-    mod model {
-        //! The engine against a `BTreeMap<(time, seq), event>` model:
-        //! random interleavings of every scheduling, cancelling and
-        //! popping primitive, lanes included.
+    #[test]
+    fn compact_lane_merges_with_heap_and_full_lanes_in_global_order() {
+        // A compact lane's payloads convert on delivery and interleave
+        // with every other source by (time, seq), ties FIFO.
+        let mut e: Engine<u64, u8> = Engine::with_compact_lanes(0);
+        let lane = e.add_lane();
+        let compact = e.add_compact_lane();
+        let t = SimTime::from_secs(3);
+        e.schedule_compact(compact, SimTime::from_secs(1), 1);
+        e.schedule_at(SimTime::from_secs(2), 200);
+        e.schedule_lane(lane, t, 300);
+        e.schedule_compact(compact, t, 3);
+        e.schedule_at(t, 301);
+        e.schedule_compact(compact, t, 4);
+        assert_eq!(e.heap.len(), 4, "two lane heads plus two heap events");
+        assert_eq!(e.pending(), 6);
+        let order: Vec<_> = std::iter::from_fn(|| e.pop()).map(|(_, v)| v).collect();
+        assert_eq!(order, [1, 200, 300, 3, 301, 4]);
+        assert_eq!(e.dispatched(), 6);
+        assert_eq!(e.compact.backlog, 0);
+    }
 
-        use super::*;
-        use proptest::prelude::*;
-        use std::collections::BTreeMap;
+    #[test]
+    fn compact_out_of_order_push_goes_to_the_heap_converted() {
+        let mut e: Engine<u64, u8> = Engine::with_compact_lanes(0);
+        let lane = e.add_compact_lane();
+        e.schedule_compact(lane, SimTime::from_secs(10), 10);
+        e.schedule_compact(lane, SimTime::from_secs(5), 5);
+        assert_eq!(e.compact.queues[0].len(), 1);
+        assert_eq!(e.slab.len(), 1, "the early push sits in the slab as an E");
+        assert_eq!(e.pending(), 2);
+        assert_eq!(e.pop(), Some((SimTime::from_secs(5), 5)));
+        assert_eq!(e.pop(), Some((SimTime::from_secs(10), 10)));
+    }
 
-        const LANES: usize = 3;
-
-        /// The reference queue: live events keyed by `(time, seq)`;
-        /// the payload is the event's seq.
-        #[derive(Default)]
-        struct Model {
-            queue: BTreeMap<(SimTime, u64), u64>,
-            now: SimTime,
-            seq: u64,
-            dispatched: u64,
+    #[test]
+    fn compaction_and_clear_cover_compact_lanes() {
+        let mut e: Engine<u64, u8> = Engine::with_compact_lanes(0);
+        let lane = e.add_compact_lane();
+        for i in 0..10u8 {
+            e.schedule_compact(lane, SimTime::from_secs(u64::from(i)), i);
         }
-
-        impl Model {
-            fn push(&mut self, at: SimTime) -> (SimTime, u64) {
-                let key = (at, self.seq);
-                self.queue.insert(key, self.seq);
-                self.seq += 1;
-                key
-            }
-
-            fn pop(&mut self) -> Option<(SimTime, u64)> {
-                let ((at, _), v) = self.queue.pop_first()?;
-                self.now = at;
-                self.dispatched += 1;
-                Some((at, v))
-            }
-
-            fn next_time(&self) -> Option<SimTime> {
-                self.queue.keys().next().map(|k| k.0)
-            }
+        let tokens: Vec<_> = (0..200u64)
+            .map(|i| e.schedule_cancellable(SimTime::from_nanos(i), 1_000 + i))
+            .collect();
+        for t in tokens {
+            assert!(e.cancel(t));
         }
-
-        proptest! {
-            #[test]
-            fn engine_matches_a_sorted_map_model(
-                ops in prop::collection::vec((0u8..10, 0u64..1_000, 0u64..1_000), 1..400),
-            ) {
-                let mut e: Engine<u64> = Engine::new();
-                let lanes: Vec<Lane> = (0..LANES).map(|_| e.add_lane()).collect();
-                let mut tails = [SimTime::ZERO; LANES];
-                let mut m = Model::default();
-                let mut tokens: Vec<(CancelToken, (SimTime, u64))> = Vec::new();
-                for (op, a, b) in ops {
-                    let now = e.now();
-                    prop_assert_eq!(now, m.now);
-                    match op {
-                        0 => {
-                            let at = now + SimDuration::from_nanos(a % 50);
-                            e.schedule_at(at, m.seq);
-                            m.push(at);
-                        }
-                        1 | 2 => {
-                            // One timer, or a burst of sixteen that a
-                            // later mass cancel turns into tombstones.
-                            let n = if op == 1 { 1 } else { 16 };
-                            for i in 0..n {
-                                let at = now + SimDuration::from_nanos((a + i * b) % 50);
-                                let tok = e.schedule_cancellable(at, m.seq);
-                                tokens.push((tok, m.push(at)));
-                            }
-                        }
-                        3 if !tokens.is_empty() => {
-                            let (tok, key) = tokens[(b as usize) % tokens.len()];
-                            let live = m.queue.remove(&key).is_some();
-                            prop_assert_eq!(e.cancel(tok), live);
-                        }
-                        4 => {
-                            // Mass cancel: drives the tombstone count past
-                            // half the heap, so `compact` runs.
-                            for (tok, key) in tokens.drain(..) {
-                                let live = m.queue.remove(&key).is_some();
-                                prop_assert_eq!(e.cancel(tok), live);
-                            }
-                        }
-                        5 | 6 => {
-                            // Monotone lane push; every eighth one is
-                            // deliberately earlier than the lane's tail.
-                            let k = (b as usize) % LANES;
-                            let at = if a % 8 == 0 {
-                                now + SimDuration::from_nanos(a % 13)
-                            } else {
-                                tails[k].max(now) + SimDuration::from_nanos(a % 20)
-                            };
-                            tails[k] = tails[k].max(at);
-                            e.schedule_lane(lanes[k], at, m.seq);
-                            m.push(at);
-                        }
-                        7 => {
-                            prop_assert_eq!(e.pop(), m.pop());
-                        }
-                        8 => {
-                            let deadline = now + SimDuration::from_nanos(a % 30);
-                            let mut burst = Vec::new();
-                            let got = e.pop_batch_before(deadline, &mut burst);
-                            match m.next_time().filter(|t| *t <= deadline) {
-                                Some(t) => {
-                                    let mut expect = Vec::new();
-                                    while m.next_time() == Some(t) {
-                                        expect.push(m.pop().unwrap().1);
-                                    }
-                                    prop_assert_eq!(got, Some(t));
-                                    prop_assert_eq!(&burst, &expect);
-                                }
-                                None => {
-                                    prop_assert_eq!(got, None);
-                                    prop_assert!(burst.is_empty());
-                                    m.now = m.now.max(deadline);
-                                }
-                            }
-                        }
-                        _ => {
-                            // The driver loop: bursts until the deadline.
-                            let deadline = now + SimDuration::from_nanos(a % 30);
-                            let mut expect = Vec::new();
-                            while m.next_time().is_some_and(|t| t <= deadline) {
-                                expect.push(m.pop().unwrap());
-                            }
-                            m.now = m.now.max(deadline);
-                            let mut got = Vec::new();
-                            let mut burst = Vec::new();
-                            while let Some(t) = e.pop_batch_before(deadline, &mut burst) {
-                                got.extend(burst.drain(..).map(|v| (t, v)));
-                            }
-                            prop_assert_eq!(&got, &expect);
-                        }
-                    }
-                    prop_assert_eq!(e.pending(), m.queue.len());
-                    prop_assert_eq!(e.dispatched(), m.dispatched);
-                }
-                // Whatever is left drains in model order.
-                while let Some(expect) = m.pop() {
-                    prop_assert_eq!(e.pop(), Some(expect));
-                }
-                prop_assert_eq!(e.pop(), None);
-                prop_assert_eq!(e.pending(), 0);
-            }
-        }
+        // The compact head survived every rebuild.
+        assert!(e.heap.len() < 64);
+        assert_eq!(e.pending(), 10);
+        assert_eq!(e.pop(), Some((SimTime::ZERO, 0)));
+        assert_eq!(e.pending(), 9);
+        e.clear();
+        assert_eq!(e.pending(), 0);
+        assert_eq!(e.pop(), None);
+        e.schedule_compact(lane, SimTime::from_secs(20), 20);
+        assert_eq!(e.pop(), Some((SimTime::from_secs(20), 20)));
     }
 }

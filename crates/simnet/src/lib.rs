@@ -38,7 +38,7 @@ pub mod stats;
 pub mod time;
 
 pub use cpu::CpuMeter;
-pub use engine::{CancelToken, Engine, Lane};
+pub use engine::{CancelToken, CompactLane, Engine, Lane};
 pub use fabric::{Fabric, FabricConfig, Frame, NodeId, Topology, TransmitOutcome};
 pub use rng::SimRng;
 pub use slab::Slab;

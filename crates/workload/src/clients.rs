@@ -193,9 +193,12 @@ impl ClientPool {
     /// A closed request's [`ClientEvent::Deadline`] is still delivered
     /// and finds nothing to score ([`ClientPool::deadline`] is a no-op
     /// for it). The composition layer leaves it queued on purpose:
-    /// deadlines ride a monotone lane where they cost O(1), and
-    /// cancelling them would change the dispatched-event count that
-    /// every golden file and recorded benchmark digest includes.
+    /// deadlines ride a compact monotone lane where they cost O(1), and
+    /// cancelling them would change the dispatched-event count. No
+    /// golden file holds that count, but three records do:
+    /// `scripts/verify.sh` pins `table1 --small` at 1,167,942 events,
+    /// every perfbench digest hashes it, and `BENCH_repro.json` records
+    /// it per target.
     pub fn complete(&mut self, at: SimTime, req_id: u64) -> bool {
         if let Some(i) = self.open_slot(req_id) {
             let issued = self.accepts[i];

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-2 verification: release build, lint, rustdoc, bench compilation,
-# full test suite (the workspace and perfbench), and golden diffs of the
-# repro harness.
+# full test suite (the workspace and perfbench), perfbench's recorded
+# digests at seeds 2003 and 7, and golden diffs of the repro harness.
 #
 # The golden checks run small-scale targets with `--jobs 0` (all cores)
 # and again with `--jobs 1`, and diff stdout against the checked-in
@@ -65,6 +65,28 @@ if ! cmp -s "$lock_copy" perfbench/Cargo.lock; then
     exit 1
 fi
 rm -f "$lock_copy"
+
+echo "== perfbench recorded digests"
+# The benchmark's own output check, which its unit tests above do not
+# make: each workload at the two seeds with a recorded digest must
+# reproduce it, so the last stdout line reads "correct":true. A digest
+# hashes the dispatched-event count and the simulated outcome, so this
+# pins all four workloads the way the table1 event gate below pins one
+# target.
+for workload in steady-n4 faults-n4 cold-n16-digest cold-n8-eager; do
+    for seed in 2003 7; do
+        out=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 0) || true
+        last=${out##*$'\n'}
+        case "$last" in
+            *'"correct":true'*) echo "   $workload seed $seed: correct" ;;
+            *)
+                echo "perfbench digest gate: $workload seed $seed: ${last:-no output}" >&2
+                exit 1
+                ;;
+        esac
+    done
+done
 
 echo "== allocation budgets"
 # The check the cluster bench starts with, run as a test: a warm engine

@@ -7,7 +7,9 @@ use cluster_performability::performability::model::{
 };
 use cluster_performability::performability::stages::{SevenStage, Stage};
 use cluster_performability::press::cache::LruCache;
-use cluster_performability::simnet::{Engine, SimDuration, SimRng, SimTime, ThroughputRecorder};
+use cluster_performability::simnet::{
+    CancelToken, CompactLane, Engine, Lane, SimDuration, SimRng, SimTime, ThroughputRecorder,
+};
 use cluster_performability::transport::tcp::TcpStack;
 use cluster_performability::transport::{
     CallParams, CostModel, Effect, MsgClass, SendStatus, Substrate, Upcall,
@@ -15,6 +17,63 @@ use cluster_performability::transport::{
 use cluster_performability::workload::Zipf;
 use proptest::prelude::*;
 use simnet::fabric::NodeId;
+use std::collections::BTreeMap;
+
+/// Full and compact lanes in the engine model test.
+const LANES: usize = 2;
+
+/// The reference queue of the engine model test: live events keyed by
+/// `(time, push index)`; the payload is the event's push index.
+#[derive(Default)]
+struct EngineModel {
+    queue: BTreeMap<(SimTime, u64), u64>,
+    now: SimTime,
+    pushed: u64,
+    dispatched: u64,
+}
+
+impl EngineModel {
+    fn push(&mut self, at: SimTime) -> (SimTime, u64) {
+        let key = (at, self.pushed);
+        self.queue.insert(key, self.pushed);
+        self.pushed += 1;
+        key
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let ((at, _), v) = self.queue.pop_first()?;
+        self.now = at;
+        self.dispatched += 1;
+        Some((at, v))
+    }
+
+    fn next_time(&self) -> Option<SimTime> {
+        self.queue.keys().next().map(|k| k.0)
+    }
+
+    /// Pops the whole earliest instant, as `pop_batch` must.
+    fn pop_instant(&mut self) -> Option<(SimTime, Vec<u64>)> {
+        let t = self.next_time()?;
+        let mut burst = Vec::new();
+        while self.next_time() == Some(t) {
+            burst.push(self.pop().expect("queued").1);
+        }
+        Some((t, burst))
+    }
+}
+
+/// A lane push time: monotone on the lane's tail, except that every
+/// eighth one is deliberately earlier than the tail so it must take the
+/// heap.
+fn lane_time(now: SimTime, tail: &mut SimTime, a: u64) -> SimTime {
+    let at = if a.is_multiple_of(8) {
+        now + SimDuration::from_nanos(a % 13)
+    } else {
+        (*tail).max(now) + SimDuration::from_nanos(a % 20)
+    };
+    *tail = (*tail).max(at);
+    at
+}
 
 proptest! {
     /// The engine always delivers events in (time, insertion) order.
@@ -79,6 +138,117 @@ proptest! {
         prop_assert_eq!(&via_deadline, &head);
         prop_assert_eq!(drained.pending(), expect.len() - via_deadline.len());
         prop_assert_eq!(drained.now(), cut, "clock must rest at the deadline");
+    }
+
+    /// The engine against a reference queue sorted by `(time, push
+    /// index)`: random interleavings of heap, cancellable, full-lane and
+    /// compact-lane pushes (lane pushes earlier than the tail included)
+    /// and of every draining primitive must yield the same `(time,
+    /// event)` sequence, `pending()` and `dispatched()`. Compact-lane
+    /// payloads are `u32`s delivered as `u64` events.
+    #[test]
+    fn engine_matches_a_sorted_reference(
+        ops in prop::collection::vec((0u8..11, 0u64..1_000, 0u64..1_000), 1..400),
+    ) {
+        let mut e: Engine<u64, u32> = Engine::with_compact_lanes(0);
+        let lanes: Vec<Lane> = (0..LANES).map(|_| e.add_lane()).collect();
+        let compact: Vec<CompactLane> = (0..LANES).map(|_| e.add_compact_lane()).collect();
+        let mut tails = [SimTime::ZERO; LANES];
+        let mut compact_tails = [SimTime::ZERO; LANES];
+        let mut m = EngineModel::default();
+        let mut tokens: Vec<(CancelToken, (SimTime, u64))> = Vec::new();
+        for (op, a, b) in ops {
+            let now = e.now();
+            prop_assert_eq!(now, m.now);
+            let k = (b as usize) % LANES;
+            match op {
+                0 => {
+                    let at = now + SimDuration::from_nanos(a % 50);
+                    e.schedule_at(at, m.pushed);
+                    m.push(at);
+                }
+                1 | 2 => {
+                    // One timer, or a burst of sixteen that a later mass
+                    // cancel turns into tombstones.
+                    let n = if op == 1 { 1 } else { 16 };
+                    for i in 0..n {
+                        let at = now + SimDuration::from_nanos((a + i * b) % 50);
+                        let tok = e.schedule_cancellable(at, m.pushed);
+                        tokens.push((tok, m.push(at)));
+                    }
+                }
+                3 if !tokens.is_empty() => {
+                    let (tok, key) = tokens[(b as usize) % tokens.len()];
+                    let live = m.queue.remove(&key).is_some();
+                    prop_assert_eq!(e.cancel(tok), live);
+                }
+                4 => {
+                    // Mass cancel: drives the tombstone count past half
+                    // the heap, so the engine compacts it.
+                    for (tok, key) in tokens.drain(..) {
+                        let live = m.queue.remove(&key).is_some();
+                        prop_assert_eq!(e.cancel(tok), live);
+                    }
+                }
+                5 => {
+                    let at = lane_time(now, &mut tails[k], a);
+                    e.schedule_lane(lanes[k], at, m.pushed);
+                    m.push(at);
+                }
+                6 => {
+                    let at = lane_time(now, &mut compact_tails[k], a);
+                    let payload = u32::try_from(m.pushed).expect("few pushes");
+                    e.schedule_compact(compact[k], at, payload);
+                    m.push(at);
+                }
+                7 => {
+                    prop_assert_eq!(e.pop(), m.pop());
+                }
+                8 => {
+                    let mut burst = Vec::new();
+                    let got = e.pop_batch(&mut burst).map(|t| (t, burst));
+                    prop_assert_eq!(got, m.pop_instant());
+                }
+                9 => {
+                    let deadline = now + SimDuration::from_nanos(a % 30);
+                    let mut burst = Vec::new();
+                    let got = e.pop_batch_before(deadline, &mut burst);
+                    if m.next_time().is_some_and(|t| t <= deadline) {
+                        let (t, expect) = m.pop_instant().expect("queued");
+                        prop_assert_eq!(got, Some(t));
+                        prop_assert_eq!(&burst, &expect);
+                    } else {
+                        prop_assert_eq!(got, None);
+                        prop_assert!(burst.is_empty());
+                        m.now = m.now.max(deadline);
+                    }
+                }
+                _ => {
+                    // The run loop: bursts until the deadline.
+                    let deadline = now + SimDuration::from_nanos(a % 30);
+                    let mut expect = Vec::new();
+                    while m.next_time().is_some_and(|t| t <= deadline) {
+                        expect.push(m.pop().expect("queued"));
+                    }
+                    m.now = m.now.max(deadline);
+                    let mut got = Vec::new();
+                    let mut burst = Vec::new();
+                    while let Some(t) = e.pop_batch_before(deadline, &mut burst) {
+                        got.extend(burst.drain(..).map(|v| (t, v)));
+                    }
+                    prop_assert_eq!(&got, &expect);
+                }
+            }
+            prop_assert_eq!(e.pending(), m.queue.len());
+            prop_assert_eq!(e.dispatched(), m.dispatched);
+        }
+        // Whatever is left drains in reference order.
+        while let Some(expect) = m.pop() {
+            prop_assert_eq!(e.pop(), Some(expect));
+        }
+        prop_assert_eq!(e.pop(), None);
+        prop_assert_eq!(e.pending(), 0);
+        prop_assert_eq!(e.dispatched(), m.dispatched);
     }
 
     /// Bucketed throughput conserves the event count.
