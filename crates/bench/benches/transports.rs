@@ -7,26 +7,26 @@ use simnet::SimTime;
 use std::hint::black_box;
 use transport::tcp::TcpStack;
 use transport::via::{ViaMode, ViaNic};
-use transport::{CallParams, CostModel, Effect, MsgClass, Substrate};
+use transport::{CallParams, CostModel, Effect, Effects, MsgClass, Substrate};
 
 /// Ferries frames between two substrates until quiescent.
 fn pump<M: Clone>(
     now: SimTime,
     a: &mut dyn Substrate<M>,
     b: &mut dyn Substrate<M>,
-    mut effects: Vec<Effect<M>>,
+    mut effects: Effects<M>,
 ) -> usize {
     let mut delivered = 0;
-    while let Some(e) = effects.pop() {
+    let mut queue: Vec<Effect<M>> = effects.drain().collect();
+    while let Some(e) = queue.pop() {
         match e {
             Effect::Transmit(frame) => {
-                let mut out = Vec::new();
                 if frame.dst == b.node() {
-                    b.frame_arrived(now, frame, &mut out);
+                    b.frame_arrived(now, frame, &mut effects);
                 } else {
-                    a.frame_arrived(now, frame, &mut out);
+                    a.frame_arrived(now, frame, &mut effects);
                 }
-                effects.extend(out);
+                queue.extend(effects.drain());
             }
             Effect::Upcall(transport::Upcall::Deliver { .. }) => delivered += 1,
             _ => {}
@@ -38,7 +38,7 @@ fn pump<M: Clone>(
 fn tcp_pair() -> (TcpStack<u64>, TcpStack<u64>) {
     let mut a = TcpStack::new(NodeId(0), CostModel::tcp());
     let mut b = TcpStack::new(NodeId(1), CostModel::tcp());
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.open(SimTime::ZERO, NodeId(1), &mut out);
     pump(SimTime::ZERO, &mut a, &mut b, out);
     (a, b)
@@ -47,7 +47,7 @@ fn tcp_pair() -> (TcpStack<u64>, TcpStack<u64>) {
 fn via_pair() -> (ViaNic<u64>, ViaNic<u64>) {
     let mut a = ViaNic::new(NodeId(0), ViaMode::RemoteWrite, CostModel::via5());
     let mut b = ViaNic::new(NodeId(1), ViaMode::RemoteWrite, CostModel::via5());
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.open(SimTime::ZERO, NodeId(1), &mut out);
     pump(SimTime::ZERO, &mut a, &mut b, out);
     (a, b)
@@ -62,7 +62,7 @@ fn message_round_trips(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            let mut out = Vec::new();
+            let mut out = Effects::default();
             s.send(
                 SimTime::ZERO,
                 NodeId(1),
@@ -81,7 +81,7 @@ fn message_round_trips(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            let mut out = Vec::new();
+            let mut out = Effects::default();
             s.send(
                 SimTime::ZERO,
                 NodeId(1),
@@ -100,7 +100,7 @@ fn message_round_trips(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            let mut out = Vec::new();
+            let mut out = Effects::default();
             s.send(
                 SimTime::ZERO,
                 NodeId(1),
@@ -121,7 +121,7 @@ fn connection_churn(c: &mut Criterion) {
         b.iter(|| {
             let (mut s, mut r) = tcp_pair();
             s.restart(SimTime::ZERO);
-            let mut out = Vec::new();
+            let mut out = Effects::default();
             s.open(SimTime::ZERO, NodeId(1), &mut out);
             black_box(pump(SimTime::ZERO, &mut s, &mut r, out))
         })

@@ -17,7 +17,7 @@ use press::{
     AppEffect, AppEvent, ClientAccept, NodeCtx, PressConfig, PressMsg, PressNode, PressVersion,
     Request, Stream,
 };
-use simnet::fabric::{Fabric, FabricConfig, Frame, LossReason, NodeId};
+use simnet::fabric::{Fabric, Frame, LossReason, NodeId, Topology, PARTITION_NODES};
 use simnet::{
     AvailabilityCounter, CancelToken, CompactLane, CpuMeter, Engine, Lane, LatencyHistogram,
     SimDuration, SimRng, SimTime, Slab, TimeSeries,
@@ -38,8 +38,9 @@ pub struct ClusterConfig {
     pub version: PressVersion,
     /// Server parameters.
     pub press: PressConfig,
-    /// Network fabric parameters.
-    pub fabric: FabricConfig,
+    /// How the fabric's switches connect the `press.nodes` nodes; every
+    /// hop has the cLAN's fixed latency and bandwidth.
+    pub topology: Topology,
     /// Aggregate client request rate (requests/second).
     pub rate: f64,
     /// Pre-populate caches and directories (skip cold-cache warm-up).
@@ -66,7 +67,7 @@ impl ClusterConfig {
         let press = PressConfig::paper_testbed();
         ClusterConfig {
             version,
-            fabric: FabricConfig::ring(press.nodes),
+            topology: Topology::Star,
             press,
             rate: version.paper_throughput() * 1.06,
             prewarm: true,
@@ -315,7 +316,8 @@ pub struct ClusterSim {
     obs: Observer,
     /// Work queue reused across events (allocation-free steady state).
     work: VecDeque<(usize, Work)>,
-    /// Transport-effect buffer reused across work items.
+    /// Transport-effect buffer reused across work items. It holds the
+    /// run's trace and attribution switches.
     fx: Effects<PressMsg>,
     /// App-effect buffer reused across work items.
     app_scratch: Vec<AppEffect>,
@@ -344,8 +346,7 @@ impl ClusterSim {
     ///
     /// # Panics
     ///
-    /// Panics if `config.sim_threads != 1`, if the fabric is sized for
-    /// another node count than the cluster, or if the campaign is
+    /// Panics if `config.sim_threads != 1` or if the campaign is
     /// malformed.
     pub fn with_campaign(config: ClusterConfig, campaign: Campaign, seed: u64) -> Self {
         assert_eq!(
@@ -359,11 +360,6 @@ impl ClusterSim {
             panic!("invalid fault campaign: {err}");
         }
         let n = config.press.nodes;
-        assert!(
-            config.fabric.nodes == n,
-            "the fabric connects {} nodes but the cluster has {n}",
-            config.fabric.nodes
-        );
         for spec in campaign.faults() {
             // A switch fault names no node.
             let node = (spec.kind != FaultKind::SwitchDown).then_some(spec.node);
@@ -371,6 +367,15 @@ impl ClusterSim {
                 assert!(
                     id.0 < n,
                     "invalid fault campaign: {} on node {} of a {n}-node cluster",
+                    spec.kind,
+                    id.0
+                );
+                // The fabric's partition masks name only the first
+                // `PARTITION_NODES` nodes.
+                assert!(
+                    spec.kind != FaultKind::PartialPartition || id.0 < PARTITION_NODES,
+                    "invalid fault campaign: {} on node {}; partitions reach only \
+                     nodes below {PARTITION_NODES}",
                     spec.kind,
                     id.0
                 );
@@ -394,7 +399,7 @@ impl ClusterSim {
                 disk: engine.add_lane(),
             })
             .collect();
-        let fabric = Fabric::new(config.fabric.clone());
+        let fabric = Fabric::new(n, config.topology);
         let client_config = ClientConfig {
             rate: config.rate,
             nodes: n,
@@ -437,13 +442,8 @@ impl ClusterSim {
                 .attribution
                 .then(|| Box::new(telemetry::AttrState::new(n))),
         };
-        for slot in &mut nodes {
-            slot.sub.set_trace(obs.sink.enabled());
-            slot.press.set_trace(obs.sink.enabled());
-            slot.sub.set_attr(obs.attr.is_some());
-            slot.press.set_attr(obs.attr.is_some());
-        }
         let sample = if config.trace { REQUEST_SAMPLE } else { 0 };
+        let fx = Effects::new(config.trace, config.attribution);
         let mut sim = ClusterSim {
             last_members: vec![0; n],
             config,
@@ -460,7 +460,7 @@ impl ClusterSim {
             process_log: Vec::new(),
             obs,
             work: VecDeque::new(),
-            fx: Effects::new(),
+            fx,
             app_scratch: Vec::new(),
             batch: Vec::new(),
             timers: vec![BTreeMap::new(); n],
@@ -1001,8 +1001,10 @@ impl ClusterSim {
     /// Routes the effects node `i`'s last work item left in the reused
     /// buffers.
     fn apply_effects(&mut self, now: SimTime, i: usize) {
+        // Nothing appends while the buffer is out; it comes back with
+        // its switches.
         let mut fx = std::mem::take(&mut self.fx);
-        for e in fx.drain(..) {
+        for e in fx.drain() {
             match e {
                 Effect::Transmit(frame) => match self.fabric.transmit(now, &frame) {
                     simnet::fabric::TransmitOutcome::Delivered { at } => {
@@ -1255,14 +1257,6 @@ mod tests {
         let _ = ClusterSim::new(config, 1);
     }
 
-    #[test]
-    #[should_panic(expected = "the fabric connects 3 nodes but the cluster has 4")]
-    fn a_fabric_sized_for_another_cluster_is_rejected() {
-        let mut config = ClusterConfig::small(PressVersion::Tcp);
-        config.fabric = FabricConfig::ring(3);
-        let _ = ClusterSim::new(config, 1);
-    }
-
     fn with_fault(spec: mendosus::FaultSpec) -> ClusterSim {
         let config = ClusterConfig::small(PressVersion::Tcp);
         ClusterSim::with_campaign(config, Campaign::single(spec), 1)
@@ -1282,6 +1276,22 @@ mod tests {
         let (at, d) = (SimTime::from_secs(1), SimDuration::from_secs(1));
         let spec = mendosus::FaultSpec::partial_partition(NodeId(1), NodeId(7), at, d);
         with_fault(spec);
+    }
+
+    /// Node 70 exists in a 72-node cluster, but the fabric's partition
+    /// masks stop at node 63: the campaign is refused before the run
+    /// instead of panicking at the injection.
+    #[test]
+    #[should_panic(
+        expected = "invalid fault campaign: Partial partition (gray) on node 70; \
+                    partitions reach only nodes below 64"
+    )]
+    fn partitions_past_the_mask_width_are_rejected() {
+        let mut config = ClusterConfig::small(PressVersion::Tcp);
+        config.press.nodes = 72;
+        let (at, d) = (SimTime::from_secs(1), SimDuration::from_secs(1));
+        let spec = mendosus::FaultSpec::partial_partition(NodeId(3), NodeId(70), at, d);
+        ClusterSim::with_campaign(config, Campaign::single(spec), 1);
     }
 
     #[test]

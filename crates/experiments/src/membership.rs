@@ -28,7 +28,7 @@
 
 use mendosus::{Campaign, FaultKind, FaultSpec};
 use press::{MembershipImpl, PressVersion};
-use simnet::fabric::{FabricConfig, NodeId};
+use simnet::fabric::NodeId;
 use simnet::{SimDuration, SimTime};
 
 use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim};
@@ -84,7 +84,6 @@ pub fn membership_config(scale: RunScale, n: usize, detector: MembershipImpl) ->
     let mut c = config_for(PressVersion::TcpHb, scale);
     c.press.nodes = n;
     c.press.membership = detector;
-    c.fabric = FabricConfig::ring(n);
     c
 }
 

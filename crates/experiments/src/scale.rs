@@ -24,7 +24,7 @@
 //! regardless of load.
 //!
 //! **Fabric.** Points run on a multi-switch fat tree
-//! ([`FabricConfig::fat_tree`], radix 8): one leaf switch at N ≤ 8, a
+//! ([`Topology::FatTree`], radix 8): one leaf switch at N ≤ 8, a
 //! spine above 8 leaves at N = 64.
 //!
 //! Tn is the mean served throughput over the final (warm, recovered)
@@ -40,7 +40,7 @@
 use mendosus::{Campaign, FaultKind, FaultSpec};
 use performability::metric::{performability, IDEAL_AVAILABILITY};
 use press::{CacheSyncImpl, MembershipImpl, PressVersion};
-use simnet::fabric::{FabricConfig, NodeId};
+use simnet::fabric::{NodeId, Topology};
 use simnet::{SimDuration, SimTime};
 
 use crate::cluster::ClusterConfig;
@@ -152,7 +152,9 @@ pub fn scale_config(
     if let Some(d) = detector {
         c.press.membership = d;
     }
-    c.fabric = FabricConfig::fat_tree(n, LEAF_RADIX);
+    c.topology = Topology::FatTree {
+        leaf_radix: LEAF_RADIX,
+    };
     // 2 disks × 9 ms service ≈ 222 reads/s per node: the cold-start
     // all-miss phase must fit under that, with headroom for the
     // recovery re-caching burst.

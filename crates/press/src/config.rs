@@ -96,6 +96,9 @@ pub struct PressConfig {
     /// [`MembershipImpl::Ring`] is the paper's PRESS.
     pub membership: MembershipImpl,
     /// The run seed of [`MembershipImpl::Gossip`] (ignored under Ring).
+    /// Only a node built directly reads a value set here: a cluster run
+    /// (`experiments::ClusterSim::with_campaign`) always overwrites it
+    /// with the run seed, so it is not an axis a study can vary.
     pub gossip: gossip::SwimConfig,
     /// How caching actions reach the other members.
     /// [`CacheSyncImpl::Eager`] is the paper's PRESS.

@@ -37,9 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use simnet::fabric::NodeId;
 use simnet::{CpuMeter, SimDuration, SimTime};
 use telemetry::{AttrEvent, TraceEvent};
-use transport::{
-    BreakReason, CallParams, Effect, Effects, SendInterposer, SendStatus, Substrate, Upcall,
-};
+use transport::{BreakReason, CallParams, Effects, SendInterposer, SendStatus, Substrate, Upcall};
 
 use crate::cache::{DigestLog, Directory, LruCache, MAX_NODES};
 use crate::config::{
@@ -260,8 +258,6 @@ pub struct PressNode {
     disks: Vec<SimTime>,
     freeze: Freeze,
     stats: NodeStats,
-    trace: bool,
-    attr: bool,
 }
 
 impl PressNode {
@@ -298,24 +294,8 @@ impl PressNode {
             disks: Vec::new(),
             freeze: Freeze::new(DEFERRED_CAP),
             stats: NodeStats::default(),
-            trace: false,
-            attr: false,
             config,
         }
-    }
-
-    /// Enables or disables structured trace emission; traced events are
-    /// appended to `ctx.fx` as [`Effect::Trace`] for the harness to
-    /// collect.
-    pub fn set_trace(&mut self, enabled: bool) {
-        self.trace = enabled;
-    }
-
-    /// Enables or disables causal attribution evidence; evidence is
-    /// appended to `ctx.fx` as [`Effect::Attr`] for the cluster's
-    /// attribution accumulator.
-    pub fn set_attr(&mut self, enabled: bool) {
-        self.attr = enabled;
     }
 
     /// Behaviour counters.
@@ -420,7 +400,7 @@ impl PressNode {
         self.open_requests = 0;
         self.pending_remote.clear();
         let thawed = self.freeze.reset();
-        self.evidence(ctx, thawed);
+        ctx.fx.evidence(thawed);
         self.cache.clear();
         self.directory = Directory::new(self.config.files);
         self.digest = self.digest.as_ref().map(|_| DigestLog::default());
@@ -477,14 +457,6 @@ impl PressNode {
     // Effect and sending helpers
     // ------------------------------------------------------------------
 
-    /// Records attribution evidence, if any, when attribution is on.
-    fn evidence<S: ?Sized>(&self, ctx: &mut NodeCtx<'_, S>, ev: impl Into<Option<AttrEvent>>) {
-        match ev.into() {
-            Some(ev) if self.attr => ctx.fx.push(Effect::Attr(ev)),
-            _ => {}
-        }
-    }
-
     /// Emits the instant trace event `name` on this node's lane, with
     /// the integer arguments `args`, when tracing is on.
     fn trace_instant<S: ?Sized>(
@@ -493,11 +465,10 @@ impl PressNode {
         name: &'static str,
         args: &[(&'static str, u64)],
     ) {
-        if self.trace {
+        ctx.fx.trace(|| {
             let ev = TraceEvent::instant(name, "press", self.id.0 as u32, ctx.now);
-            let ev = args.iter().fold(ev, |ev, &(key, v)| ev.arg_u64(key, v));
-            ctx.fx.push(Effect::Trace(ev));
-        }
+            args.iter().fold(ev, |ev, &(key, v)| ev.arg_u64(key, v))
+        });
     }
 
     fn make_msg(&self, body: MsgBody) -> PressMsg {
@@ -543,7 +514,7 @@ impl PressNode {
                 SendStatus::WouldBlock => {
                     let remaining = std::iter::once(peer).chain(targets).collect();
                     let begin = self.freeze.stall(msg, remaining, retry);
-                    self.evidence(ctx, begin);
+                    ctx.fx.evidence(begin);
                     return;
                 }
             }
@@ -594,7 +565,7 @@ impl PressNode {
             if !self.defer(Deferred::Client(req)) {
                 return ClientAccept::Dropped(DropReason::DeferOverflow);
             }
-            self.evidence(ctx, AttrEvent::Deferred { req_id: req.id });
+            ctx.fx.evidence(AttrEvent::Deferred { req_id: req.id });
             return ClientAccept::Accepted;
         }
         if ctx.cpu.backlog(ctx.now) > ADMISSION_BACKLOG {
@@ -629,7 +600,7 @@ impl PressNode {
             Some(service) => {
                 self.stats.served_remote += 1;
                 let (req_id, file, peer) = (req.id, req.file, service.0 as u32);
-                self.evidence(ctx, AttrEvent::Forwarded { req_id, peer });
+                ctx.fx.evidence(AttrEvent::Forwarded { req_id, peer });
                 self.pending_remote.insert(req_id, (req, service));
                 let deadline = ctx.now + REQUEST_TIMEOUT;
                 ctx.schedule(deadline, AppEvent::PendingTimeout(req_id), Stream::Timeout);
@@ -813,7 +784,7 @@ impl PressNode {
         if self.pending_remote.remove(&req_id).is_some() {
             self.stats.forward_timeouts += 1;
             self.open_requests = self.open_requests.saturating_sub(1);
-            self.evidence(ctx, why);
+            ctx.fx.evidence(why);
         }
     }
 
@@ -912,14 +883,12 @@ impl PressNode {
         let Some(start) = self.view.detector.end_suspicion(node) else {
             return;
         };
-        if self.trace {
-            let span = ctx.now.saturating_since(start);
-            ctx.fx.push(Effect::Trace(
-                TraceEvent::span("gossip.suspicion", "press", self.id.0 as u32, start, span)
-                    .arg_u64("peer", node.0 as u64)
-                    .arg_str("outcome", outcome),
-            ));
-        }
+        let span = ctx.now.saturating_since(start);
+        ctx.fx.trace(|| {
+            TraceEvent::span("gossip.suspicion", "press", self.id.0 as u32, start, span)
+                .arg_u64("peer", node.0 as u64)
+                .arg_str("outcome", outcome)
+        });
     }
 
     fn rejoin_tick<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>) {
@@ -982,7 +951,7 @@ impl PressNode {
         }
         // Unfreeze anything stalled towards the departed node.
         let thawed = self.freeze.forget(peer);
-        self.evidence(ctx, thawed);
+        ctx.fx.evidence(thawed);
         // Propagate the reconfiguration (§3: the ring structure is
         // modified on every fault).
         self.send_data(ctx, self.view.peers(), MsgBody::MemberDown { node: peer });
@@ -1065,7 +1034,7 @@ impl PressNode {
         remaining.retain(|n| self.view.members.contains(n));
         self.send_blocking(ctx, msg, remaining, true);
         let end = self.freeze.retried();
-        self.evidence(ctx, end);
+        ctx.fx.evidence(end);
         self.drain(ctx);
     }
 
@@ -1405,7 +1374,7 @@ mod tests {
                 sub: MockSub::new(0),
                 cpu: CpuMeter::new(),
                 interposer: CleanInterposer,
-                fx: Vec::new(),
+                fx: Effects::default(),
                 app: Vec::new(),
             }
         }
@@ -1595,7 +1564,7 @@ mod tests {
     fn stall_windows_open_once_and_close_once() {
         use telemetry::AttrEvent::{StallBegin, StallEnd};
         let mut rig = Rig::new(PressVersion::TcpHb);
-        rig.node.set_attr(true);
+        rig.fx = Effects::new(false, true);
         rig.start_cold();
         let assignment: Vec<NodeId> = (0..100).map(|f| NodeId((f % 4) as usize)).collect();
         rig.with(|n, ctx| n.prewarm(ctx, &assignment));
@@ -1673,7 +1642,7 @@ mod tests {
     #[test]
     fn the_deferred_queue_keeps_its_cap_and_drops_what_clients_gave_up() {
         let mut rig = Rig::new(PressVersion::Tcp);
-        rig.node.set_attr(true);
+        rig.fx = Effects::new(false, true);
         rig.start_cold();
         let assignment: Vec<NodeId> = (0..100).map(|f| NodeId((f % 4) as usize)).collect();
         rig.with(|n, ctx| n.prewarm(ctx, &assignment));
@@ -1703,7 +1672,7 @@ mod tests {
         assert_eq!(rig.node.stats().dropped_deferred, 2);
         let deferred: Vec<u64> = (rig.fx.iter())
             .filter_map(|e| match e {
-                Effect::Attr(AttrEvent::Deferred { req_id }) => Some(*req_id),
+                transport::Effect::Attr(AttrEvent::Deferred { req_id }) => Some(*req_id),
                 _ => None,
             })
             .collect();

@@ -116,6 +116,26 @@ impl TransmitOutcome {
     }
 }
 
+// The paper's 1 Gb/s Giganet cLAN, fixed for every run (§5.1).
+
+/// One-way propagation plus NIC processing latency per link hop.
+pub const LINK_LATENCY: SimDuration = SimDuration::from_micros(5);
+/// Forwarding latency of every switch a frame crosses except a fat
+/// tree's spine.
+pub const SWITCH_LATENCY: SimDuration = SimDuration::from_micros(1);
+/// Forwarding latency of a fat tree's spine switch.
+pub const SPINE_LATENCY: SimDuration = SimDuration::from_micros(2);
+/// Per-endpoint bandwidth in bytes per second (1 Gb/s).
+pub const BANDWIDTH: u64 = 125_000_000;
+/// Sender-side backlog (time depth) past which frames drop.
+pub const MAX_TX_BACKLOG: SimDuration = SimDuration::from_millis(20);
+/// Receiver-side backlog (time depth) past which frames drop.
+pub const MAX_RX_BACKLOG: SimDuration = SimDuration::from_millis(20);
+/// Nodes a partial partition can name: the width of the per-node
+/// partition masks. [`Fabric::set_pair_blocked`] rejects a node at or
+/// past it.
+pub const PARTITION_NODES: usize = 64;
+
 /// Physical switch arrangement of the fabric.
 ///
 /// [`Topology::Star`] is the paper's single-switch cLAN: every pair of
@@ -124,7 +144,9 @@ impl TransmitOutcome {
 /// switch: node `i` attaches to leaf switch `i / leaf_radix`; same-leaf
 /// traffic crosses only its leaf, while cross-leaf traffic additionally
 /// climbs to a spine switch and back down (two extra link hops, one
-/// extra leaf, and the spine's forwarding latency).
+/// extra leaf, and [`SPINE_LATENCY`]). The up/down fault flags are
+/// fabric-wide regardless of topology: a switch fault kills forwarding
+/// everywhere (modelled as the common spine failing closed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// One switch; uniform pairwise latency.
@@ -134,154 +156,30 @@ pub enum Topology {
         /// Nodes per leaf switch (node `i` sits under leaf
         /// `i / leaf_radix`).
         leaf_radix: usize,
-        /// Spine-switch forwarding latency, paid once per cross-leaf
-        /// path (leaf switches use the common `switch_latency`).
-        spine_latency: SimDuration,
     },
 }
 
-/// Static fabric parameters.
-///
-/// Defaults approximate the paper's 1 Gb/s cLAN: ~5 µs per link hop plus
-/// a ~1 µs switch, 125 MB/s of bandwidth per endpoint, and a few
-/// milliseconds of NIC queueing.
-#[derive(Debug, Clone)]
-pub struct FabricConfig {
-    /// Number of nodes attached to the switch.
-    pub nodes: usize,
-    /// One-way propagation + NIC processing latency per link hop.
-    pub link_latency: SimDuration,
-    /// Switch forwarding latency (every switch a frame crosses except
-    /// the fat tree's spine, which has its own).
-    pub switch_latency: SimDuration,
-    /// Per-endpoint bandwidth in bytes per second.
-    pub bandwidth: u64,
-    /// Maximum sender-side backlog (time depth) before frames drop.
-    pub max_tx_backlog: SimDuration,
-    /// Maximum receiver-side backlog (time depth) before frames drop.
-    pub max_rx_backlog: SimDuration,
-    /// Switch arrangement. The up/down fault flags are fabric-wide
-    /// regardless of topology: `switch_up = false` kills forwarding
-    /// everywhere (modelled as the common spine failing closed).
-    pub topology: Topology,
-}
-
-impl FabricConfig {
-    /// Additional one-way latency of a cross-leaf path over a same-leaf
-    /// one: up to the spine and back down (two extra link hops), the
-    /// spine's forwarding latency, and the second leaf switch.
-    fn cross_leaf_extra(&self) -> SimDuration {
-        match self.topology {
-            Topology::Star => SimDuration::ZERO,
-            Topology::FatTree { spine_latency, .. } => {
-                self.link_latency + self.link_latency + spine_latency + self.switch_latency
-            }
-        }
-    }
-
+impl Topology {
     /// One-way propagation latency from `src`'s NIC to `dst`'s switch
-    /// port through this topology (excludes serialization and gray
-    /// penalties).
-    pub fn path_latency(&self, src: NodeId, dst: NodeId) -> SimDuration {
-        let same_switch = self.link_latency + self.switch_latency + self.link_latency;
-        match self.topology {
-            Topology::Star => same_switch,
-            Topology::FatTree { leaf_radix, .. } => {
-                if src.0 / leaf_radix == dst.0 / leaf_radix {
-                    same_switch
-                } else {
-                    same_switch + self.cross_leaf_extra()
-                }
+    /// port (excludes serialization and gray penalties).
+    pub fn path_latency(self, src: NodeId, dst: NodeId) -> SimDuration {
+        let same_switch = LINK_LATENCY + SWITCH_LATENCY + LINK_LATENCY;
+        match self {
+            Topology::FatTree { leaf_radix } if src.0 / leaf_radix != dst.0 / leaf_radix => {
+                // Up to the spine and back down: two more link hops,
+                // the spine and the second leaf switch.
+                same_switch + LINK_LATENCY + LINK_LATENCY + SPINE_LATENCY + SWITCH_LATENCY
             }
+            _ => same_switch,
         }
-    }
-
-    /// Serialization time of `bytes` at this fabric's bandwidth (at
-    /// least one nanosecond).
-    pub fn wire_time(&self, bytes: u32) -> SimDuration {
-        let nanos = u64::from(bytes) * 1_000_000_000 / self.bandwidth;
-        SimDuration::from_nanos(nanos.max(1))
-    }
-
-    /// An `n`-node single-switch cLAN star with the paper test-bed's
-    /// per-hop parameters. PRESS arranges the nodes into its logical
-    /// heartbeat ring on top of this; the fabric itself is a star, so
-    /// latency does not change with `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` (a one-node cluster has no fabric paths).
-    pub fn ring(n: usize) -> Self {
-        let cfg = FabricConfig {
-            nodes: n,
-            link_latency: SimDuration::from_micros(5),
-            switch_latency: SimDuration::from_micros(1),
-            bandwidth: 125_000_000, // 1 Gb/s
-            max_tx_backlog: SimDuration::from_millis(20),
-            max_rx_backlog: SimDuration::from_millis(20),
-            topology: Topology::Star,
-        };
-        cfg.validated()
-    }
-
-    /// An `n`-node two-level leaf/spine fat tree: `leaf_radix` nodes
-    /// per leaf switch, cLAN per-hop parameters, and a 2 µs spine.
-    /// Same-leaf pairs see star latency; cross-leaf pairs pay
-    /// [`Self::path_latency`]'s climb through the spine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `leaf_radix < 2` (a radix-1 "leaf" is a
-    /// patch cable, not a switch).
-    pub fn fat_tree(n: usize, leaf_radix: usize) -> Self {
-        assert!(
-            leaf_radix >= 2,
-            "fat tree needs at least 2 nodes per leaf switch (got {leaf_radix})"
-        );
-        let cfg = FabricConfig {
-            topology: Topology::FatTree {
-                leaf_radix,
-                spine_latency: SimDuration::from_micros(2),
-            },
-            ..FabricConfig::ring(2)
-        };
-        FabricConfig { nodes: n, ..cfg }.validated()
-    }
-
-    /// Builder validation: every constructed fabric must have at least
-    /// two nodes and strictly positive per-stage latencies. Every stage
-    /// models a physical hop; a zero one is a misconfiguration (usually
-    /// a field zeroed in a struct literal) that would quietly model a
-    /// fabric faster than any switch.
-    fn validated(self) -> Self {
-        assert!(
-            self.nodes >= 2,
-            "a fabric needs at least 2 nodes (got {})",
-            self.nodes
-        );
-        assert!(
-            self.link_latency > SimDuration::ZERO && self.switch_latency > SimDuration::ZERO,
-            "zero-latency fabric stages: every hop must take time"
-        );
-        if let Topology::FatTree { spine_latency, .. } = self.topology {
-            assert!(
-                spine_latency > SimDuration::ZERO,
-                "zero-latency spine stage in a fat-tree fabric"
-            );
-        }
-        self
-    }
-
-    /// Configuration matching the paper's 4-node cLAN test-bed.
-    pub fn clan_four_nodes() -> Self {
-        FabricConfig::ring(4)
     }
 }
 
-impl Default for FabricConfig {
-    fn default() -> Self {
-        FabricConfig::clan_four_nodes()
-    }
+/// Serialization time of `bytes` at [`BANDWIDTH`] (at least one
+/// nanosecond).
+pub fn wire_time(bytes: u32) -> SimDuration {
+    let nanos = u64::from(bytes) * 1_000_000_000 / BANDWIDTH;
+    SimDuration::from_nanos(nanos.max(1))
 }
 
 /// One in every this-many frames crossing a degraded link is lost.
@@ -307,10 +205,10 @@ pub struct FabricStats {
 /// # Example
 ///
 /// ```
-/// use simnet::fabric::{Fabric, FabricConfig, Frame, NodeId, TransmitOutcome};
+/// use simnet::fabric::{Fabric, Frame, NodeId, Topology, TransmitOutcome};
 /// use simnet::SimTime;
 ///
-/// let mut fabric = Fabric::new(FabricConfig::clan_four_nodes());
+/// let mut fabric = Fabric::new(4, Topology::Star);
 /// let frame = Frame { src: NodeId(0), dst: NodeId(1), bytes: 1024, payload: () };
 /// match fabric.transmit(SimTime::ZERO, &frame) {
 ///     TransmitOutcome::Delivered { at } => assert!(at > SimTime::ZERO),
@@ -319,7 +217,7 @@ pub struct FabricStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    config: FabricConfig,
+    topology: Topology,
     link_up: Vec<bool>,
     node_up: Vec<bool>,
     switch_up: bool,
@@ -337,17 +235,24 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Creates a healthy fabric.
+    /// Creates a healthy `n`-node fabric of the cLAN's hops arranged as
+    /// `topology`.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero nodes or zero bandwidth.
-    pub fn new(config: FabricConfig) -> Self {
-        assert!(config.nodes > 0, "fabric needs at least one node");
-        assert!(config.bandwidth > 0, "bandwidth must be positive");
-        let n = config.nodes;
+    /// Panics if `n < 2` (a one-node cluster has no fabric paths), or if
+    /// a fat tree's `leaf_radix < 2` (a radix-1 "leaf" is a patch
+    /// cable, not a switch).
+    pub fn new(n: usize, topology: Topology) -> Self {
+        assert!(n >= 2, "a fabric needs at least 2 nodes (got {n})");
+        if let Topology::FatTree { leaf_radix } = topology {
+            assert!(
+                leaf_radix >= 2,
+                "fat tree needs at least 2 nodes per leaf switch (got {leaf_radix})"
+            );
+        }
         Fabric {
-            config,
+            topology,
             link_up: vec![true; n],
             node_up: vec![true; n],
             switch_up: true,
@@ -359,11 +264,6 @@ impl Fabric {
             blocked: vec![0; n],
             stats: FabricStats::default(),
         }
-    }
-
-    /// The static configuration.
-    pub fn config(&self) -> &FabricConfig {
-        &self.config
     }
 
     /// Activity counters.
@@ -405,10 +305,13 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics if either node index is ≥ 64 (the mask width) or the two
-    /// nodes are the same.
+    /// Panics if either node index is at or past [`PARTITION_NODES`]
+    /// (the mask width) or the two nodes are the same.
     pub fn set_pair_blocked(&mut self, a: NodeId, b: NodeId, blocked: bool) {
-        assert!(a.0 < 64 && b.0 < 64, "partition masks cover 64 nodes");
+        assert!(
+            a.0 < PARTITION_NODES && b.0 < PARTITION_NODES,
+            "partition masks cover {PARTITION_NODES} nodes"
+        );
         assert_ne!(a.0, b.0, "a node cannot be partitioned from itself");
         if blocked {
             self.blocked[a.0] |= 1 << b.0;
@@ -420,10 +323,10 @@ impl Fabric {
     }
 
     /// Whether the switch currently refuses to forward between `a` and
-    /// `b` (partial partition). Only nodes below 64 can be blocked, so a
-    /// wider index is never tested against the mask.
+    /// `b` (partial partition). Only nodes below [`PARTITION_NODES`]
+    /// can be blocked, so a wider index is never tested against the mask.
     pub fn pair_blocked(&self, a: NodeId, b: NodeId) -> bool {
-        b.0 < 64 && self.blocked[a.0] & (1 << b.0) != 0
+        b.0 < PARTITION_NODES && self.blocked[a.0] & (1 << b.0) != 0
     }
 
     /// Whether `node`'s link is currently up.
@@ -465,7 +368,8 @@ impl Fabric {
     pub fn transmit<P>(&mut self, now: SimTime, frame: &Frame<P>) -> TransmitOutcome {
         let src = frame.src.0;
         let dst = frame.dst.0;
-        assert!(src < self.config.nodes && dst < self.config.nodes);
+        let n = self.link_up.len();
+        assert!(src < n && dst < n);
         let outcome = self.traverse(now, frame.src, frame.dst, frame.bytes);
         if let TransmitOutcome::Delivered { .. } = outcome {
             self.stats.delivered += 1;
@@ -525,11 +429,11 @@ impl Fabric {
             }
         }
 
-        let wire = self.config.wire_time(bytes);
+        let wire = wire_time(bytes);
 
         // Sender serialization.
         let tx_start = self.tx_busy[src].max(now);
-        if tx_start.saturating_since(now) > self.config.max_tx_backlog {
+        if tx_start.saturating_since(now) > MAX_TX_BACKLOG {
             return TransmitOutcome::Lost {
                 reason: LossReason::TxQueueOverrun,
             };
@@ -540,12 +444,12 @@ impl Fabric {
         // Propagation along the topology's path for this pair, plus the
         // gray penalty per degraded endpoint crossed.
         let at_dst_port = tx_end
-            + self.config.path_latency(src_id, dst_id)
+            + self.topology.path_latency(src_id, dst_id)
             + GRAY_EXTRA_LATENCY * gray_endpoints as u64;
 
         // Receiver serialization.
         let rx_start = self.rx_busy[dst].max(at_dst_port);
-        if rx_start.saturating_since(at_dst_port) > self.config.max_rx_backlog {
+        if rx_start.saturating_since(at_dst_port) > MAX_RX_BACKLOG {
             return TransmitOutcome::Lost {
                 reason: LossReason::RxQueueOverrun,
             };
@@ -569,93 +473,63 @@ mod tests {
         }
     }
 
+    const TREE: Topology = Topology::FatTree { leaf_radix: 8 };
+
+    fn clan() -> Fabric {
+        Fabric::new(4, Topology::Star)
+    }
+
     #[test]
-    fn ring_parameterizes_node_count_only() {
+    fn star_latency_does_not_depend_on_the_pair() {
         for n in [4usize, 8, 16, 32] {
-            let cfg = FabricConfig::ring(n);
-            assert_eq!(cfg.nodes, n);
-            // The star fabric's timing does not change with n.
             assert_eq!(
-                cfg.path_latency(NodeId(0), NodeId(n - 1)),
-                FabricConfig::clan_four_nodes().path_latency(NodeId(0), NodeId(1))
+                Topology::Star.path_latency(NodeId(0), NodeId(n - 1)),
+                Topology::Star.path_latency(NodeId(0), NodeId(1))
             );
         }
-        let four = FabricConfig::clan_four_nodes();
-        assert_eq!(four.nodes, 4);
     }
 
     #[test]
     #[should_panic(expected = "at least 2 nodes")]
-    fn ring_rejects_single_node() {
-        let _ = FabricConfig::ring(1);
+    fn star_rejects_single_node() {
+        let _ = Fabric::new(1, Topology::Star);
     }
 
     #[test]
     #[should_panic(expected = "at least 2 nodes")]
     fn fat_tree_rejects_single_node() {
-        let _ = FabricConfig::fat_tree(1, 4);
+        let _ = Fabric::new(1, Topology::FatTree { leaf_radix: 4 });
     }
 
     #[test]
     #[should_panic(expected = "2 nodes per leaf")]
     fn fat_tree_rejects_radix_one() {
-        let _ = FabricConfig::fat_tree(8, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-latency")]
-    fn builders_reject_zero_latency_stages() {
-        let _ = FabricConfig {
-            switch_latency: SimDuration::ZERO,
-            ..FabricConfig::ring(4)
-        }
-        .validated();
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-latency spine")]
-    fn fat_tree_rejects_zero_latency_spine() {
-        let _ = FabricConfig {
-            topology: Topology::FatTree {
-                leaf_radix: 4,
-                spine_latency: SimDuration::ZERO,
-            },
-            ..FabricConfig::ring(8)
-        }
-        .validated();
+        let _ = Fabric::new(8, Topology::FatTree { leaf_radix: 1 });
     }
 
     #[test]
     fn fat_tree_cross_leaf_paths_pay_the_spine() {
-        let cfg = FabricConfig::fat_tree(16, 8);
-        let same_leaf = cfg.path_latency(NodeId(0), NodeId(7));
-        let cross_leaf = cfg.path_latency(NodeId(0), NodeId(8));
+        let same_leaf = TREE.path_latency(NodeId(0), NodeId(7));
+        let cross_leaf = TREE.path_latency(NodeId(0), NodeId(8));
         // Same-leaf = star latency; cross-leaf adds two link hops, the
         // second leaf switch, and the spine.
-        assert_eq!(
-            same_leaf,
-            FabricConfig::ring(16).path_latency(NodeId(0), NodeId(7))
-        );
+        assert_eq!(same_leaf, Topology::Star.path_latency(NodeId(0), NodeId(7)));
         assert_eq!(
             cross_leaf,
-            same_leaf
-                + cfg.link_latency
-                + cfg.link_latency
-                + cfg.switch_latency
-                + SimDuration::from_micros(2)
+            same_leaf + LINK_LATENCY + LINK_LATENCY + SWITCH_LATENCY + SPINE_LATENCY
         );
     }
 
     #[test]
     fn fat_tree_transmit_times_follow_the_topology() {
-        let mut f = Fabric::new(FabricConfig::fat_tree(16, 8));
+        let mut f = Fabric::new(16, TREE);
         // 1000B at 125MB/s = 8us serialization at each endpoint.
         let same = f
             .transmit(SimTime::ZERO, &frame(0, 1, 1000))
             .delivery_time()
             .expect("delivered");
         assert_eq!(same.as_nanos(), 8_000 + 5_000 + 1_000 + 5_000 + 8_000);
-        let mut f = Fabric::new(FabricConfig::fat_tree(16, 8));
+        let mut f = Fabric::new(16, TREE);
         let cross = f
             .transmit(SimTime::ZERO, &frame(0, 8, 1000))
             .delivery_time()
@@ -669,7 +543,7 @@ mod tests {
 
     #[test]
     fn fat_tree_switch_down_kills_cross_and_same_leaf_forwarding() {
-        let mut f = Fabric::new(FabricConfig::fat_tree(16, 8));
+        let mut f = Fabric::new(16, TREE);
         f.set_switch_up(false);
         for dst in [1usize, 8] {
             let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(0, dst, 100))
@@ -682,7 +556,7 @@ mod tests {
 
     #[test]
     fn healthy_fabric_delivers_with_latency() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         let out = f.transmit(SimTime::ZERO, &frame(0, 1, 1000));
         let at = out.delivery_time().expect("delivered");
         // 1000B at 125MB/s = 8us wire time at each endpoint, plus
@@ -694,7 +568,7 @@ mod tests {
 
     #[test]
     fn sender_link_down_is_sender_observable() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         f.set_link_up(NodeId(0), false);
         match f.transmit(SimTime::ZERO, &frame(0, 1, 100)) {
             TransmitOutcome::Lost { reason } => {
@@ -707,7 +581,7 @@ mod tests {
 
     #[test]
     fn destination_conditions_are_not_sender_observable() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         f.set_link_up(NodeId(1), false);
         let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(0, 1, 100)) else {
             panic!("expected loss");
@@ -725,7 +599,7 @@ mod tests {
 
     #[test]
     fn switch_down_partitions_everything() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         f.set_switch_up(false);
         for a in 0..4 {
             for b in 0..4 {
@@ -742,7 +616,7 @@ mod tests {
 
     #[test]
     fn transmissions_serialize_on_the_sender_link() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         let a = f
             .transmit(SimTime::ZERO, &frame(0, 1, 125_000))
             .delivery_time()
@@ -759,26 +633,27 @@ mod tests {
 
     #[test]
     fn tx_backlog_bound_drops_frames() {
-        let mut cfg = FabricConfig::clan_four_nodes();
-        cfg.max_tx_backlog = SimDuration::from_micros(10);
-        let mut f = Fabric::new(cfg);
-        // Saturate the sender link.
-        let mut dropped = false;
-        for _ in 0..100 {
-            if let TransmitOutcome::Lost { reason } =
-                f.transmit(SimTime::ZERO, &frame(0, 1, 10_000))
-            {
-                assert_eq!(reason, LossReason::TxQueueOverrun);
-                dropped = true;
-                break;
-            }
+        let mut f = clan();
+        // 125,000 bytes take 1 ms on the wire: the sender queues 20 such
+        // frames behind the first, and the next one overruns.
+        for i in 0..=20 {
+            let out = f.transmit(SimTime::ZERO, &frame(0, 1, 125_000));
+            assert!(
+                matches!(out, TransmitOutcome::Delivered { .. }),
+                "frame {i} fits the 20 ms backlog"
+            );
         }
-        assert!(dropped, "expected the bounded queue to overrun");
+        assert_eq!(
+            f.transmit(SimTime::ZERO, &frame(0, 2, 125_000)),
+            TransmitOutcome::Lost {
+                reason: LossReason::TxQueueOverrun
+            }
+        );
     }
 
     #[test]
     fn injected_drops_consume_exactly_count_frames() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         f.inject_drops_from(NodeId(0), 2);
         assert!(matches!(
             f.transmit(SimTime::ZERO, &frame(0, 1, 64)),
@@ -800,7 +675,7 @@ mod tests {
 
     #[test]
     fn crashed_sender_cannot_transmit() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         f.set_node_up(NodeId(0), false);
         let TransmitOutcome::Lost { reason } = f.transmit(SimTime::ZERO, &frame(0, 1, 64)) else {
             panic!("expected loss");
@@ -811,7 +686,7 @@ mod tests {
 
     #[test]
     fn recovery_restores_the_path() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         f.set_link_up(NodeId(3), false);
         assert!(!f.path_up(NodeId(0), NodeId(3)));
         f.set_link_up(NodeId(3), true);
@@ -824,7 +699,7 @@ mod tests {
 
     #[test]
     fn degraded_link_adds_latency_and_drops_periodically() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         let healthy = f
             .transmit(SimTime::ZERO, &frame(0, 1, 1000))
             .delivery_time()
@@ -836,7 +711,7 @@ mod tests {
         // link-level health checks.
         assert!(f.path_up(NodeId(0), NodeId(1)));
 
-        let mut g = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut g = clan();
         g.set_link_degraded(NodeId(0), true);
         let gray = g
             .transmit(SimTime::ZERO, &frame(0, 1, 1000))
@@ -871,12 +746,12 @@ mod tests {
 
     #[test]
     fn both_endpoints_degraded_doubles_the_penalty() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         let healthy = f
             .transmit(SimTime::ZERO, &frame(0, 1, 1000))
             .delivery_time()
             .unwrap();
-        let mut g = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut g = clan();
         g.set_link_degraded(NodeId(0), true);
         g.set_link_degraded(NodeId(1), true);
         let gray = g
@@ -891,7 +766,7 @@ mod tests {
 
     #[test]
     fn partial_partition_is_symmetric_silent_and_pairwise() {
-        let mut f = Fabric::new(FabricConfig::clan_four_nodes());
+        let mut f = clan();
         f.set_pair_blocked(NodeId(0), NodeId(2), true);
         assert!(f.pair_blocked(NodeId(0), NodeId(2)));
         assert!(f.pair_blocked(NodeId(2), NodeId(0)));
@@ -930,7 +805,7 @@ mod tests {
     /// (and debug builds would panic on the overflowing shift).
     #[test]
     fn partition_masks_ignore_destinations_past_node_63() {
-        let mut f = Fabric::new(FabricConfig::fat_tree(128, 8));
+        let mut f = Fabric::new(128, TREE);
         f.set_pair_blocked(NodeId(0), NodeId(6), true);
         assert!(f.pair_blocked(NodeId(0), NodeId(6)));
         assert!(!f.pair_blocked(NodeId(0), NodeId(70)));

@@ -39,7 +39,7 @@ pub mod time;
 
 pub use cpu::CpuMeter;
 pub use engine::{CancelToken, CompactLane, Engine, Lane};
-pub use fabric::{Fabric, FabricConfig, Frame, NodeId, Topology, TransmitOutcome};
+pub use fabric::{Fabric, Frame, NodeId, Topology, TransmitOutcome};
 pub use rng::SimRng;
 pub use slab::Slab;
 pub use stats::{AvailabilityCounter, LatencyHistogram, ThroughputRecorder, TimeSeries};

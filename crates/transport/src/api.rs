@@ -278,39 +278,119 @@ pub enum Effect<M> {
     ChargeCpu(SimDuration),
     /// Notify the application.
     Upcall(Upcall<M>),
-    /// Record a structured trace event. Only emitted after
-    /// [`Substrate::set_trace`] enabled tracing, so the fault-free
-    /// benchmark path never constructs one; the composition layer
-    /// forwards it to the run's [`telemetry::TraceSink`].
+    /// Record a structured trace event. Only built while the run's
+    /// [`Effects`] buffer has tracing on ([`Effects::trace`]), so the
+    /// fault-free benchmark path never constructs one; the composition
+    /// layer forwards it to the run's [`telemetry::TraceSink`].
     Trace(telemetry::TraceEvent),
     /// Record a causal attribution event (retransmit/abort/freeze
-    /// evidence). Only emitted after [`Substrate::set_attr`] enabled
-    /// attribution; the composition layer applies it to the run's
-    /// [`telemetry::AttrState`] in event order.
+    /// evidence). Only pushed while the run's [`Effects`] buffer has
+    /// attribution on ([`Effects::evidence`]); the composition layer
+    /// applies it to the run's [`telemetry::AttrState`] in effect order.
     Attr(telemetry::AttrEvent),
 }
 
-/// Convenience alias: the buffer all transport entry points append
-/// effects to.
-pub type Effects<M> = Vec<Effect<M>>;
+/// The buffer every transport and application entry point appends its
+/// effects to, in order, plus the run's two observation switches.
+///
+/// The switches live here and nowhere else: a component asks the buffer
+/// whether to trace or attribute instead of keeping its own copy. Trace
+/// and attribution effects queue among the others and are applied in
+/// effect order when the composition layer drains the buffer, after
+/// whatever that layer recorded itself during the call. Attribution
+/// relies on this: the `Deferred` evidence PRESS pushes while taking a
+/// client request must reach the accumulator after the cluster records
+/// the request as accepted.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Effects<M> {
+    list: Vec<Effect<M>>,
+    trace: bool,
+    attr: bool,
+}
+
+/// An empty buffer with tracing and attribution off.
+impl<M> Default for Effects<M> {
+    fn default() -> Self {
+        Effects::new(false, false)
+    }
+}
+
+impl<M> Effects<M> {
+    /// An empty buffer for a run that traces when `trace` and attributes
+    /// when `attr`.
+    pub fn new(trace: bool, attr: bool) -> Self {
+        Effects {
+            list: Vec::new(),
+            trace,
+            attr,
+        }
+    }
+
+    /// Whether trace events are being collected.
+    pub fn tracing(&self) -> bool {
+        self.trace
+    }
+
+    /// Appends `effect`.
+    pub fn push(&mut self, effect: Effect<M>) {
+        self.list.push(effect);
+    }
+
+    /// Appends the trace event `build` makes, while tracing is on.
+    /// `build` runs only then, so the disabled path costs one branch.
+    #[inline]
+    pub fn trace(&mut self, build: impl FnOnce() -> telemetry::TraceEvent) {
+        if self.trace {
+            #[cfg(test)]
+            tests::TRACE_BUILDS.with(|n| n.set(n.get() + 1));
+            self.list.push(Effect::Trace(build()));
+        }
+    }
+
+    /// Appends `ev`, if any, as attribution evidence while attribution
+    /// is on.
+    #[inline]
+    pub fn evidence(&mut self, ev: impl Into<Option<telemetry::AttrEvent>>) {
+        match ev.into() {
+            Some(ev) if self.attr => self.list.push(Effect::Attr(ev)),
+            _ => {}
+        }
+    }
+
+    /// Removes every effect, in order; the switches stay.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Effect<M>> {
+        self.list.drain(..)
+    }
+
+    /// Discards every effect; the switches stay.
+    pub fn clear(&mut self) {
+        self.list.clear();
+    }
+}
+
+impl<M> std::ops::Deref for Effects<M> {
+    type Target = [Effect<M>];
+
+    fn deref(&self) -> &[Effect<M>] {
+        &self.list
+    }
+}
 
 /// Appends the trace instant `name` on `node`'s lane at `now`, with the
-/// attributes `args` adds, when `enabled`. The category is the name's
-/// prefix (`"tcp.abort"` is a `"tcp"` event). The event is only built
-/// while tracing is on, so the disabled path costs one branch.
+/// attributes `args` adds, while tracing is on. The category is the
+/// name's prefix (`"tcp.abort"` is a `"tcp"` event).
 pub(crate) fn trace_instant<M>(
     out: &mut Effects<M>,
-    enabled: bool,
     name: &'static str,
     node: NodeId,
     now: SimTime,
     args: impl FnOnce(telemetry::TraceEvent) -> telemetry::TraceEvent,
 ) {
-    if enabled {
+    out.trace(|| {
         let cat = name.split_once('.').map_or(name, |(cat, _)| cat);
         let event = telemetry::TraceEvent::instant(name, cat, node.0 as u32, now);
-        out.push(Effect::Trace(args(event)));
-    }
+        args(event)
+    });
 }
 
 /// One intra-cluster communication endpoint (all connections of one node).
@@ -407,18 +487,6 @@ pub trait Substrate<M: Clone> {
     /// Peers discover this through resets on their next transmission.
     fn restart(&mut self, now: SimTime);
 
-    /// Enables or disables structured tracing. While enabled, the
-    /// transport appends [`Effect::Trace`] events (retransmissions,
-    /// aborts, descriptor errors, connection breaks...) alongside its
-    /// ordinary effects. Default: ignored (never traces).
-    fn set_trace(&mut self, _enabled: bool) {}
-
-    /// Enables or disables causal attribution. While enabled, the
-    /// transport appends [`Effect::Attr`] evidence (retransmissions,
-    /// aborts) alongside its ordinary effects. Default: ignored
-    /// (never attributes).
-    fn set_attr(&mut self, _enabled: bool) {}
-
     /// Dumps this endpoint's lifetime counters into a metrics
     /// registry (names like `tcp.retransmissions`); counters from all
     /// nodes of a cluster accumulate into the same keys. Default:
@@ -427,8 +495,14 @@ pub trait Substrate<M: Clone> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// Trace events [`Effects::trace`] has built on this thread: the
+        /// conformance table checks that the disabled path builds none.
+        pub(crate) static TRACE_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn clean_params_are_clean() {

@@ -2,15 +2,19 @@
 //! against TCP, VIA messaging and VIA remote writes, and its row states
 //! what each must produce: the upcalls at both ends, plus the few
 //! synchronous results that differ. The rows are the fault-model
-//! column of DESIGN.md §2, made executable.
+//! column of DESIGN.md §2, made executable. The table runs twice: with
+//! tracing and attribution off, where no row may emit or even build an
+//! observation, and with both on, where each row also states the trace
+//! events and attribution evidence it produces.
 
 use simnet::fabric::{LossReason, NodeId};
 use simnet::{SimDuration, SimTime};
 
+use crate::api::tests::TRACE_BUILDS;
 use crate::api::{CallParams, Effect, Effects, MsgClass, PtrParam, SendStatus, Substrate};
 use crate::api::{TimerKey, Upcall};
 use crate::cost::CostModel;
-use crate::ferry::exchange;
+use crate::ferry::ferry;
 use crate::{SubstrateImpl, TcpStack, ViaMode, ViaNic};
 
 type Sub = SubstrateImpl<&'static str>;
@@ -57,7 +61,11 @@ struct Net {
     a: Sub,
     b: Sub,
     now: SimTime,
+    /// Whether the run traces and attributes.
+    observe: bool,
     notes: Vec<String>,
+    /// Trace event names, by end, and attribution evidence, as seen.
+    observed: Vec<String>,
 }
 
 /// The timers `out` arms.
@@ -70,13 +78,20 @@ fn timers(out: &Effects<&'static str>) -> Vec<(SimTime, TimerKey)> {
 }
 
 impl Net {
-    fn new(kind: Kind) -> Self {
+    fn new(kind: Kind, observe: bool) -> Self {
         Net {
             a: endpoint(kind, A),
             b: endpoint(kind, B),
             now: SimTime::ZERO,
+            observe,
             notes: Vec::new(),
+            observed: Vec::new(),
         }
+    }
+
+    /// An empty effect buffer with the run's switches.
+    fn fx(&self) -> Effects<&'static str> {
+        Effects::new(self.observe, self.observe)
     }
 
     fn end(&mut self, node: NodeId) -> &mut Sub {
@@ -87,24 +102,40 @@ impl Net {
         }
     }
 
-    /// Ferries `out` until the network is quiet and notes the upcalls,
-    /// sorted, a repeated one as `… ×n`.
+    /// Ferries `out` until the network is quiet, notes the upcalls,
+    /// sorted, a repeated one as `… ×n`, and keeps every observation
+    /// for `observations`.
     fn run(&mut self, out: Effects<&'static str>) {
-        let ups = exchange(self.now, &mut [&mut self.a, &mut self.b], out);
-        let mut seen: Vec<String> = ups.iter().map(describe).collect();
+        let mut seen = Vec::new();
+        let observed = &mut self.observed;
+        ferry(
+            self.now,
+            &mut [&mut self.a, &mut self.b],
+            out,
+            |e| match e {
+                Effect::Upcall(u) => seen.push(describe(&u)),
+                Effect::Trace(ev) => observed.push(format!("{}: {}", lane_end(ev.tid), ev.name)),
+                Effect::Attr(ev) => observed.push(format!("{ev:?}")),
+                Effect::Transmit(_) | Effect::SetTimer { .. } | Effect::ChargeCpu(_) => {}
+            },
+        );
         seen.sort();
-        for same in seen.chunk_by(|x, y| x == y) {
-            self.notes.push(match same.len() {
-                1 => same[0].clone(),
-                n => format!("{} ×{n}", same[0]),
-            });
-        }
+        self.notes.extend(counted(&seen));
+    }
+
+    /// Every observation since `connect`, sorted, a repeated one as
+    /// `… ×n`.
+    fn observations(&self) -> String {
+        let mut seen = self.observed.clone();
+        seen.sort();
+        counted(&seen).join("; ")
     }
 
     /// `a` opens a connection to `b` and the handshake completes.
     fn connect(&mut self) {
         handshake(self);
         self.notes.clear();
+        self.observed.clear();
         assert!(self.a.is_connected(B) && self.b.is_connected(A));
     }
 
@@ -117,7 +148,7 @@ impl Net {
         bytes: u32,
         params: CallParams,
     ) -> (SendStatus, Effects<&'static str>) {
-        let (now, mut out) = (self.now, Vec::new());
+        let (now, mut out) = (self.now, self.fx());
         let (to, end) = if from == A { (B, "a") } else { (A, "b") };
         let status = self
             .end(from)
@@ -128,27 +159,30 @@ impl Net {
         (status, out)
     }
 
-    /// Fires `timer` on `a` and notes what it did: nothing, or a retry
-    /// (a transmission) or bare re-arm, under its key or a newer gen.
-    fn fire(&mut self, (at, key): (SimTime, TimerKey)) -> Effects<&'static str> {
+    /// Fires `timer` on `a`, notes what it did: nothing, or a retry
+    /// (a transmission) or bare re-arm, under its key or a newer gen,
+    /// runs its effects and returns the timers it armed.
+    fn fire(&mut self, (at, key): (SimTime, TimerKey)) -> Vec<(SimTime, TimerKey)> {
         self.now = at;
-        let mut out = Vec::new();
+        let mut out = self.fx();
         self.a.timer_fired(at, key, &mut out);
         if out.is_empty() {
             self.notes.push("a: inert".into());
         }
         let sent = out.iter().any(|e| matches!(e, Effect::Transmit(_)));
-        for (_, new) in timers(&out) {
-            assert!(new == key || new.gen > key.gen, "{new:?} after {key:?}");
+        let armed = timers(&out);
+        for (_, new) in &armed {
+            assert!(*new == key || new.gen > key.gen, "{new:?} after {key:?}");
             let what = if sent { "retry" } else { "re-arm" };
-            let how = if new == key { "same key" } else { "newer gen" };
+            let how = if *new == key { "same key" } else { "newer gen" };
             self.notes.push(format!("a: {what}, {how}"));
         }
-        out
+        self.run(out);
+        armed
     }
 
     fn set_receiving(&mut self, node: NodeId, receiving: bool) {
-        let (now, mut out) = (self.now, Vec::new());
+        let (now, mut out) = (self.now, self.fx());
         self.end(node).set_app_receiving(now, receiving, &mut out);
         self.run(out);
     }
@@ -173,6 +207,24 @@ impl Net {
     }
 }
 
+/// The name of the end on trace lane `tid`.
+fn lane_end(tid: u32) -> &'static str {
+    if tid == A.0 as u32 {
+        "a"
+    } else {
+        "b"
+    }
+}
+
+/// Sorted `seen` with each run of equal notes as one, `… ×n`.
+fn counted(seen: &[String]) -> Vec<String> {
+    let count = |same: &[String]| match same.len() {
+        1 => same[0].clone(),
+        n => format!("{} ×{n}", same[0]),
+    };
+    seen.chunk_by(|x, y| x == y).map(count).collect()
+}
+
 /// One upcall as a note, named by the end that saw it: `b` sees the
 /// upcalls about `a`, and `a` every other one.
 fn describe(u: &Upcall<&'static str>) -> String {
@@ -187,7 +239,7 @@ fn describe(u: &Upcall<&'static str>) -> String {
 }
 
 fn handshake(net: &mut Net) {
-    let mut out = Vec::new();
+    let mut out = net.fx();
     net.a.open(net.now, B, &mut out);
     net.run(out);
 }
@@ -203,15 +255,19 @@ fn send_and_deliver(net: &mut Net) {
 /// The fabric loses the data frame and reports it to the sender's NIC.
 fn loss(net: &mut Net) {
     net.connect();
-    let (_, mut out) = net.send(A, "m", 64, CLEAN);
-    let armed = timers(&out);
-    out.retain(|e| !matches!(e, Effect::Transmit(_)));
+    let (_, mut sent) = net.send(A, "m", 64, CLEAN);
+    let armed = timers(&sent);
+    let mut out = net.fx();
+    for e in sent.drain() {
+        if !matches!(e, Effect::Transmit(_)) {
+            out.push(e);
+        }
+    }
     net.a
         .transmit_failed(net.now, B, LossReason::Injected, &mut out);
     net.run(out);
     for timer in armed {
-        let out = net.fire(timer);
-        net.run(out);
+        net.fire(timer);
     }
 }
 
@@ -254,7 +310,9 @@ fn null_pointer(net: &mut Net) {
 fn off_by_n_size(net: &mut Net) {
     net.connect();
     let (_, mut out) = net.send(A, "bad", 64, OFF_BY_40);
-    out.extend(net.send(A, "good", 64, CLEAN).1);
+    for e in net.send(A, "good", 64, CLEAN).1.drain() {
+        out.push(e);
+    }
     net.run(out);
 }
 
@@ -281,7 +339,7 @@ fn kernel_alloc_failure(net: &mut Net) {
     net.b.set_alloc_fail(false);
     for (at, key) in armed {
         net.now = at;
-        let mut out = Vec::new();
+        let mut out = net.fx();
         net.b.timer_fired(at, key, &mut out);
         net.run(out);
     }
@@ -291,11 +349,13 @@ fn pin_failure(net: &mut Net) {
     net.connect();
     for failing in [true, false] {
         net.a.set_pin_fail(failing);
-        let pinned = net.a.register_pages(net.now, 1, &mut Vec::new());
+        let mut out = net.fx();
+        let pinned = net.a.register_pages(net.now, 1, &mut out);
         net.notes.push(format!(
             "a: pin {}",
             if pinned.is_ok() { "ok" } else { "refused" }
         ));
+        net.run(out);
     }
     let (_, out) = net.send(A, "m", 64, CLEAN);
     net.run(out);
@@ -306,25 +366,26 @@ fn pin_failure(net: &mut Net) {
 /// timer may act, and it gives up in the end.
 fn reopen_after_teardown(net: &mut Net) {
     let open = |net: &mut Net| {
-        let mut out = Vec::new();
+        let mut out = net.fx();
         net.a.open(net.now, SILENT, &mut out);
-        timers(&out)[0]
+        let armed = timers(&out)[0];
+        net.run(out);
+        armed
     };
     let first = open(net);
-    let retry = timers(&net.fire(first))[0];
+    let retry = net.fire(first)[0];
     if retry.1 != first.1 {
         net.fire(first); // superseded by its re-arm
     }
     net.a.close(SILENT);
     let second = open(net);
     net.fire(retry);
-    let retry = timers(&net.fire(second))[0];
+    let retry = net.fire(second)[0];
     net.a.restart(net.now);
     let third = open(net);
     net.fire(retry);
     let give_up = (net.now + SimDuration::from_secs(60), third.1);
-    let out = net.fire(give_up);
-    net.run(out);
+    net.fire(give_up);
 }
 
 struct Row {
@@ -333,6 +394,10 @@ struct Row {
     /// The notes on TCP, VIA messaging and VIA remote writes, in order,
     /// separated by `; `.
     expect: [&'static str; 3],
+    /// With tracing and attribution on, the trace events (by end) and
+    /// attribution evidence, sorted, in the same order: those after
+    /// `Net::connect`, or all of them in a row that does not call it.
+    observed: [&'static str; 3],
 }
 
 const ROWS: &[Row] = &[
@@ -340,11 +405,17 @@ const ROWS: &[Row] = &[
         scenario: "handshake",
         run: handshake,
         expect: ["a: connected; b: connected; up: a b"; 3],
+        observed: [
+            "a: tcp.connected; b: tcp.connected",
+            "a: via.connected; b: via.connected",
+            "a: via.connected; b: via.connected",
+        ],
     },
     Row {
         scenario: "send and deliver",
         run: send_and_deliver,
         expect: ["b: deliver ping; b: delivered 1; up: a b"; 3],
+        observed: ["", "", ""],
     },
     Row {
         // TCP retransmits silently; VIA fails-stop at once (§5.2).
@@ -355,11 +426,21 @@ const ROWS: &[Row] = &[
             "a: broken nic-error; up: b",
             "a: broken nic-error; up: b",
         ],
+        observed: [
+            "Retransmit; a: tcp.retransmit",
+            "Abort; a: via.conn_break",
+            "Abort; a: via.conn_break",
+        ],
     },
     Row {
         scenario: "peer restart",
         run: peer_restart,
         expect: ["up: a; a: broken peer-reset; up: -"; 3],
+        observed: [
+            "a: tcp.conn_break",
+            "Abort; a: via.conn_break",
+            "Abort; a: via.conn_break",
+        ],
     },
     Row {
         // A hung peer only stalls the sender: no substrate reports a
@@ -371,6 +452,7 @@ const ROWS: &[Row] = &[
             "a: WouldBlock; a: accepted 96; a: writable; b: deliver m ×96; up: a b",
             "a: WouldBlock; a: accepted 96; a: writable; b: deliver m ×96; up: a b",
         ],
+        observed: ["", "a: via.descriptor", "a: via.descriptor"],
     },
     Row {
         // Synchronous EFAULT against an asynchronous completion error,
@@ -381,6 +463,11 @@ const ROWS: &[Row] = &[
             "a: SyncError; b: delivered 0; b: deliver good; up: a b",
             "a: error Local; b: delivered 0; b: deliver good; up: a b",
             "a: error Local; b: error Remote; b: delivered 0; b: deliver good; up: a b",
+        ],
+        observed: [
+            "a: tcp.efault",
+            "a: via.completion_error",
+            "a: via.completion_error; b: via.completion_error",
         ],
     },
     Row {
@@ -393,6 +480,11 @@ const ROWS: &[Row] = &[
             "b: deliver good; b: error Remote; up: a b",
             "a: error Local; b: deliver good; b: error Remote; up: a b",
         ],
+        observed: [
+            "a: tcp.conn_break; b: tcp.conn_break; b: tcp.framing_error",
+            "a: via.completion_error; b: via.completion_error",
+            "a: via.completion_error; b: via.completion_error",
+        ],
     },
     Row {
         // Only TCP allocates kernel memory per packet (§5.4).
@@ -403,6 +495,7 @@ const ROWS: &[Row] = &[
             "b: deliver m; b: alloc failures 0, delivered 1; a: deliver r; up: a b",
             "b: deliver m; b: alloc failures 0, delivered 1; a: deliver r; up: a b",
         ],
+        observed: ["", "", ""],
     },
     Row {
         // Only VIA pins memory; the connection is unaffected either way.
@@ -413,6 +506,7 @@ const ROWS: &[Row] = &[
             "a: pin refused; a: pin ok; b: deliver m; up: a b",
             "a: pin refused; a: pin ok; b: deliver m; up: a b",
         ],
+        observed: ["", "a: via.pin_fail", "a: via.pin_fail"],
     },
     Row {
         // TCP supersedes a connection's older timers by gen; a VI keeps
@@ -427,23 +521,51 @@ const ROWS: &[Row] = &[
             "a: retry, same key; a: inert; a: retry, same key; a: inert; \
              a: broken retransmit-timeout; up: -",
         ],
+        observed: [
+            "a: tcp.conn_break",
+            "Abort; a: via.conn_break",
+            "Abort; a: via.conn_break",
+        ],
     },
 ];
 
-#[test]
-fn every_substrate_produces_its_row() {
+/// Runs every row with the switches `observe` sets and returns the
+/// rows that did not match.
+fn run_table(observe: bool) -> Vec<String> {
     let kinds = [Kind::Tcp, Kind::ViaMessaging, Kind::ViaRemoteWrite];
     let mut wrong = Vec::new();
     for row in ROWS {
-        for (kind, expect) in kinds.into_iter().zip(row.expect) {
-            let mut net = Net::new(kind);
+        for (i, kind) in kinds.into_iter().enumerate() {
+            let mut net = Net::new(kind, observe);
+            let built = TRACE_BUILDS.with(|n| n.get());
             (row.run)(&mut net);
             net.note_links();
+            let built = TRACE_BUILDS.with(|n| n.get()) - built;
             let seen = net.notes.join("; ");
-            if seen != expect {
+            if seen != row.expect[i] {
                 wrong.push(format!("{} on {kind:?}: {seen}", row.scenario));
+            }
+            let observed = net.observations();
+            let expect = if observe { row.observed[i] } else { "" };
+            if observed != expect {
+                wrong.push(format!("{} on {kind:?} observed: {observed}", row.scenario));
+            }
+            if !observe && built != 0 {
+                wrong.push(format!("{} on {kind:?} built {built} traces", row.scenario));
             }
         }
     }
+    wrong
+}
+
+#[test]
+fn every_substrate_produces_its_row() {
+    let wrong = run_table(false);
+    assert!(wrong.is_empty(), "{wrong:#?}");
+}
+
+#[test]
+fn every_substrate_produces_its_row_with_observation_on() {
+    let wrong = run_table(true);
     assert!(wrong.is_empty(), "{wrong:#?}");
 }

@@ -131,16 +131,6 @@ impl<M: Clone> Substrate<M> for SubstrateImpl<M> {
         dispatch!(self, s => Substrate::restart(s, now))
     }
 
-    #[inline]
-    fn set_trace(&mut self, enabled: bool) {
-        dispatch!(self, s => Substrate::set_trace(s, enabled))
-    }
-
-    #[inline]
-    fn set_attr(&mut self, enabled: bool) {
-        dispatch!(self, s => Substrate::set_attr(s, enabled))
-    }
-
     fn export_metrics(&self, reg: &mut telemetry::MetricsRegistry) {
         dispatch!(self, s => Substrate::export_metrics(s, reg))
     }
@@ -174,7 +164,7 @@ mod tests {
 
     #[test]
     fn open_produces_effects_through_the_enum() {
-        let mut fx = Effects::new();
+        let mut fx = Effects::default();
         let mut t = tcp(0);
         t.open(SimTime::ZERO, NodeId(1), &mut fx);
         assert!(!fx.is_empty(), "TCP open should emit SYN + timer effects");

@@ -151,10 +151,10 @@ pub struct TcpStats {
 /// use simnet::fabric::NodeId;
 /// use simnet::SimTime;
 /// use transport::tcp::TcpStack;
-/// use transport::{CallParams, CostModel, MsgClass, SendStatus, Substrate};
+/// use transport::{CallParams, CostModel, Effects, MsgClass, SendStatus, Substrate};
 ///
 /// let mut a: TcpStack<&str> = TcpStack::new(NodeId(0), CostModel::tcp());
-/// let mut out = Vec::new();
+/// let mut out = Effects::default();
 /// a.open(SimTime::ZERO, NodeId(1), &mut out);
 /// // Until the handshake completes the message is queued, not refused:
 /// let st = a.send(SimTime::ZERO, NodeId(1), MsgClass::Forward, "hi", 64,
@@ -177,11 +177,6 @@ pub struct TcpStack<M> {
     /// instead of allocating a fresh buffer per data segment.
     delivery: Vec<MsgRec<M>>,
     stats: TcpStats,
-    /// Structured-tracing switch; checked before any trace event is
-    /// even constructed so the disabled path costs one branch.
-    trace: bool,
-    /// Causal-attribution switch, same discipline as `trace`.
-    attr: bool,
 }
 
 impl<M: Clone> TcpStack<M> {
@@ -199,8 +194,6 @@ impl<M: Clone> TcpStack<M> {
             parked: Vec::new(),
             delivery: Vec::new(),
             stats: TcpStats::default(),
-            trace: false,
-            attr: false,
         }
     }
 
@@ -323,7 +316,7 @@ impl<M: Clone> TcpStack<M> {
         if sockets.remove(i).life == Lifecycle::Established && reason != BreakReason::PeerReset {
             self.send_rst(peer, conn, out);
         }
-        trace_instant(out, self.trace, "tcp.conn_break", self.node, now, |e| {
+        trace_instant(out, "tcp.conn_break", self.node, now, |e| {
             e.arg_u64("peer", peer.0 as u64)
                 .arg_u64("conn", conn)
                 .arg_str("reason", reason.label())
@@ -332,7 +325,7 @@ impl<M: Clone> TcpStack<M> {
     }
 
     fn connected(&self, now: SimTime, peer: NodeId, out: &mut Effects<M>) {
-        trace_instant(out, self.trace, "tcp.connected", self.node, now, |e| {
+        trace_instant(out, "tcp.connected", self.node, now, |e| {
             e.arg_u64("peer", peer.0 as u64)
         });
         out.push(Effect::Upcall(Upcall::Connected { peer }));
@@ -401,7 +394,7 @@ impl<M: Clone> TcpStack<M> {
             // Framing is unrecoverable: the length prefix read from the
             // stream is garbage. Reset the connection.
             self.stats.framing_errors += 1;
-            trace_instant(out, self.trace, "tcp.framing_error", self.node, now, |e| {
+            trace_instant(out, "tcp.framing_error", self.node, now, |e| {
                 e.arg_u64("peer", peer.0 as u64)
             });
             self.teardown(now, peer, conn, BreakReason::StreamCorrupt, out);
@@ -482,7 +475,7 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
         // NULL pointers are caught synchronously by the kernel: EFAULT.
         if params.ptr == PtrParam::Null {
             self.stats.efaults += 1;
-            trace_instant(out, self.trace, "tcp.efault", self.node, now, |e| {
+            trace_instant(out, "tcp.efault", self.node, now, |e| {
                 e.arg_u64("peer", peer.0 as u64)
             });
             out.push(Effect::ChargeCpu(SimDuration::from_micros(2)));
@@ -553,13 +546,11 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
                 }
                 RtxFire::Abort(stalled) => {
                     self.stats.aborts += 1;
-                    trace_instant(out, self.trace, "tcp.abort", self.node, now, |e| {
+                    trace_instant(out, "tcp.abort", self.node, now, |e| {
                         e.arg_u64("peer", peer.0 as u64)
                             .arg_u64("stalled_us", stalled.as_nanos() / 1_000)
                     });
-                    if self.attr {
-                        out.push(Effect::Attr(telemetry::AttrEvent::Abort));
-                    }
+                    out.evidence(telemetry::AttrEvent::Abort);
                     self.teardown(now, peer, conn, BreakReason::RetransmitTimeout, out);
                 }
                 RtxFire::Due(rto) if self.alloc_fail => {
@@ -575,14 +566,12 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
                     let seg = c.segment(seq, end, self.app_receiving);
                     self.stats.data_segments_sent += 1;
                     self.stats.retransmissions += 1;
-                    trace_instant(out, self.trace, "tcp.retransmit", self.node, now, |e| {
+                    trace_instant(out, "tcp.retransmit", self.node, now, |e| {
                         e.arg_u64("peer", peer.0 as u64)
                             .arg_u64("seq", seq)
                             .arg_u64("rto_us", rto.as_nanos() / 1_000)
                     });
-                    if self.attr {
-                        out.push(Effect::Attr(telemetry::AttrEvent::Retransmit));
-                    }
+                    out.evidence(telemetry::AttrEvent::Retransmit);
                     self.transmit(peer, seg, out);
                     self.arm_timer(now, peer, conn, TimerKind::Retransmit, rto, out);
                 }
@@ -613,14 +602,6 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
         self.parked.clear();
         self.alloc_fail = false;
         self.app_receiving = true;
-    }
-
-    fn set_trace(&mut self, enabled: bool) {
-        self.trace = enabled;
-    }
-
-    fn set_attr(&mut self, enabled: bool) {
-        self.attr = enabled;
     }
 
     fn export_metrics(&self, reg: &mut telemetry::MetricsRegistry) {

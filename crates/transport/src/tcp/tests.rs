@@ -11,7 +11,7 @@ fn pair() -> (Stack, Stack) {
 }
 
 fn connect(a: &mut Stack, b: &mut Stack) {
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.open(SimTime::ZERO, b.node(), &mut out);
     exchange(SimTime::ZERO, &mut [a, b], out);
     assert!(a.is_connected(b.node()));
@@ -29,7 +29,7 @@ fn first_timer(out: &[Effect<&'static str>], kind: TimerKind) -> Option<(SimTime
 fn small_message_round_trip() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     let st = a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -60,7 +60,7 @@ fn an_empty_message_between_two_others_is_delivered() {
     connect(&mut a, &mut b);
     let mut delivered = Vec::new();
     for (msg, bytes) in [("first", 64), ("empty", 0), ("last", 64)] {
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         let st = a.send(
             SimTime::ZERO,
             NodeId(1),
@@ -86,7 +86,7 @@ fn an_empty_message_between_two_others_is_delivered() {
 fn large_message_spans_segments_and_arrives_once() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -109,7 +109,7 @@ fn large_message_spans_segments_and_arrives_once() {
 fn null_pointer_is_synchronous_efault() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     let st = a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -127,7 +127,7 @@ fn null_pointer_is_synchronous_efault() {
     // Nothing went on the wire.
     assert!(out.iter().all(|e| !matches!(e, Effect::Transmit(_))));
     // The connection is still healthy for subsequent traffic.
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     let st = a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -149,7 +149,7 @@ fn off_by_n_corrupts_the_rest_of_the_stream() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
     // One clean message, then a mangled one, then another clean one.
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -205,7 +205,7 @@ fn off_by_n_corrupts_the_rest_of_the_stream() {
 fn size_delta_also_poisons_the_stream() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -227,11 +227,11 @@ fn size_delta_also_poisons_the_stream() {
 fn send_buffer_fills_and_reports_would_block() {
     let (mut a, _b) = pair();
     // Open but never complete the handshake: nothing drains.
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.open(SimTime::ZERO, NodeId(1), &mut out);
     let mut blocked = false;
     for _ in 0..100 {
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         let st = a.send(
             SimTime::ZERO,
             NodeId(1),
@@ -253,7 +253,7 @@ fn send_buffer_fills_and_reports_would_block() {
 fn retransmission_recovers_a_lost_segment() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -266,7 +266,7 @@ fn retransmission_recovers_a_lost_segment() {
     // Drop the data frame; keep only the retransmit timer.
     let timer = first_timer(&out, TimerKind::Retransmit).expect("retransmit timer armed");
     // Fire the timer: the stack must resend.
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.timer_fired(timer.0, timer.1, &mut out);
     assert_eq!(a.stats().retransmissions, 1);
     let ups = exchange(timer.0, &mut [&mut a, &mut b], out);
@@ -279,7 +279,7 @@ fn retransmission_recovers_a_lost_segment() {
 fn superseded_retransmit_timer_is_inert() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -292,14 +292,14 @@ fn superseded_retransmit_timer_is_inert() {
     let old = first_timer(&out, TimerKind::Retransmit).expect("retransmit timer armed");
     // The segment is lost; the firing timer retransmits and re-arms
     // with a fresh gen, superseding `old`.
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.timer_fired(old.0, old.1, &mut out);
     let new = first_timer(&out, TimerKind::Retransmit).expect("re-armed");
     assert!(new.1.gen > old.1.gen, "re-arm must supersede the old gen");
     assert_eq!(a.stats().retransmissions, 1);
     // The superseded key must never act again: no effects, no
     // retransmission, no timer churn.
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.timer_fired(new.0, old.1, &mut out);
     assert!(out.is_empty(), "stale timer produced effects: {out:?}");
     assert_eq!(a.stats().retransmissions, 1);
@@ -310,7 +310,7 @@ fn superseded_retransmit_timer_is_inert() {
 fn rto_backs_off_exponentially_and_aborts_eventually() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -324,7 +324,7 @@ fn rto_backs_off_exponentially_and_aborts_eventually() {
     let mut timer = first_timer(&out, TimerKind::Retransmit).expect("armed");
     let mut broke = false;
     for _ in 0..60 {
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         a.timer_fired(timer.0, timer.1, &mut out);
         if out.iter().any(|e| {
             matches!(
@@ -359,7 +359,7 @@ fn new_socket_coexists_with_a_stalled_old_one() {
     let (mut a, mut b) = pair();
     connect(&mut a, &mut b);
     // a has unacknowledged data in flight when b "crashes".
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -372,14 +372,14 @@ fn new_socket_coexists_with_a_stalled_old_one() {
     let rtx = first_timer(&out, TimerKind::Retransmit).expect("armed");
     // b reboots: fresh transport state, new socket to a.
     b.restart(SimTime::ZERO);
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     b.open(SimTime::ZERO, NodeId(0), &mut out);
     let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
     // The new socket establishes; the old one is still there.
     assert!(ups.iter().any(|u| matches!(u, Upcall::Connected { .. })));
     assert_eq!(a.conn_count(NodeId(1)), 2);
     // Traffic flows on the new socket in both directions.
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     b.send(
         SimTime::ZERO,
         NodeId(0),
@@ -395,7 +395,7 @@ fn new_socket_coexists_with_a_stalled_old_one() {
         .any(|u| matches!(u, Upcall::Deliver { msg: "rejoin?", .. })));
     // Now the old socket's retransmission reaches the rebooted node:
     // reset, and the break finally surfaces at a.
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     a.timer_fired(rtx.0, rtx.1, &mut out);
     let ups = exchange(rtx.0, &mut [&mut a, &mut b], out);
     assert!(ups.iter().any(|u| matches!(
@@ -416,7 +416,7 @@ fn clean_interposer_composes_with_send() {
     connect(&mut a, &mut b);
     let mut interposer = CleanInterposer;
     let params = interposer.mangle(SimTime::ZERO, MsgClass::Forward, CallParams::default());
-    let mut out = Vec::new();
+    let mut out = Effects::default();
     let st = a.send(
         SimTime::ZERO,
         NodeId(1),
@@ -439,16 +439,16 @@ fn clean_interposer_composes_with_send() {
 fn a_lost_window_update_stalls_the_sender_until_peer_data_arrives() {
     for lost_to_alloc_failure in [false, true] {
         let (mut a, mut b) = pair();
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         a.open(SimTime::ZERO, NodeId(1), &mut out);
         let connect_timer = first_timer(&out, TimerKind::Connect).expect("armed");
         exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
         // B hangs and advertises a zero window.
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         b.set_app_receiving(SimTime::ZERO, false, &mut out);
         exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
         // A sends: the message is buffered; nothing goes out, no timer.
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         let st = a.send(
             SimTime::ZERO,
             NodeId(1),
@@ -464,7 +464,7 @@ fn a_lost_window_update_stalls_the_sender_until_peer_data_arrives() {
             .any(|e| matches!(e, Effect::Transmit(_) | Effect::SetTimer { .. }));
         assert!(!wakes, "{out:?}");
         // B resumes, but its window update is lost.
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         b.set_alloc_fail(lost_to_alloc_failure);
         b.set_app_receiving(SimTime::ZERO, true, &mut out);
         b.set_alloc_fail(false);
@@ -478,13 +478,13 @@ fn a_lost_window_update_stalls_the_sender_until_peer_data_arrives() {
         // handshake is done.
         drop(out);
         let later = SimTime::ZERO + SimDuration::from_secs(60);
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         a.timer_fired(later, connect_timer.1, &mut out);
         assert!(out.is_empty(), "{out:?}");
         assert_eq!(a.buffered_bytes(NodeId(1)), 64);
         assert_eq!(a.stats().data_segments_sent, 0);
         // B's next data segment carries the open window; A resumes.
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         b.send(
             later,
             NodeId(0),

@@ -206,10 +206,10 @@ pub struct ViaStats {
 /// use simnet::fabric::NodeId;
 /// use simnet::SimTime;
 /// use transport::via::{ViaMode, ViaNic};
-/// use transport::{CostModel, Substrate};
+/// use transport::{CostModel, Effects, Substrate};
 ///
 /// let mut nic: ViaNic<&str> = ViaNic::new(NodeId(0), ViaMode::RemoteWrite, CostModel::via5());
-/// let mut out = Vec::new();
+/// let mut out = Effects::default();
 /// nic.open(SimTime::ZERO, NodeId(1), &mut out);
 /// assert!(!nic.is_connected(NodeId(1))); // until the ConnAck returns
 /// ```
@@ -226,11 +226,6 @@ pub struct ViaNic<M> {
     vis: PeerSlots<Option<Vi<M>>>,
     parked: Vec<(NodeId, M, MsgClass, u32)>,
     stats: ViaStats,
-    /// Structured-tracing switch; checked before any trace event is
-    /// even constructed so the disabled path costs one branch.
-    trace: bool,
-    /// Causal-attribution switch, same discipline as `trace`.
-    attr: bool,
     /// Data-descriptor counter used to sample `via.descriptor` events
     /// while tracing (unstalled descriptors are emitted 1-in-64).
     trace_seq: u64,
@@ -255,8 +250,6 @@ impl<M: Clone> ViaNic<M> {
             vis: PeerSlots::default(),
             parked: Vec::new(),
             stats: ViaStats::default(),
-            trace: false,
-            attr: false,
             trace_seq: 0,
             next_conn: 1,
         }
@@ -299,7 +292,7 @@ impl<M: Clone> ViaNic<M> {
         if self.pinned_pages + pages > limit {
             self.stats.pin_failures += 1;
             let pinned = u64::from(self.pinned_pages);
-            trace_instant(out, self.trace, "via.pin_fail", self.node, now, |e| {
+            trace_instant(out, "via.pin_fail", self.node, now, |e| {
                 e.arg_u64("requested", u64::from(pages))
                     .arg_u64("pinned", pinned)
                     .arg_u64("limit", u64::from(limit))
@@ -344,12 +337,12 @@ impl<M: Clone> ViaNic<M> {
     fn teardown(&mut self, now: SimTime, peer: NodeId, reason: BreakReason, out: &mut Effects<M>) {
         if self.vis.get_mut(peer).and_then(Option::take).is_some() {
             self.stats.conn_breaks += 1;
-            trace_instant(out, self.trace, "via.conn_break", self.node, now, |e| {
+            trace_instant(out, "via.conn_break", self.node, now, |e| {
                 e.arg_u64("peer", peer.0 as u64)
                     .arg_str("reason", reason.label())
             });
-            if self.attr && !matches!(reason, BreakReason::LocalClose) {
-                out.push(Effect::Attr(telemetry::AttrEvent::Abort));
+            if reason != BreakReason::LocalClose {
+                out.evidence(telemetry::AttrEvent::Abort);
             }
             out.push(Effect::Upcall(Upcall::ConnBroken { peer, reason }));
         }
@@ -357,7 +350,7 @@ impl<M: Clone> ViaNic<M> {
     }
 
     fn connected(&self, now: SimTime, peer: NodeId, out: &mut Effects<M>) {
-        trace_instant(out, self.trace, "via.connected", self.node, now, |e| {
+        trace_instant(out, "via.connected", self.node, now, |e| {
             e.arg_u64("peer", peer.0 as u64)
         });
         out.push(Effect::Upcall(Upcall::Connected { peer }));
@@ -372,7 +365,7 @@ impl<M: Clone> ViaNic<M> {
         out: &mut Effects<M>,
     ) {
         let name = "via.completion_error";
-        trace_instant(out, self.trace, name, self.node, now, |e| {
+        trace_instant(out, name, self.node, now, |e| {
             e.arg_u64("peer", peer.0 as u64)
                 .arg_str("site", site)
                 .arg_str("cause", p.cause())
@@ -424,24 +417,19 @@ impl<M: Clone> ViaNic<M> {
     ) {
         let rdma = self.mode == ViaMode::RemoteWrite;
         self.stats.messages_sent += 1;
-        if self.trace {
+        if out.tracing() {
             // Every credit-stalled descriptor is worth a span (the wait
             // is the story); unstalled ones are sampled 1-in-64.
             self.trace_seq += 1;
             let waited = now.saturating_since(posted);
             if waited.as_nanos() > 0 || self.trace_seq.is_multiple_of(64) {
-                out.push(Effect::Trace(
-                    telemetry::TraceEvent::span(
-                        "via.descriptor",
-                        "via",
-                        self.node.0 as u32,
-                        posted,
-                        waited,
-                    )
-                    .arg_u64("peer", peer.0 as u64)
-                    .arg_u64("bytes", u64::from(bytes))
-                    .arg_str("class", class.label()),
-                ));
+                let node = self.node.0 as u32;
+                out.trace(|| {
+                    telemetry::TraceEvent::span("via.descriptor", "via", node, posted, waited)
+                        .arg_u64("peer", peer.0 as u64)
+                        .arg_u64("bytes", u64::from(bytes))
+                        .arg_str("class", class.label())
+                });
             }
         }
         out.push(Effect::ChargeCpu(
@@ -734,14 +722,6 @@ impl<M: Clone> Substrate<M> for ViaNic<M> {
         self.pinned_pages = STARTUP_PINNED_PAGES;
     }
 
-    fn set_trace(&mut self, enabled: bool) {
-        self.trace = enabled;
-    }
-
-    fn set_attr(&mut self, enabled: bool) {
-        self.attr = enabled;
-    }
-
     fn export_metrics(&self, reg: &mut telemetry::MetricsRegistry) {
         let s = &self.stats;
         reg.counter_add("via.messages_sent", s.messages_sent);
@@ -776,7 +756,7 @@ mod tests {
     }
 
     fn connect(a: &mut Nic, b: &mut Nic) {
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         a.open(SimTime::ZERO, b.node(), &mut out);
         exchange(SimTime::ZERO, &mut [a, b], out);
         assert!(a.is_connected(b.node()) && b.is_connected(a.node()));
@@ -788,9 +768,8 @@ mod tests {
         connect(&mut a, &mut b);
         let start = a.credits(NodeId(1));
         // Send a batch-worth of messages.
-        let mut all = Vec::new();
+        let mut out = Effects::default();
         for _ in 0..8 {
-            let mut out = Vec::new();
             a.send(
                 SimTime::ZERO,
                 NodeId(1),
@@ -800,9 +779,8 @@ mod tests {
                 CallParams::default(),
                 &mut out,
             );
-            all.extend(out);
         }
-        exchange(SimTime::ZERO, &mut [&mut a, &mut b], all);
+        exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
         // The receiver consumed 8 and returned the batch: credits back to full.
         assert_eq!(a.credits(NodeId(1)), start);
         assert_eq!(b.stats().messages_delivered, 8);
@@ -812,10 +790,10 @@ mod tests {
     fn any_transmission_fault_breaks_the_connection() {
         let (mut a, mut b) = pair(ViaMode::RemoteWrite);
         connect(&mut a, &mut b);
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         a.transmit_failed(SimTime::ZERO, NodeId(1), LossReason::SrcLinkDown, &mut out);
         assert!(matches!(
-            out.as_slice(),
+            &out[..],
             [Effect::Upcall(Upcall::ConnBroken {
                 reason: BreakReason::NicError(LossReason::SrcLinkDown),
                 ..
@@ -831,7 +809,7 @@ mod tests {
         // TCP's byte stream.
         let (mut a, mut b) = pair(ViaMode::Messaging);
         connect(&mut a, &mut b);
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         a.send(
             SimTime::ZERO,
             NodeId(1),
@@ -866,7 +844,7 @@ mod tests {
     #[test]
     fn pinning_respects_the_ceiling_and_the_fault() {
         let mut nic: Nic = ViaNic::new(NodeId(0), ViaMode::RemoteWrite, CostModel::via5());
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         // Fill all but 10 pages of the room above the start-up buffers.
         let big = PINNED_PAGE_LIMIT - STARTUP_PINNED_PAGES - 10;
         assert!(nic.register_pages(SimTime::ZERO, big, &mut out).is_ok());
@@ -890,7 +868,7 @@ mod tests {
     #[test]
     fn restart_restores_startup_pin_baseline() {
         let mut nic: Nic = ViaNic::new(NodeId(0), ViaMode::RemoteWrite, CostModel::via5());
-        let mut out = Vec::new();
+        let mut out = Effects::default();
         nic.register_pages(SimTime::ZERO, 500, &mut out).unwrap();
         assert_eq!(nic.pinned_pages(), STARTUP_PINNED_PAGES + 500);
         nic.restart(SimTime::ZERO);

@@ -363,6 +363,18 @@ tmp_trace2=$(mktemp)
 cargo run --release -q -p bench --bin repro -- fig3 --small --trace "$tmp_trace1" >/dev/null 2>&1
 cargo run --release -q -p bench --bin repro -- fig3 --small --jobs 0 --trace "$tmp_trace2" >/dev/null 2>&1
 cmp "$tmp_trace1" "$tmp_trace2"
+# The file is also pinned by size and hash: a change that moves any
+# traced event fails here even when two runs agree. Update both values
+# only for an intended change to the trace.
+trace_bytes=$(wc -c <"$tmp_trace1")
+trace_sha=$(sha256sum "$tmp_trace1" | cut -d' ' -f1)
+if [ "$trace_bytes" -ne 525596 ] \
+    || [ "$trace_sha" != 4683d8644bcfc96417a5aa458dfff4ddeb612d5cc4dc0b5998a20576ca2f114d ]; then
+    echo "trace gate: fig3 --small --trace is $trace_bytes bytes, sha256 $trace_sha;" \
+        "expected 525596 bytes, sha256 4683d864...2f114d" >&2
+    exit 1
+fi
+echo "   fig3 --small --trace: 525596 bytes, sha256 pinned"
 
 echo "== observation flags compose on one run"
 # Attribution and tracing observe the same fig3 runs: the composed run

@@ -12,7 +12,7 @@ use cluster_performability::simnet::{
 };
 use cluster_performability::transport::tcp::TcpStack;
 use cluster_performability::transport::{
-    CallParams, CostModel, Effect, MsgClass, SendStatus, Substrate, Upcall,
+    CallParams, CostModel, Effect, Effects, MsgClass, SendStatus, Substrate, Upcall,
 };
 use cluster_performability::workload::Zipf;
 use proptest::prelude::*;
@@ -386,17 +386,19 @@ proptest! {
         // Establish the connection reliably; the loss pattern applies to
         // the data phase (losing every SYN legitimately aborts
         // establishment, which is not the property under test).
-        a.open(now, NodeId(1), &mut effects);
+        let mut out = Effects::default();
+        a.open(now, NodeId(1), &mut out);
+        effects.extend(out.drain());
         while !effects.is_empty() {
             for e in std::mem::take(&mut effects) {
                 if let Effect::Transmit(f) = e {
-                    let mut out = Vec::new();
+                    let mut out = Effects::default();
                     if f.dst == NodeId(1) {
                         b.frame_arrived(now, f, &mut out);
                     } else {
                         a.frame_arrived(now, f, &mut out);
                     }
-                    effects.extend(out);
+                    effects.extend(out.drain());
                 }
             }
         }
@@ -408,7 +410,7 @@ proptest! {
         for round in 0..400 {
             // Feed pending sends while the buffer accepts them.
             while sent < sizes.len() {
-                let mut out = Vec::new();
+                let mut out = Effects::default();
                 let st = a.send(
                     now,
                     NodeId(1),
@@ -418,7 +420,7 @@ proptest! {
                     CallParams::default(),
                     &mut out,
                 );
-                effects.extend(out);
+                effects.extend(out.drain());
                 match st {
                     SendStatus::Accepted => sent += 1,
                     _ => break,
@@ -447,13 +449,13 @@ proptest! {
                 }
                 let copies = if dup_iter.next().unwrap_or(false) { 2 } else { 1 };
                 for f in std::iter::repeat_n(f, copies) {
-                    let mut out = Vec::new();
+                    let mut out = Effects::default();
                     if f.dst == NodeId(1) {
                         b.frame_arrived(now, f, &mut out);
                     } else {
                         a.frame_arrived(now, f, &mut out);
                     }
-                    effects.extend(out);
+                    effects.extend(out.drain());
                 }
             }
             // If idle, fire the earliest timer to force retransmission.
@@ -464,13 +466,13 @@ proptest! {
                 }
                 let (at, key) = timers.remove(0);
                 now = now.max(at);
-                let mut out = Vec::new();
+                let mut out = Effects::default();
                 if key.node == NodeId(0) {
                     a.timer_fired(now, key, &mut out);
                 } else {
                     b.timer_fired(now, key, &mut out);
                 }
-                effects.extend(out);
+                effects.extend(out.drain());
             }
             if delivered.len() == sizes.len() && sent == sizes.len() {
                 break;
